@@ -7,20 +7,19 @@ where a closed form exists.  Two variants are Monte Carlo only by design:
 cooperative jamming with a full beamforming array (K > 1) and cooperative
 jamming with CSI-aided antenna selection.
 
-Alternating binomial sums from the order-statistics densities are
-accumulated in float64 (exact summation) up to K = 20 and in 40-digit
-arithmetic up to K = 64; beyond that the cancellation exceeds what either
-route can absorb and the functions refuse.
+The K-antenna DT and AF forms condition on the relay's gains.  Write G for
+the relay's first-hop gain in units of gamma_ar: the sum of K unit
+exponentials under MRC, their maximum under antenna selection.  G enters
+only through its Laplace transform L(s) = E[e^{-sG}], which is closed in
+both cases, so DT needs no integral and AF one integral of a positive
+integrand over the second-hop gain.  Nothing cancels, so every K is
+evaluated in double precision by the same route.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable
-
-import mpmath
-import numpy as np
-import scipy.special
 
 from . import specfun
 from .model import (
@@ -36,10 +35,6 @@ from .model import (
 class UnsupportedAnalytic(ValueError):
     """Requested a closed form for a variant that is Monte Carlo only."""
 
-
-_MAX_K_EXACT = 20      # float64 alternating sums are safe up to here
-_MAX_K_EXTENDED = 64   # beyond this even 40-digit accumulation is refused
-_MP_DPS = 40
 
 _LIMIT_SELECTORS = (
     "dt_high_snr",
@@ -58,28 +53,12 @@ _LIMIT_SELECTORS = (
 )
 
 
-def _check_k(k: int) -> None:
-    if k > _MAX_K_EXTENDED:
-        raise ValueError(
-            f"antenna counts above {_MAX_K_EXTENDED} make the alternating "
-            f"binomial sums numerically meaningless; got K={k}"
-        )
-
-
-def _ei_bracket(mu: float, beta: float, m_plus_1: int = 1) -> float:
-    """mu*(beta-1)*e^(mu*beta*q)*Ei(-mu*beta*q) + 1/q with q = m_plus_1.
+def _ei_bracket(mu: float, beta: float) -> float:
+    """1 + mu*(beta-1)*e^(mu*beta)*Ei(-mu*beta).
 
     Uses the exponentially scaled E1 so large mu*beta does not overflow.
     """
-    q = float(m_plus_1)
-    x = mu * beta * q
-    return 1.0 / q - mu * (beta - 1.0) * specfun.exp_scaled_e1(x)
-
-
-def _ei_bracket_mp(mu, beta, m_plus_1: int = 1):
-    q = mpmath.mpf(m_plus_1)
-    x = mu * beta * q
-    return 1 / q + mu * (beta - 1) * mpmath.exp(x) * mpmath.ei(-x)
+    return 1.0 - mu * (beta - 1.0) * specfun.exp_scaled_e1(mu * beta)
 
 
 def p_pos_dt(gains: LinkGains) -> float:
@@ -140,7 +119,6 @@ def _cj_integrand(gains: LinkGains, params: SystemParams) -> Callable[[float], f
 def sop_cj_single(
     gains: LinkGains,
     params: SystemParams,
-    quad: specfun.QuadratureSpec | None = None,
     paper_printed_t: bool = False,
 ) -> float:
     """Secrecy outage probability of cooperative jamming, single-antenna relay.
@@ -151,221 +129,123 @@ def sop_cj_single(
     complement identity.
     """
     t = threshold_t(gains, params, paper_printed=paper_printed_t)
-    integral = specfun.integrate_semi_infinite(_cj_integrand(gains, params), t, quad)
+    integral = specfun.integrate_semi_infinite(_cj_integrand(gains, params), t)
     return min(1.0, max(0.0, 1.0 - integral / gains.gamma_rb))
+
+
+_LogForm = Callable[[int, float], float]  # (K, argument) -> log value
+
+
+def _log_laplace_sum(k: int, s: float) -> float:
+    """log E[e^{-sG}] for G the sum of K unit exponentials (MRC combining)."""
+    return -k * math.log1p(s)
+
+
+def _log_laplace_max(k: int, s: float) -> float:
+    """log E[e^{-sG}] for G the maximum of K unit exponentials (selection).
+
+    The maximum is distributed as sum_i E_i / i (Renyi), so its transform
+    is prod_{i=1..K} i / (i + s) = Gamma(K+1) Gamma(1+s) / Gamma(K+1+s).
+    """
+    return math.lgamma(k + 1) + math.lgamma(1.0 + s) - math.lgamma(k + 1 + s)
+
+
+def _log_pdf_sum(k: int, w: float) -> float:
+    """Erlang-K log density: the full array's second-hop gain (MRT)."""
+    return (k - 1) * math.log(w) - w - math.lgamma(k)
+
+
+def _log_pdf_max(k: int, w: float) -> float:
+    """Log density of the maximum of K unit exponentials (best transmit antenna)."""
+    return math.log(k) + (k - 1) * math.log(-math.expm1(-w)) - w
+
+
+def _log_pdf_exp(k: int, w: float) -> float:
+    """Unit-exponential log density: a transmit antenna picked without CSI."""
+    return -w
+
+
+def _sop_dt(gains: LinkGains, params: SystemParams, log_laplace: _LogForm) -> float:
+    """Direct-transmission outage given the transform of the relay's gain.
+
+    Secrecy needs |h_ab|^2 > (2^R (1 + rho*gamma_ar*G) - 1) / rho; averaging
+    the exponential tail over G leaves L(2^R gamma_ar / gamma_ab).
+    """
+    two_r = 2.0 ** params.rate
+    return 1.0 - math.exp(
+        -(two_r - 1.0) / (params.rho * gains.gamma_ab)
+        + log_laplace(params.k_antennas, two_r * gains.gamma_ar / gains.gamma_ab)
+    )
 
 
 def sop_dt_multi(gains: LinkGains, params: SystemParams) -> float:
     """Direct-transmission outage with a K-antenna MRC eavesdropping relay."""
-    two_r = 2.0 ** params.rate
-    ratio = gains.gamma_ab / (two_r * gains.gamma_ar + gains.gamma_ab)
-    return 1.0 - ratio ** params.k_antennas * math.exp(
-        -(two_r - 1.0) / (params.rho * gains.gamma_ab)
-    )
-
-
-def _gauss_legendre_panels(
-    f_vec: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-9,
-    max_doublings: int = 12,
-) -> float:
-    """Panel-doubling 20-point Gauss-Legendre for smooth vectorizable integrands."""
-    nodes, weights = np.polynomial.legendre.leggauss(20)
-    previous = None
-    panels = 1
-    for _ in range(max_doublings):
-        edges = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        w = (half[:, None] * weights[None, :]).ravel()
-        value = float(np.dot(w, f_vec(x)))
-        if previous is not None and abs(value - previous) <= rel_tol * max(abs(value), 1e-300) + 1e-15:
-            return value
-        previous = value
-        panels *= 2
-    return previous
-
-
-def sop_af_multi(
-    gains: LinkGains,
-    params: SystemParams,
-    quad: specfun.QuadratureSpec | None = None,
-) -> float:
-    """AF outage with a K-antenna MRC/MRT relay.
-
-    Closed leading terms plus a double integral: the outer variable is the
-    relay's combined first-hop gain (semi-infinite, transformed), the inner
-    one the direct-link gain over the finite window where the second-hop
-    beamforming fraction can still decide the outcome.  Combined quadrature
-    budget is ~1e-6.
-    """
-    _check_k(params.k_antennas)
-    k = params.k_antennas
-    rho = params.rho
-    two2r = 2.0 ** (2.0 * params.rate)
-    c = two2r - 1.0
-    gab, gar, grb = gains.gamma_ab, gains.gamma_ar, gains.gamma_rb
-
-    closed = (1.0 + gar * c / gab) ** (-k) * math.exp(-c / (rho * gab))
-    kappa = k * (gar + 1.0 / rho) / grb
-    log_norm = -k * math.log(gar) - math.lgamma(k)
-
-    def fv(v: np.ndarray) -> np.ndarray:
-        # Survival sum of the beamforming fraction; v in [0, 1).
-        out = np.ones_like(v)
-        inside = v < 1.0
-        w = kappa * v[inside] / (1.0 - v[inside])
-        out[inside] = 1.0 - scipy.special.gammaincc(k, w)
-        return out
-
-    def inner(y: float) -> float:
-        x_l = (1.0 + rho * y) * c / rho
-        x_u = two2r * y + c / rho
-
-        def g(x: np.ndarray) -> np.ndarray:
-            v = two2r + (c - rho * x) / (rho * y)
-            return fv(v) * np.exp(-x / gab) / gab
-
-        return _gauss_legendre_panels(g, x_l, x_u)
-
-    def outer(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        log_py = log_norm + (k - 1) * math.log(y) - y / gar
-        if log_py < -700.0:
-            return 0.0
-        return math.exp(log_py) * inner(y)
-
-    if quad is None:
-        quad = specfun.QuadratureSpec(abs_tol=1e-9, rel_tol=1e-7)
-    double_integral = specfun.integrate_semi_infinite(outer, 0.0, quad)
-    return min(1.0, max(0.0, 1.0 - closed + double_integral))
-
-
-def _alt_sum_exact(terms: list[float]) -> float:
-    return math.fsum(terms)
+    return _sop_dt(gains, params, _log_laplace_sum)
 
 
 def sop_dt_select(gains: LinkGains, params: SystemParams) -> float:
     """Direct-transmission outage when the relay eavesdrops on its best antenna."""
-    _check_k(params.k_antennas)
+    return _sop_dt(gains, params, _log_laplace_max)
+
+
+def _sop_af(
+    gains: LinkGains,
+    params: SystemParams,
+    log_laplace: _LogForm,
+    log_pdf: _LogForm,
+    m: float,
+    focus: "list[float] | None" = None,
+) -> float:
+    """AF outage given the first-hop transform and the second-hop density.
+
+    With c = 2^{2R} - 1 and the second-hop gain gamma_rb * W, secrecy needs
+    |h_ab|^2 > c/rho + gamma_ar G (c + m / (gamma_rb W + m)), where m is the
+    relay's amplification constant.  Averaging over |h_ab|^2 and G gives
+
+        SOP = 1 - e^{-c/(rho gamma_ab)} E_W[L(gamma_ar (c + m/(gamma_rb W + m)) / gamma_ab)],
+
+    an integral of a positive integrand against the density of W.
+    ``focus`` marks where that density is concentrated, if it is narrow.
+    """
     k = params.k_antennas
-    two_r = 2.0 ** params.rate
-    expo = math.exp(-(two_r - 1.0) / (params.rho * gains.gamma_ab))
-    if k <= _MAX_K_EXACT:
-        total = _alt_sum_exact(
-            [
-                math.comb(k - 1, n) * (-1.0) ** n
-                * gains.gamma_ab / (two_r * gains.gamma_ar + gains.gamma_ab * (n + 1))
-                for n in range(k)
-            ]
-        )
-        return 1.0 - k * expo * total
-    with mpmath.workdps(_MP_DPS):
-        gab, gar = mpmath.mpf(gains.gamma_ab), mpmath.mpf(gains.gamma_ar)
-        total = mpmath.fsum(
-            mpmath.binomial(k - 1, n) * (-1) ** n * gab / (two_r * gar + gab * (n + 1))
-            for n in range(k)
-        )
-        return float(1 - k * expo * total)
+    c = 2.0 ** (2.0 * params.rate) - 1.0
+    scale = gains.gamma_ar / gains.gamma_ab
+    grb = gains.gamma_rb
+
+    def integrand(w: float) -> float:
+        return math.exp(log_laplace(k, scale * (c + m / (grb * w + m))) + log_pdf(k, w))
+
+    expectation = specfun.integrate_semi_infinite(integrand, 0.0, focus=focus)
+    return min(1.0, max(0.0, 1.0 - math.exp(-c / (params.rho * gains.gamma_ab)) * expectation))
+
+
+def sop_af_multi(gains: LinkGains, params: SystemParams) -> float:
+    """AF outage with a K-antenna MRC/MRT relay.
+
+    The Erlang-K density of the second-hop gain is a peak of width sqrt(K)
+    around K; the quadrature is anchored there or it can step over it.
+    """
+    k = params.k_antennas
+    root = math.sqrt(k)
+    return _sop_af(
+        gains, params, _log_laplace_sum, _log_pdf_sum,
+        m=k * (gains.gamma_ar + 1.0 / params.rho),
+        focus=[k - 6.0 * root, float(k), k + 6.0 * root],
+    )
 
 
 def sop_af_select_csi(gains: LinkGains, params: SystemParams) -> float:
-    """AF outage with best-antenna selection on both hops.
-
-    Double alternating sum over the two order-statistics expansions; both
-    indices run 0..K-1 so the K = 1 case collapses to the single-antenna
-    expression (the 1-based range sometimes quoted for this sum drops the
-    leading term and contradicts that reduction).
-    """
-    _check_k(params.k_antennas)
-    k = params.k_antennas
-    coef = derived_coefficients(gains, params)
-    c = 2.0 ** (2.0 * params.rate) - 1.0
-    expo = math.exp(-c / (params.rho * gains.gamma_ab))
-    if k <= _MAX_K_EXACT:
-        terms = []
-        for n in range(k):
-            weight_n = (
-                math.comb(k - 1, n) * (-1.0) ** n
-                * gains.gamma_ab / (c * gains.gamma_ar + gains.gamma_ab * (n + 1))
-            )
-            for m in range(k):
-                weight_m = math.comb(k - 1, m) * (-1.0) ** m
-                terms.append(weight_n * weight_m * _ei_bracket(coef.mu, coef.beta_n[n], m + 1))
-        return 1.0 - k * k * expo * _alt_sum_exact(terms)
-    with mpmath.workdps(_MP_DPS):
-        gab, gar = mpmath.mpf(gains.gamma_ab), mpmath.mpf(gains.gamma_ar)
-        mu = mpmath.mpf(coef.mu)
-        total = mpmath.mpf(0)
-        for n in range(k):
-            beta_n = mpmath.mpf(coef.beta_n[n])
-            weight_n = mpmath.binomial(k - 1, n) * (-1) ** n * gab / (c * gar + gab * (n + 1))
-            inner = mpmath.fsum(
-                mpmath.binomial(k - 1, m) * (-1) ** m * _ei_bracket_mp(mu, beta_n, m + 1)
-                for m in range(k)
-            )
-            total += weight_n * inner
-        return float(1 - k * k * expo * total)
+    """AF outage with best-antenna selection on both hops."""
+    return _sop_af(
+        gains, params, _log_laplace_max, _log_pdf_max, m=gains.gamma_ar + 1.0 / params.rho
+    )
 
 
 def sop_af_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
     """AF outage with best receive antenna and a random transmit antenna."""
-    _check_k(params.k_antennas)
-    k = params.k_antennas
-    coef = derived_coefficients(gains, params)
-    c = 2.0 ** (2.0 * params.rate) - 1.0
-    expo = math.exp(-c / (params.rho * gains.gamma_ab))
-    if k <= _MAX_K_EXACT:
-        total = _alt_sum_exact(
-            [
-                math.comb(k - 1, n) * (-1.0) ** n
-                * gains.gamma_ab * _ei_bracket(coef.mu, coef.beta_n[n])
-                / (c * gains.gamma_ar + gains.gamma_ab * (n + 1))
-                for n in range(k)
-            ]
-        )
-        return 1.0 - k * expo * total
-    with mpmath.workdps(_MP_DPS):
-        gab, gar = mpmath.mpf(gains.gamma_ab), mpmath.mpf(gains.gamma_ar)
-        mu = mpmath.mpf(coef.mu)
-        total = mpmath.fsum(
-            mpmath.binomial(k - 1, n) * (-1) ** n
-            * gab * _ei_bracket_mp(mu, mpmath.mpf(coef.beta_n[n]))
-            / (c * gar + gab * (n + 1))
-            for n in range(k)
-        )
-        return float(1 - k * expo * total)
-
-
-def _one_minus_exp_pow(k: int, x: float) -> float:
-    """(1 - e^{-x})^K via its alternating binomial expansion.
-
-    Evaluated pointwise inside the selection integrals.  The cancellation
-    scale is C(K, K/2) while the result can be as small as x^K, so the
-    accumulation precision is chosen from the result's magnitude: exact
-    float64 summation where that suffices, otherwise big-float summation
-    with just enough digits.  Results below the double-precision range
-    are returned as zero.
-    """
-    if x == math.inf:
-        return 1.0
-    if x <= 0.0:
-        return 0.0
-    log10_val = k * math.log1p(-math.exp(-x)) / math.log(10.0) if x > 1e-16 else k * math.log10(x)
-    if log10_val < -300.0:
-        return 0.0
-    if k <= _MAX_K_EXACT and log10_val > -10.0:
-        return _alt_sum_exact([math.comb(k, n) * (-1.0) ** n * math.exp(-n * x) for n in range(k + 1)])
-    digits = int(0.302 * k - log10_val) + 15
-    with mpmath.workdps(digits):
-        u = mpmath.exp(-mpmath.mpf(x))
-        return float(
-            mpmath.fsum(mpmath.binomial(k, n) * (-1) ** n * u ** n for n in range(k + 1))
-        )
+    return _sop_af(
+        gains, params, _log_laplace_max, _log_pdf_exp, m=gains.gamma_ar + 1.0 / params.rho
+    )
 
 
 def _phi_level_crossing(coef, gains: LinkGains, c: float, target_x: float) -> float:
@@ -401,12 +281,10 @@ def _phi_level_crossing(coef, gains: LinkGains, c: float, target_x: float) -> fl
 def sop_cj_select_nocsi(
     gains: LinkGains,
     params: SystemParams,
-    quad: specfun.QuadratureSpec | None = None,
     paper_printed_t: bool = False,
 ) -> float:
     """Cooperative-jamming outage with best-receive-antenna selection and no
     second-hop CSI at the relay (transmit antenna reused, equivalent to random)."""
-    _check_k(params.k_antennas)
     k = params.k_antennas
     coef = derived_coefficients(gains, params)
     c = 2.0 ** (2.0 * params.rate) - 1.0
@@ -415,10 +293,11 @@ def sop_cj_select_nocsi(
 
     def integrand(z: float) -> float:
         phi = coef.phi(z)
-        if phi <= 0.0:
+        if phi <= 0.0 or c == 0.0:
             return 0.0
-        x = c / (gar * phi) if c > 0.0 else 0.0
-        return _one_minus_exp_pow(k, x) * math.exp(-z / grb)
+        # (1 - e^{-x})^K in log form, so nothing cancels for any K.
+        x = c / (gar * phi)
+        return math.exp(k * math.log(-math.expm1(-x)) - z / grb)
 
     focus = None
     if c > 0.0 and k > 1:
@@ -429,7 +308,7 @@ def sop_cj_select_nocsi(
             _phi_level_crossing(coef, gains, c, 1.0),
             _phi_level_crossing(coef, gains, c, 0.05),
         ]
-    integral = specfun.integrate_semi_infinite(integrand, t, quad, focus=focus)
+    integral = specfun.integrate_semi_infinite(integrand, t, focus=focus)
     head = 1.0 - math.exp(-t / grb)
     return min(1.0, max(0.0, head + integral / grb))
 

@@ -584,7 +584,7 @@ def run_validate(args) -> int:
     ):
         record(f"single-antenna reduction, {key}", worst[key], tol)
 
-    # Selection double-sum index convention against Monte Carlo.
+    # AF selection closed form against Monte Carlo.
     gains7 = LinkGains(db_to_linear(5.0), db_to_linear(0.0), db_to_linear(5.0))
     p7 = SystemParams(
         rho=db_to_linear(10.0), rate=DEFAULT_RATE, k_antennas=3,
@@ -596,7 +596,7 @@ def run_validate(args) -> int:
     tol = max(4.0 * sim.stderr, 0.005)
     checks.append(
         (
-            "antenna-selection double sum matches Monte Carlo",
+            "antenna-selection AF closed form matches Monte Carlo",
             delta <= tol,
             f"|closed - mc| = {delta:.4f} (tol {tol:.4f}, trials {sim.trials})",
         )

@@ -185,8 +185,6 @@ class DerivedCoefficients:
     mu1: float
     beta1: float
     beta2: float
-    mu: float
-    beta_n: tuple[float, ...]
     t: float
     phi: Callable[[float], float]
 
@@ -340,19 +338,13 @@ def threshold_t(gains: LinkGains, params: SystemParams, paper_printed: bool = Fa
 
 
 def derived_coefficients(gains: LinkGains, params: SystemParams) -> DerivedCoefficients:
-    """Auxiliary scalars (mu, beta families, threshold t, and phi) for the closed forms."""
+    """Auxiliary scalars (mu1, beta1, beta2, threshold t, and phi) for the closed forms."""
     rho = params.rho
-    k = params.k_antennas
     two2r = 2.0 ** (2.0 * params.rate)
     c = two2r - 1.0
     mu1 = (gains.gamma_ar + 1.0 / rho) / gains.gamma_rb
     beta1 = 1.0 + gains.gamma_ar / gains.gamma_ab
     beta2 = (two2r * gains.gamma_ar + gains.gamma_ab) / (c * gains.gamma_ar + gains.gamma_ab)
-    beta_n = tuple(
-        (two2r * gains.gamma_ar + gains.gamma_ab * (n + 1))
-        / (c * gains.gamma_ar + gains.gamma_ab * (n + 1))
-        for n in range(k)
-    )
     s = gains.gamma_ar + gains.gamma_rb + 1.0 / rho
 
     def phi(z: float) -> float:
@@ -362,8 +354,6 @@ def derived_coefficients(gains: LinkGains, params: SystemParams) -> DerivedCoeff
         mu1=mu1,
         beta1=beta1,
         beta2=beta2,
-        mu=mu1,
-        beta_n=beta_n,
         t=threshold_t(gains, params),
         phi=phi,
     )

@@ -1,14 +1,16 @@
 """Closed-form outage expressions: identities, reductions, limits, oracles.
 
 Expected values that are not algebraically trivial come from independent
-oracles: a Beta-function resummation of the order-statistics sum, a
-single-expectation form of the multi-antenna AF outage, and light Monte
-Carlo cross-checks (the full-budget calibration lives in the acceptance
-suite).
+oracles: a Beta-function resummation of the order-statistics sum, the
+alternating order-statistics sums of the selection outages evaluated in
+big-float arithmetic, single-expectation forms of the multi-antenna AF
+outage, and light Monte Carlo cross-checks (the full-budget calibration
+lives in the acceptance suite).
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -51,6 +53,80 @@ def af_multi_single_integral_oracle(gains, params):
     return 1.0 - math.exp(-c / (rho * gains.gamma_ab)) * ev
 
 
+def af_multi_mp_oracle(gains, params):
+    """Multi-antenna AF outage as one big-float expectation over the
+    Erlang-K second-hop gain, split at K + j*sqrt(K) so its peak is resolved."""
+    k = params.k_antennas
+    with mpmath.workdps(30):
+        gab, gar, grb, rho = (
+            mpmath.mpf(v) for v in (gains.gamma_ab, gains.gamma_ar, gains.gamma_rb, params.rho)
+        )
+        c = mpmath.mpf(2) ** (2 * mpmath.mpf(params.rate)) - 1
+        m = k * (gar + 1 / rho)
+
+        def integrand(w):
+            log_pdf = (k - 1) * mpmath.log(w) - w - mpmath.loggamma(k)
+            return mpmath.exp(log_pdf - k * mpmath.log1p(gar * (c + m / (grb * w + m)) / gab))
+
+        edges = [k + j * mpmath.sqrt(k) for j in range(-8, 9)]
+        ev = mpmath.quad(integrand, [0] + [x for x in edges if x > 0] + [mpmath.inf])
+        return float(1 - mpmath.exp(-c / (rho * gab)) * ev)
+
+
+def _sum_digits(k):
+    # The alternating sums cancel like C(K-1, K/2)^2 ~ 4^K: 0.6*K digits.
+    return int(0.6 * k) + 30
+
+
+def dt_select_sum_oracle(gains, params):
+    """Best-antenna DT outage as the order-statistics alternating sum."""
+    k = params.k_antennas
+    with mpmath.workdps(_sum_digits(k)):
+        gab, gar = mpmath.mpf(gains.gamma_ab), mpmath.mpf(gains.gamma_ar)
+        two_r = mpmath.mpf(2) ** mpmath.mpf(params.rate)
+        total = mpmath.fsum(
+            mpmath.binomial(k - 1, n) * (-1) ** n * gab / (two_r * gar + gab * (n + 1))
+            for n in range(k)
+        )
+        return float(1 - k * mpmath.exp(-(two_r - 1) / (params.rho * gab)) * total)
+
+
+def _ei_bracket_mp(mu, beta, q):
+    x = mu * beta * q
+    return 1 / mpmath.mpf(q) + mu * (beta - 1) * mpmath.exp(x) * mpmath.ei(-x)
+
+
+def af_select_sum_oracle(gains, params, csi):
+    """AF selection outage as the order-statistics alternating sums.
+
+    A single sum without second-hop CSI, a double one with it.  Both
+    indices run 0..K-1 so the K = 1 case collapses to the single-antenna
+    expression (the 1-based range sometimes quoted for the double sum
+    drops the leading term and contradicts that reduction).
+    """
+    k = params.k_antennas
+    with mpmath.workdps(_sum_digits(k)):
+        gab, gar, grb, rho = (
+            mpmath.mpf(v) for v in (gains.gamma_ab, gains.gamma_ar, gains.gamma_rb, params.rho)
+        )
+        two2r = mpmath.mpf(2) ** (2 * mpmath.mpf(params.rate))
+        c = two2r - 1
+        mu = (gar + 1 / rho) / grb
+        total = mpmath.mpf(0)
+        for n in range(k):
+            den = c * gar + gab * (n + 1)
+            beta_n = (two2r * gar + gab * (n + 1)) / den
+            if csi:
+                bracket = k * mpmath.fsum(
+                    mpmath.binomial(k - 1, m) * (-1) ** m * _ei_bracket_mp(mu, beta_n, m + 1)
+                    for m in range(k)
+                )
+            else:
+                bracket = _ei_bracket_mp(mu, beta_n, 1)
+            total += mpmath.binomial(k - 1, n) * (-1) ** n * gab * bracket / den
+        return float(1 - k * mpmath.exp(-c / (rho * gab)) * total)
+
+
 def random_settings(n, seed, k_max=1):
     rng = np.random.default_rng(seed)
     for _ in range(n):
@@ -58,6 +134,20 @@ def random_settings(n, seed, k_max=1):
         rho = db_to_linear(rng.uniform(0.0, 30.0))
         k = int(rng.integers(1, k_max + 1))
         yield gains, SystemParams(rho=rho, rate=0.1, k_antennas=k)
+
+
+def large_array_settings(seed, ks):
+    """One point per K with a weak eavesdropping link, so large arrays
+    leave the outage well inside (0, 1) instead of saturating it."""
+    rng = np.random.default_rng(seed)
+    for k in ks:
+        gains = LinkGains(
+            db_to_linear(rng.uniform(0.0, 10.0)),
+            db_to_linear(rng.uniform(-20.0, -5.0)),
+            db_to_linear(rng.uniform(-10.0, 10.0)),
+        )
+        rho = db_to_linear(rng.uniform(0.0, 30.0))
+        yield gains, SystemParams(rho=rho, rate=float(rng.uniform(0.0, 1.5)), k_antennas=k)
 
 
 class TestPositiveSecrecyDirect:
@@ -222,8 +312,13 @@ class TestSelectionDirect:
         ]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    def test_alternating_sum_oracle(self):
+        for gains, params in large_array_settings(12, (2, 8, 24, 64)):
+            assert analytic.sop_dt_select(gains, params) == pytest.approx(
+                dt_select_sum_oracle(gains, params), abs=1e-12
+            )
+
     def test_extended_precision_path_continuous(self, fig7_gains):
-        # The big-float branch starts above K=20; neighbours must line up.
         v20 = analytic.sop_dt_select(fig7_gains, SystemParams(rho=100.0, rate=0.1, k_antennas=20))
         v21 = analytic.sop_dt_select(fig7_gains, SystemParams(rho=100.0, rate=0.1, k_antennas=21))
         assert 0.0 <= v20 <= v21 <= 1.0
@@ -249,6 +344,16 @@ class TestSelectionAmplifyForward:
             with_csi = analytic.sop_af_select_csi(gains, params)
             without = analytic.sop_af_select_nocsi(gains, params)
             assert without >= with_csi - 1e-9
+
+    def test_alternating_sum_oracles(self):
+        for gains, params in large_array_settings(14, (2, 8, 24, 64)):
+            assert analytic.sop_af_select_nocsi(gains, params) == pytest.approx(
+                af_select_sum_oracle(gains, params, csi=False), abs=1e-9
+            )
+            if params.k_antennas <= 24:  # the double sum costs ~1 s at K = 64
+                assert analytic.sop_af_select_csi(gains, params) == pytest.approx(
+                    af_select_sum_oracle(gains, params, csi=True), abs=1e-9
+                )
 
     def test_extended_precision_path_against_montecarlo(self, fig6_gains):
         params = SystemParams(
@@ -282,17 +387,76 @@ class TestSelectionCooperativeJamming:
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-class TestAntennaCountRefusal:
-    def test_sums_refuse_beyond_64(self, fig7_gains):
-        params = SystemParams(rho=100.0, rate=0.1, k_antennas=65)
-        for fn in (
+class TestLargeArrays:
+    def test_forms_stay_in_range_beyond_64(self, fig7_gains):
+        for k in (65, 1024):
+            params = SystemParams(rho=100.0, rate=0.1, k_antennas=k)
+            for fn in (
+                analytic.sop_dt_select,
+                analytic.sop_af_multi,
+                analytic.sop_af_select_csi,
+                analytic.sop_af_select_nocsi,
+                analytic.sop_cj_select_nocsi,
+            ):
+                value = fn(fig7_gains, params)
+                assert math.isfinite(value) and 0.0 <= value <= 1.0, (fn.__name__, k)
+
+    def test_seeded_domain_stays_in_range(self):
+        forms = (
+            analytic.sop_dt_multi,
             analytic.sop_dt_select,
+            analytic.sop_af_multi,
             analytic.sop_af_select_csi,
             analytic.sop_af_select_nocsi,
             analytic.sop_cj_select_nocsi,
-        ):
-            with pytest.raises(ValueError):
-                fn(fig7_gains, params)
+        )
+        rng = np.random.default_rng(2026)
+        for i in range(3000):
+            gains = LinkGains(*(db_to_linear(v) for v in rng.uniform(-40.0, 40.0, 3)))
+            params = SystemParams(
+                rho=db_to_linear(rng.uniform(-10.0, 60.0)),
+                rate=float(rng.uniform(0.0, 4.0)),
+                k_antennas=int(round(math.exp(rng.uniform(math.log(2), math.log(1024))))),
+            )
+            fn = forms[i % len(forms)]
+            value = fn(gains, params)
+            assert math.isfinite(value) and 0.0 <= value <= 1.0, (fn.__name__, gains, params)
+
+    def test_af_multi_resolves_the_erlang_peak(self):
+        # An unanchored quadrature steps over the peak at W ~ K and returns 1.
+        gains = LinkGains(db_to_linear(20.0), db_to_linear(-10.0), db_to_linear(5.0))
+        params = SystemParams(rho=db_to_linear(20.0), rate=0.1, k_antennas=1024)
+        assert analytic.sop_af_multi(gains, params) == pytest.approx(
+            af_multi_mp_oracle(gains, params), abs=1e-8
+        )
+
+
+class TestRegressionPoints:
+    """Points where the alternating-sum forms failed: a quadrature that did
+    not converge, and float64 coefficients amplified by the cancellation."""
+
+    @staticmethod
+    def _point(k, gains_db, rho_db, rate):
+        gains = LinkGains(*(db_to_linear(v) for v in gains_db))
+        return gains, SystemParams(rho=db_to_linear(rho_db), rate=rate, k_antennas=k)
+
+    def test_af_multi_converges(self):
+        gains, params = self._point(8, (5.9, 35.0, -25.4), 48.9, 0.0)
+        assert analytic.sop_af_multi(gains, params) == pytest.approx(
+            af_multi_mp_oracle(gains, params), abs=1e-8
+        )
+
+    def test_af_select_csi_k62(self):
+        gains, params = self._point(62, (35.06, 14.35, 4.13), 34.27, 2.797)
+        assert analytic.sop_af_select_csi(gains, params) == pytest.approx(
+            af_select_sum_oracle(gains, params, csi=True), abs=1e-8
+        )
+
+    def test_af_select_nocsi_k58(self):
+        gains, params = self._point(58, (16.38, 14.36, -30.81), 55.72, 3.754)
+        assert analytic.sop_af_select_nocsi(gains, params) == pytest.approx(
+            af_select_sum_oracle(gains, params, csi=False), abs=1e-8
+        )
 
 
 class TestLimits:

@@ -87,6 +87,24 @@ class TestExitCodes:
         code, _, _ = run_cli(["point", "--scheme", "dt", "--mode", "select-nocsi"], capsys)
         assert code == 2
 
+    def test_selection_beyond_64_antennas(self, capsys):
+        code, out, _ = run_cli(
+            ["point", "--k", "65", "--mode", "select-csi", "--method", "analytic"], capsys
+        )
+        assert code == 0
+        assert 0.0 <= float(out.strip().splitlines()[1].split(",")[9]) <= 1.0
+
+
+class TestImports:
+    def test_cli_does_not_load_mpmath(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, relaysec.cli; print('mpmath' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path, capsys):
