@@ -7,7 +7,6 @@ power-allocation optimizer with a figure-oriented CLI.
 """
 
 from .model import (
-    ChannelDraw,
     LinkGains,
     PowerAllocation,
     Scheme,
@@ -17,14 +16,12 @@ from .model import (
     SystemParams,
     db_to_linear,
     derived_coefficients,
-    sample_channel,
 )
-from .montecarlo import McConfig, estimate_sop, positive_secrecy_probability, secrecy_rate, sweep
+from .montecarlo import McConfig, estimate_sop, positive_secrecy_probability
 from .powerallo import minimize_sop
 from .specfun import QuadratureSpec
 
 __all__ = [
-    "ChannelDraw",
     "LinkGains",
     "McConfig",
     "PowerAllocation",
@@ -39,9 +36,6 @@ __all__ = [
     "estimate_sop",
     "minimize_sop",
     "positive_secrecy_probability",
-    "sample_channel",
-    "secrecy_rate",
-    "sweep",
 ]
 
 __version__ = "0.1.0"

@@ -278,18 +278,14 @@ def _phi_level_crossing(coef, gains: LinkGains, c: float, target_x: float) -> fl
     return hi
 
 
-def sop_cj_select_nocsi(
-    gains: LinkGains,
-    params: SystemParams,
-    paper_printed_t: bool = False,
-) -> float:
+def sop_cj_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
     """Cooperative-jamming outage with best-receive-antenna selection and no
-    second-hop CSI at the relay (transmit antenna reused, equivalent to random)."""
+    second-hop CSI at the relay, which transmits on its receive antenna."""
     k = params.k_antennas
     coef = derived_coefficients(gains, params)
     c = 2.0 ** (2.0 * params.rate) - 1.0
     gar, grb = gains.gamma_ar, gains.gamma_rb
-    t = threshold_t(gains, params, paper_printed=paper_printed_t)
+    t = coef.t
 
     def integrand(z: float) -> float:
         phi = coef.phi(z)

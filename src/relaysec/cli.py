@@ -34,7 +34,7 @@ from .model import (
     derived_coefficients,
     threshold_t,
 )
-from .montecarlo import McConfig, SWEEP_AXES, estimate_sop, estimate_sop_many, sweep
+from .montecarlo import McConfig, estimate_sop, estimate_sop_many
 
 CSV_COLUMNS = (
     "scheme,mode,K,rho_db,gab_db,gar_db,grb_db,rate,method,sop,stderr,trials,"
@@ -88,34 +88,68 @@ def _wilson_bounds(p: float, n: int, z: float = 1.959964) -> tuple[float, float]
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _format_row(
-    scheme: SchemeId,
-    k: int,
-    rho_db: float,
-    gains_db: tuple[float, float, float],
-    rate: float,
-    method: str,
-    est: SopEstimate,
-) -> str:
-    if est.method == "montecarlo":
-        lo, hi = _wilson_bounds(est.value, est.trials)
-        wilson = f"{lo:.10g},{hi:.10g}"
-    else:
-        wilson = ","
-    return (
-        f"{scheme.scheme.value},{scheme.mode.value},{k},{rho_db:.6g},"
-        f"{gains_db[0]:.6g},{gains_db[1]:.6g},{gains_db[2]:.6g},{rate:.6g},"
-        f"{method},{est.value:.10g},{est.stderr:.6g},{est.trials},{wilson}"
-    )
-
-
 class CsvWriter:
     def __init__(self, stream: TextIO):
         self.stream = stream
         self.stream.write(CSV_COLUMNS + "\n")
 
-    def row(self, *args, **kwargs) -> None:
-        self.stream.write(_format_row(*args, **kwargs) + "\n")
+    def row(self, setting: Setting, params: SystemParams, method: str, est: SopEstimate) -> None:
+        if est.method == "montecarlo":
+            lo, hi = _wilson_bounds(est.value, est.trials)
+            wilson = f"{lo:.10g},{hi:.10g}"
+        else:
+            wilson = ","
+        scheme = params.scheme
+        self.stream.write(
+            f"{scheme.scheme.value},{scheme.mode.value},{params.k_antennas},{setting.rho_db:.6g},"
+            f"{setting.gab_db:.6g},{setting.gar_db:.6g},{setting.grb_db:.6g},{params.rate:.6g},"
+            f"{method},{est.value:.10g},{est.stderr:.6g},{est.trials},{wilson}\n"
+        )
+
+
+# ---------------------------------------------------------------------------
+# Parameter settings and sweep axes
+# ---------------------------------------------------------------------------
+
+# Each sweep axis and the setting fields (CSV columns) that a point on it sets.
+SWEEP_AXES = {
+    "rho_db": ("rho_db",),
+    "gab_db": ("gab_db",),
+    "gar_db": ("gar_db",),
+    "grb_db": ("grb_db",),
+    "gab_and_grb_db": ("gab_db", "grb_db"),
+    "k_antennas": ("k",),
+}
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One parameter point in interface units: SNR and mean gains in dB, antenna count."""
+
+    rho_db: float
+    gab_db: float
+    gar_db: float
+    grb_db: float
+    k: float
+
+    def at(self, axis: str, point: float) -> Setting:
+        """This setting moved to ``point`` along ``axis``."""
+        return replace(self, **dict.fromkeys(SWEEP_AXES[axis], point))
+
+    def link(self, rate: float, scheme: SchemeId = SchemeId(Scheme.DT)) -> tuple[LinkGains, SystemParams]:
+        """Linear-scale model inputs; a value outside the model's domain is a ConfigError."""
+        try:
+            gains = LinkGains(
+                gamma_ab=db_to_linear(self.gab_db),
+                gamma_ar=db_to_linear(self.gar_db),
+                gamma_rb=db_to_linear(self.grb_db),
+            )
+            params = SystemParams(
+                rho=db_to_linear(self.rho_db), k_antennas=self.k, rate=rate, scheme=scheme
+            )
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(str(exc)) from exc
+        return gains, params
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +168,12 @@ _CJ_SEL_NOCSI = SchemeId(Scheme.CJ, SelectionMode.SELECT_NOCSI)
 
 @dataclass(frozen=True)
 class FigurePreset:
+    """Rows along one axis: ``base`` fixes the setting (None where the axis
+    sets the value) and each scheme tuple names the rows of one method."""
+
     axis: str
     points: tuple[float, ...]
-    gab_db: float | None
-    gar_db: float | None
-    grb_db: float | None
-    rho_db: float | None
-    k: int
+    base: Setting
     schemes: tuple[SchemeId, ...]
     analytic_schemes: tuple[SchemeId, ...]
     asymptotes: tuple[tuple[SchemeId, str], ...] = ()
@@ -151,48 +184,49 @@ _RHO_GRID = tuple(float(x) for x in range(0, 41, 5))
 
 FIGURE_PRESETS: dict[int, FigurePreset] = {
     1: FigurePreset(
-        axis="rho_db", points=_RHO_GRID, gab_db=0.0, gar_db=0.0, grb_db=5.0,
-        rho_db=None, k=1, schemes=(_DT, _AF, _CJ), analytic_schemes=(_DT, _AF, _CJ),
+        axis="rho_db", points=_RHO_GRID,
+        base=Setting(rho_db=None, gab_db=0.0, gar_db=0.0, grb_db=5.0, k=1),
+        schemes=(_DT, _AF, _CJ), analytic_schemes=(_DT, _AF, _CJ),
         power_opt=(_AF, _CJ),
     ),
     2: FigurePreset(
         axis="grb_db", points=tuple(float(x) for x in range(-10, 31, 5)),
-        gab_db=5.0, gar_db=0.0, grb_db=None, rho_db=15.0, k=1,
+        base=Setting(rho_db=15.0, gab_db=5.0, gar_db=0.0, grb_db=None, k=1),
         schemes=(_DT, _AF, _CJ), analytic_schemes=(_DT, _AF, _CJ),
         asymptotes=((_AF, "af_strong_second_hop"), (_CJ, "cj_strong_second_hop")),
     ),
     3: FigurePreset(
         axis="gar_db", points=tuple(float(x) for x in range(-30, 41, 5)),
-        gab_db=0.0, gar_db=None, grb_db=5.0, rho_db=20.0, k=1,
+        base=Setting(rho_db=20.0, gab_db=0.0, gar_db=None, grb_db=5.0, k=1),
         schemes=(_DT, _AF, _CJ), analytic_schemes=(_DT, _AF, _CJ),
         asymptotes=((_DT, "dt_weak_first_hop"), (_AF, "af_weak_first_hop")),
     ),
     4: FigurePreset(
         axis="gab_db", points=tuple(float(x) for x in range(-10, 31, 5)),
-        gab_db=None, gar_db=2.0, grb_db=10.0, rho_db=10.0, k=1,
+        base=Setting(rho_db=10.0, gab_db=None, gar_db=2.0, grb_db=10.0, k=1),
         schemes=(_DT, _AF, _CJ), analytic_schemes=(_DT, _AF, _CJ),
     ),
     5: FigurePreset(
         axis="gab_and_grb_db", points=tuple(float(x) for x in range(-10, 31, 5)),
-        gab_db=None, gar_db=2.0, grb_db=None, rho_db=10.0, k=1,
+        base=Setting(rho_db=10.0, gab_db=None, gar_db=2.0, grb_db=None, k=1),
         schemes=(_DT, _AF, _CJ), analytic_schemes=(_DT, _AF, _CJ),
         asymptotes=((_CJ, "cj_strong_second_hop"),),
     ),
     6: FigurePreset(
         axis="k_antennas", points=tuple(float(k) for k in range(1, 9)),
-        gab_db=5.0, gar_db=0.0, grb_db=10.0, rho_db=30.0, k=1,
+        base=Setting(rho_db=30.0, gab_db=5.0, gar_db=0.0, grb_db=10.0, k=1),
         schemes=(_DT, _AF, _CJ), analytic_schemes=(_DT, _AF),
         power_opt=(_AF, _CJ),
     ),
     7: FigurePreset(
-        axis="rho_db", points=_RHO_GRID, gab_db=5.0, gar_db=0.0, grb_db=5.0,
-        rho_db=None, k=6,
+        axis="rho_db", points=_RHO_GRID,
+        base=Setting(rho_db=None, gab_db=5.0, gar_db=0.0, grb_db=5.0, k=6),
         schemes=(_DT_SEL, _AF_SEL, _AF_SEL_NOCSI, _CJ_SEL, _CJ_SEL_NOCSI),
         analytic_schemes=(_DT_SEL, _AF_SEL, _AF_SEL_NOCSI, _CJ_SEL_NOCSI),
     ),
     8: FigurePreset(
         axis="k_antennas", points=tuple(float(k) for k in range(1, 11)),
-        gab_db=0.0, gar_db=0.0, grb_db=2.0, rho_db=12.0, k=1,
+        base=Setting(rho_db=12.0, gab_db=0.0, gar_db=0.0, grb_db=2.0, k=1),
         schemes=(_DT, _AF, _CJ, _DT_SEL, _AF_SEL, _AF_SEL_NOCSI, _CJ_SEL, _CJ_SEL_NOCSI),
         analytic_schemes=(_DT, _AF, _DT_SEL, _AF_SEL, _AF_SEL_NOCSI, _CJ_SEL_NOCSI),
     ),
@@ -298,21 +332,13 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     return args
 
 
-def _gains_params(args) -> tuple[LinkGains, SystemParams, tuple[float, float, float]]:
-    gains_db = (args.gab_db, args.gar_db, args.grb_db)
-    gains = LinkGains(
-        gamma_ab=db_to_linear(args.gab_db),
-        gamma_ar=db_to_linear(args.gar_db),
-        gamma_rb=db_to_linear(args.grb_db),
-    )
-    try:
-        scheme = _scheme_id(args.scheme, args.mode)
-        params = SystemParams(
-            rho=db_to_linear(args.rho_db), k_antennas=args.k, rate=args.rate, scheme=scheme
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return gains, params, gains_db
+def _args_setting(args) -> Setting:
+    return Setting(args.rho_db, args.gab_db, args.gar_db, args.grb_db, args.k)
+
+
+def _gains_params(args) -> tuple[Setting, LinkGains, SystemParams]:
+    setting = _args_setting(args)
+    return (setting, *setting.link(args.rate, _scheme_id(args.scheme, args.mode)))
 
 
 def _mc_config(args, default_trials: int = 1_000_000) -> McConfig:
@@ -345,7 +371,7 @@ def _default_limit_selector(scheme: SchemeId, k: int) -> str:
 # ---------------------------------------------------------------------------
 
 def run_point(args) -> int:
-    gains, params, gains_db = _gains_params(args)
+    setting, gains, params = _gains_params(args)
     mc = _mc_config(args)
     k = params.k_antennas
     rows: list[tuple[str, SopEstimate]] = []
@@ -383,110 +409,92 @@ def run_point(args) -> int:
     out = _open_out(args)
     writer = CsvWriter(out)
     for method, est in rows:
-        writer.row(params.scheme, k, args.rho_db, gains_db, args.rate, method, est)
+        writer.row(setting, params, method, est)
     if out is not sys.stdout:
         out.close()
     return 0
 
 
-def _figure_point_fields(preset: FigurePreset, point: float, args):
-    """Resolve (gains, params skeleton, per-row dB columns) for one axis point."""
-    gab = preset.gab_db if preset.gab_db is not None else point
-    gar = preset.gar_db if preset.gar_db is not None else point
-    grb = preset.grb_db if preset.grb_db is not None else point
-    rho = preset.rho_db if preset.rho_db is not None else point
-    k = int(point) if preset.axis == "k_antennas" else preset.k
-    if preset.axis == "gab_and_grb_db":
-        gab = grb = point
-    gains = LinkGains(db_to_linear(gab), db_to_linear(gar), db_to_linear(grb))
-    params = SystemParams(rho=db_to_linear(rho), k_antennas=k, rate=args.rate)
-    return gains, params, (gab, gar, grb), rho, k
+def _run_preset(preset: FigurePreset, args, label: str) -> int:
+    """Write the rows of every axis point of ``preset``.
 
-
-def run_figure(args) -> int:
-    preset = FIGURE_PRESETS[args.figure_id]
+    Every point is resolved before the CSV header is written, so a bad
+    point is reported without leaving a partial CSV behind.
+    """
     mc = _mc_config(args)
+    resolved = []
+    for point in preset.points:
+        setting = preset.base.at(preset.axis, point)
+        resolved.append((point, setting, *setting.link(args.rate)))
+
     out = _open_out(args)
     writer = CsvWriter(out)
-
-    for point in preset.points:
-        gains, base, gains_db, rho_db, k = _figure_point_fields(preset, point, args)
-
+    for point, setting, gains, base_params in resolved:
         for scheme in preset.analytic_schemes:
-            params = replace(base, scheme=scheme)
+            params = replace(base_params, scheme=scheme)
             try:
                 value = analytic.analytic_sop(gains, params)
             except UnsupportedAnalytic:
                 continue
-            writer.row(scheme, k, rho_db, gains_db, args.rate, "analytic", SopEstimate(value=value))
+            writer.row(setting, params, "analytic", SopEstimate(value=value))
 
-        params_list = [replace(base, scheme=s) for s in preset.schemes]
+        params_list = [replace(base_params, scheme=s) for s in preset.schemes]
         estimates = estimate_sop_many(gains, params_list, mc)
-        for scheme, est in zip(preset.schemes, estimates):
-            writer.row(scheme, k, rho_db, gains_db, args.rate, "montecarlo", est)
+        for params, est in zip(params_list, estimates):
+            writer.row(setting, params, "montecarlo", est)
 
         for scheme, selector in preset.asymptotes:
-            params = replace(base, scheme=scheme)
+            params = replace(base_params, scheme=scheme)
             value = analytic.limits(gains, params, selector, mc=mc)
-            writer.row(
-                scheme, k, rho_db, gains_db, args.rate, "asymptotic",
-                SopEstimate(value=value, method="asymptotic"),
-            )
+            writer.row(setting, params, "asymptotic", SopEstimate(value=value, method="asymptotic"))
 
-        if not args.skip_power_opt:
+        for scheme in preset.power_opt:
             # Search on a reduced trial budget, then settle the winner against
             # full power on the same budget as the plain Monte Carlo rows so
             # the power-opt row is never above its montecarlo companion.
             opt_mc = replace(mc, trials=min(args.power_opt_trials, mc.trials))
-            for scheme in preset.power_opt:
-                params = replace(base, scheme=scheme)
-                alloc, _ = powerallo.minimize_sop(gains, params, opt_mc)
-                est = min(
-                    (estimate_sop(gains, replace(params, power=p), mc)
-                     for p in {alloc, PowerAllocation()}),
-                    key=lambda e: e.value,
-                )
-                writer.row(scheme, k, rho_db, gains_db, args.rate, "power-opt", est)
+            params = replace(base_params, scheme=scheme)
+            alloc, _ = powerallo.minimize_sop(gains, params, opt_mc)
+            est = min(
+                (estimate_sop(gains, replace(params, power=p), mc)
+                 for p in {alloc, PowerAllocation()}),
+                key=lambda e: e.value,
+            )
+            writer.row(setting, params, "power-opt", est)
 
-        print(f"figure {args.figure_id}: point {point:g} done", file=sys.stderr)
+        print(f"{label}: point {point:g} done", file=sys.stderr)
 
     if out is not sys.stdout:
         out.close()
     return 0
+
+
+def run_figure(args) -> int:
+    preset = FIGURE_PRESETS[args.figure_id]
+    if args.skip_power_opt:
+        preset = replace(preset, power_opt=())
+    return _run_preset(preset, args, f"figure {args.figure_id}")
 
 
 def run_sweep(args) -> int:
-    gains, params, _ = _gains_params(args)
-    mc = _mc_config(args)
+    """A Monte Carlo-only preset built from the arguments."""
     try:
-        points = [float(tok) for tok in args.points.split(",") if tok.strip()]
+        points = tuple(float(tok) for tok in args.points.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"bad --points list: {exc}") from exc
     if args.schemes:
-        try:
-            schemes = [_parse_scheme_token(tok) for tok in args.schemes.split(",")]
-        except ConfigError:
-            raise
+        schemes = tuple(_parse_scheme_token(tok) for tok in args.schemes.split(","))
     else:
-        schemes = [params.scheme]
-
-    out = _open_out(args)
-    writer = CsvWriter(out)
-    for point, per_scheme in sweep(args.axis, points, gains, params, mc, schemes):
-        for scheme, est in per_scheme.items():
-            rho_db = point if args.axis == "rho_db" else args.rho_db
-            gab = point if args.axis in ("gab_db", "gab_and_grb_db") else args.gab_db
-            gar = point if args.axis == "gar_db" else args.gar_db
-            grb = point if args.axis in ("grb_db", "gab_and_grb_db") else args.grb_db
-            k = int(point) if args.axis == "k_antennas" else args.k
-            writer.row(scheme, k, rho_db, (gab, gar, grb), args.rate, "montecarlo", est)
-    if out is not sys.stdout:
-        out.close()
-    return 0
+        schemes = (_scheme_id(args.scheme, args.mode),)
+    preset = FigurePreset(
+        axis=args.axis, points=points, base=_args_setting(args), schemes=schemes,
+        analytic_schemes=(),
+    )
+    return _run_preset(preset, args, "sweep")
 
 
 def run_power_opt(args) -> int:
-    gains, params, gains_db = _gains_params(args)
+    setting, gains, params = _gains_params(args)
     mc = _mc_config(args)
     allocation, est = powerallo.minimize_sop(
         gains, params, mc, grid_step=args.grid_step, constraint=args.constraint
@@ -494,8 +502,8 @@ def run_power_opt(args) -> int:
     full = estimate_sop(gains, params, mc)
     out = _open_out(args)
     writer = CsvWriter(out)
-    writer.row(params.scheme, params.k_antennas, args.rho_db, gains_db, args.rate, "montecarlo", full)
-    writer.row(params.scheme, params.k_antennas, args.rho_db, gains_db, args.rate, "power-opt", est)
+    writer.row(setting, params, "montecarlo", full)
+    writer.row(setting, params, "power-opt", est)
     print(
         f"best allocation: alice={allocation.frac_alice:.3f} "
         f"relay={allocation.frac_relay:.3f} jam={allocation.frac_bob_jam:.3f} "

@@ -1,4 +1,8 @@
-"""Domain types, Rayleigh fading sampling, and the relay beamforming/selection kernels.
+"""Domain types, Rayleigh fading sampling, and the closed forms' derived coefficients.
+
+The signal model itself (beamforming, antenna selection, jamming
+suppression) lives in one place, ``montecarlo.rate_margins_block``, which
+evaluates it on the ``ChannelBlock`` batches sampled here.
 
 Conventions used throughout the package:
 
@@ -111,6 +115,8 @@ class SystemParams:
             raise ValueError(f"rho must be strictly positive and finite, got {self.rho}")
         if self.k_antennas < 1 or int(self.k_antennas) != self.k_antennas:
             raise ValueError(f"k_antennas must be an integer >= 1, got {self.k_antennas}")
+        # Sweep points arrive as floats; array shapes and CSV rows need an int.
+        object.__setattr__(self, "k_antennas", int(self.k_antennas))
         if not (self.rate >= 0 and math.isfinite(self.rate)):
             raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
 
@@ -141,34 +147,11 @@ class SopEstimate:
             raise ValueError("closed-form and asymptotic estimates carry no sampling uncertainty")
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One quasi-static fading realization."""
-
-    h_ab: complex
-    h_ar: np.ndarray
-    h_rb: np.ndarray
-
-    def __post_init__(self):
-        h_ar = np.asarray(self.h_ar, dtype=np.complex128)
-        h_rb = np.asarray(self.h_rb, dtype=np.complex128)
-        if h_ar.shape != h_rb.shape or h_ar.ndim != 1:
-            raise ValueError("h_ar and h_rb must be 1-D vectors of equal length")
-        if not (np.all(np.isfinite(h_ar)) and np.all(np.isfinite(h_rb)) and np.isfinite(self.h_ab)):
-            raise ValueError("channel coefficients must be finite")
-        object.__setattr__(self, "h_ar", h_ar)
-        object.__setattr__(self, "h_rb", h_rb)
-
-    @property
-    def k(self) -> int:
-        return self.h_ar.shape[0]
-
-
 class ChannelBlock(NamedTuple):
     """A vectorized batch of fading realizations plus per-trial antenna picks.
 
     ``tx_pick`` holds one uniform antenna index per trial, consumed by the
-    no-CSI transmit-selection variants; it is drawn unconditionally so the
+    AF no-CSI transmit selection; it is drawn unconditionally so the
     random-number layout is identical across schemes (common random numbers).
     """
 
@@ -204,23 +187,6 @@ def _complex_gaussian(rng: np.random.Generator, shape, mean_square: float) -> np
     return scale * (z[..., 0] + 1j * z[..., 1])
 
 
-def sample_channel(gains: LinkGains, k: int, rng: np.random.Generator) -> ChannelDraw:
-    """Draw one Rayleigh-fading realization.
-
-    Entries are zero-mean circularly symmetric complex Gaussians whose
-    mean squared magnitudes equal the configured link gains, so the
-    squared magnitudes are exponential.  Phases are materialized because
-    the jamming-suppression SINR depends on vector alignment, not just on
-    magnitudes.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    h_ab = complex(_complex_gaussian(rng, (), gains.gamma_ab))
-    h_ar = _complex_gaussian(rng, (k,), gains.gamma_ar)
-    h_rb = _complex_gaussian(rng, (k,), gains.gamma_rb)
-    return ChannelDraw(h_ab=h_ab, h_ar=h_ar, h_rb=h_rb)
-
-
 def block_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """Counter-based generator for one chunk of trials.
 
@@ -245,78 +211,6 @@ def sample_channel_block(gains: LinkGains, k: int, seed: int, chunk_index: int, 
     h_rb = _complex_gaussian(rng, (n, k), gains.gamma_rb)
     tx_pick = rng.integers(0, k, size=n)
     return ChannelBlock(h_ab=h_ab, h_ar=h_ar, h_rb=h_rb, tx_pick=tx_pick)
-
-
-def mrc_mrt_snr_terms(
-    draw: ChannelDraw, gains: LinkGains, params: SystemParams
-) -> tuple[float, float, float]:
-    """Building blocks of the destination SNR under MRC/MRT forwarding.
-
-    Returns ``(direct, relay_num, relay_den)`` with the destination's
-    post-combining SNR equal to ``direct + relay_num / relay_den``.  The
-    amplification denominator uses the statistical normalization of the
-    raw K-antenna received vector, hence the K*gamma_ar + K/rho terms.
-    Power fractions scale Alice's and the relay's budgets.
-    """
-    k = draw.k
-    a = params.power.frac_alice
-    r = params.power.frac_relay
-    rho = params.rho
-    sum_a = float(np.sum(np.abs(draw.h_ar) ** 2))
-    sum_b = float(np.sum(np.abs(draw.h_rb) ** 2))
-    direct = a * rho * abs(draw.h_ab) ** 2
-    relay_num = a * rho * sum_b * sum_a
-    if r == 0.0:
-        relay_den = math.inf
-    else:
-        relay_den = sum_b + (a / r) * k * gains.gamma_ar + k / (r * rho)
-    return direct, relay_num, relay_den
-
-
-def mmse_sinr_relay_cj(draw: ChannelDraw, rho: float, jam_rho: float | None = None) -> float:
-    """Relay's max-SINR (MMSE beamforming) against the destination's jamming.
-
-    Computes h_ar^H (h_rb h_rb^H + I/rho)^{-1} h_ar through the rank-one
-    inverse update: rho*||h_ar||^2 - rho^2*|h_rb^H h_ar|^2 / (1 + rho*||h_rb||^2).
-    ``jam_rho`` scales the jamming power separately when power fractions
-    are in play; it defaults to ``rho``.
-    """
-    if jam_rho is None:
-        jam_rho = rho
-    norm_ar = float(np.sum(np.abs(draw.h_ar) ** 2))
-    norm_rb = float(np.sum(np.abs(draw.h_rb) ** 2))
-    cross = abs(np.vdot(draw.h_rb, draw.h_ar)) ** 2
-    return rho * norm_ar - rho * jam_rho * cross / (1.0 + jam_rho * norm_rb)
-
-
-def select_antennas(
-    draw: ChannelDraw, scheme: SchemeId, rng: np.random.Generator | None = None
-) -> tuple[int, int]:
-    """Receive/transmit antenna indices (m*, n*) chosen by the relay.
-
-    AF and DT relays pick the strongest first-hop antenna; for the second
-    hop an AF relay with CSI picks the strongest outgoing antenna, and
-    without CSI a uniformly random one (``rng`` required).  A CJ relay
-    with CSI maximizes the signal-to-jamming power ratio on receive; a CJ
-    relay without CSI reuses its receive antenna for transmission, whose
-    outgoing gain is independent of the receive criterion and hence
-    distributed as a random pick.
-    """
-    gains_a = np.abs(draw.h_ar) ** 2
-    gains_b = np.abs(draw.h_rb) ** 2
-    if scheme.scheme is Scheme.CJ and scheme.mode is SelectionMode.SELECT_CSI:
-        m_star = int(np.argmax(gains_a / gains_b))
-        n_star = int(np.argmax(gains_b))
-        return m_star, n_star
-    m_star = int(np.argmax(gains_a))
-    if scheme.scheme is Scheme.CJ and scheme.mode is SelectionMode.SELECT_NOCSI:
-        return m_star, m_star
-    if scheme.mode is SelectionMode.SELECT_NOCSI:  # AF without second-hop CSI
-        if rng is None:
-            raise ValueError("AF selection without CSI needs an rng for the random transmit antenna")
-        return m_star, int(rng.integers(0, draw.k))
-    n_star = int(np.argmax(gains_b))
-    return m_star, n_star
 
 
 def threshold_t(gains: LinkGains, params: SystemParams, paper_printed: bool = False) -> float:

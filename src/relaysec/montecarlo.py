@@ -14,25 +14,20 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .model import (
     ChannelBlock,
-    ChannelDraw,
     LinkGains,
     Scheme,
-    SchemeId,
     SelectionMode,
     SopEstimate,
     SystemParams,
-    db_to_linear,
     sample_channel_block,
 )
-
-SWEEP_AXES = ("rho_db", "gab_db", "gar_db", "grb_db", "gab_and_grb_db", "k_antennas")
 
 
 @dataclass(frozen=True)
@@ -53,12 +48,7 @@ class McConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
-def rate_margins_block(
-    block: ChannelBlock,
-    gains: LinkGains,
-    params: SystemParams,
-    cj_nocsi_random_tx: bool = False,
-) -> np.ndarray:
+def rate_margins_block(block: ChannelBlock, gains: LinkGains, params: SystemParams) -> np.ndarray:
     """Unclipped secrecy-rate margins I_B - I_R for a block of fading draws.
 
     The margin (which may be negative) drives the outage count, so that a
@@ -68,11 +58,6 @@ def rate_margins_block(
     does not.  Node power fractions scale the respective transmit powers,
     with the relay's statistical normalization tracking the actual
     received power (signal, jamming, noise).
-
-    ``cj_nocsi_random_tx`` switches the CJ no-CSI variant from reusing the
-    receive antenna to an independent uniform pick; the forwarding gain is
-    identically distributed either way (no transmit diversity), which a
-    test asserts, but the joint outage law is the reuse variant's.
     """
     k = params.k_antennas
     rho = params.rho
@@ -142,8 +127,9 @@ def rate_margins_block(
             m_star = np.argmax(g_ar / g_rb, axis=1)
             n_star = np.argmax(g_rb, axis=1)
         else:
-            m_star = np.argmax(g_ar, axis=1)
-            n_star = block.tx_pick if cj_nocsi_random_tx else m_star
+            # Without CSI the relay transmits on its receive antenna, the
+            # law the closed form describes.
+            m_star = n_star = np.argmax(g_ar, axis=1)
         best_a = g_ar[rows, m_star]
         hop2 = g_rb[rows, n_star]
         jam = g_rb[rows, m_star]
@@ -158,41 +144,19 @@ def rate_margins_block(
     return i_b - i_r
 
 
-def secrecy_rate(
-    draw: ChannelDraw,
-    gains: LinkGains,
-    params: SystemParams,
-    tx_antenna: int | None = None,
-) -> float:
-    """Achievable secrecy rate of a single fading realization.
+def _map_chunks(run_chunk: Callable[[int, int], object], mc: McConfig) -> list:
+    """``run_chunk(chunk_index, n)`` over every chunk of the run, in chunk order.
 
-    ``tx_antenna`` supplies the random second-hop antenna required by the
-    AF no-CSI variant (the chunked estimator draws it from the trial's own
-    random stream).
+    Chunks run on a thread pool when ``mc.workers > 1``; the results come
+    back in chunk order either way, so totals do not depend on scheduling.
     """
-    needs_pick = (
-        params.scheme.scheme is Scheme.AF
-        and params.scheme.mode is SelectionMode.SELECT_NOCSI
-    )
-    if needs_pick and tx_antenna is None:
-        if draw.k == 1:
-            tx_antenna = 0
-        else:
-            raise ValueError("AF selection without CSI needs tx_antenna for a single draw")
-    block = ChannelBlock(
-        h_ab=np.array([draw.h_ab]),
-        h_ar=draw.h_ar[None, :],
-        h_rb=draw.h_rb[None, :],
-        tx_pick=np.array([tx_antenna if tx_antenna is not None else 0]),
-    )
-    return float(max(rate_margins_block(block, gains, params)[0], 0.0))
-
-
-def _chunk_plan(trials: int, chunk_size: int) -> list[tuple[int, int]]:
-    return [
-        (idx, min(chunk_size, trials - start))
-        for idx, start in enumerate(range(0, trials, chunk_size))
-    ]
+    starts = range(0, mc.trials, mc.chunk_size)
+    indices = range(len(starts))
+    sizes = [min(mc.chunk_size, mc.trials - start) for start in starts]
+    if mc.workers == 1:
+        return [run_chunk(idx, n) for idx, n in zip(indices, sizes)]
+    with ThreadPoolExecutor(max_workers=mc.workers) as pool:
+        return list(pool.map(run_chunk, indices, sizes))
 
 
 def _count_many(
@@ -200,31 +164,24 @@ def _count_many(
     params_list: Sequence[SystemParams],
     mc: McConfig,
     positive: bool = False,
-    cj_nocsi_random_tx: bool = False,
 ) -> list[int]:
     """Outage (or positive-secrecy) counts for several schemes on shared draws."""
     k = params_list[0].k_antennas
     if any(p.k_antennas != k for p in params_list):
         raise ValueError("shared-draw evaluation requires a common antenna count")
 
-    def run_chunk(job: tuple[int, int]) -> list[int]:
-        idx, n = job
+    def run_chunk(idx: int, n: int) -> list[int]:
         block = sample_channel_block(gains, k, mc.seed, idx, n)
         counts = []
         for params in params_list:
-            margins = rate_margins_block(block, gains, params, cj_nocsi_random_tx)
+            margins = rate_margins_block(block, gains, params)
             if positive:
                 counts.append(int(np.count_nonzero(margins > 0.0)))
             else:
                 counts.append(int(np.count_nonzero(margins < params.rate)))
         return counts
 
-    plan = _chunk_plan(mc.trials, mc.chunk_size)
-    if mc.workers == 1:
-        per_chunk = [run_chunk(job) for job in plan]
-    else:
-        with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            per_chunk = list(pool.map(run_chunk, plan))
+    per_chunk = _map_chunks(run_chunk, mc)
     return [sum(chunk[i] for chunk in per_chunk) for i in range(len(params_list))]
 
 
@@ -234,14 +191,9 @@ def _to_estimate(count: int, trials: int) -> SopEstimate:
     return SopEstimate(value=p, stderr=stderr, trials=trials, method="montecarlo")
 
 
-def estimate_sop(
-    gains: LinkGains,
-    params: SystemParams,
-    mc: McConfig,
-    cj_nocsi_random_tx: bool = False,
-) -> SopEstimate:
+def estimate_sop(gains: LinkGains, params: SystemParams, mc: McConfig) -> SopEstimate:
     """Fraction of fading draws whose secrecy rate falls below the target rate."""
-    count = _count_many(gains, [params], mc, cj_nocsi_random_tx=cj_nocsi_random_tx)[0]
+    count = _count_many(gains, [params], mc)[0]
     return _to_estimate(count, mc.trials)
 
 
@@ -261,50 +213,6 @@ def estimate_sop_many(
     return [_to_estimate(c, mc.trials) for c in counts]
 
 
-def _apply_axis(
-    axis: str, point: float, gains: LinkGains, params: SystemParams
-) -> tuple[LinkGains, SystemParams]:
-    if axis == "rho_db":
-        return gains, replace(params, rho=db_to_linear(point))
-    if axis == "gab_db":
-        return replace(gains, gamma_ab=db_to_linear(point)), params
-    if axis == "gar_db":
-        return replace(gains, gamma_ar=db_to_linear(point)), params
-    if axis == "grb_db":
-        return replace(gains, gamma_rb=db_to_linear(point)), params
-    if axis == "gab_and_grb_db":
-        lin = db_to_linear(point)
-        return replace(gains, gamma_ab=lin, gamma_rb=lin), params
-    if axis == "k_antennas":
-        return gains, replace(params, k_antennas=int(point))
-    raise ValueError(f"unknown sweep axis {axis!r}; known: {', '.join(SWEEP_AXES)}")
-
-
-def sweep(
-    axis: str,
-    points: Iterable[float],
-    base_gains: LinkGains,
-    base_params: SystemParams,
-    mc: McConfig,
-    schemes: Sequence[SchemeId] | None = None,
-) -> list[tuple[float, dict[SchemeId, SopEstimate]]]:
-    """Outage estimates along one parameter axis, one per (point, scheme).
-
-    At every point the schemes are evaluated on identical fading draws;
-    since draws are built from gain-independent standard normals, the
-    underlying randomness is also common across points of a gain sweep.
-    """
-    if schemes is None:
-        schemes = [base_params.scheme]
-    results = []
-    for point in points:
-        gains, params = _apply_axis(axis, float(point), base_gains, base_params)
-        params_list = [replace(params, scheme=s) for s in schemes]
-        estimates = estimate_sop_many(gains, params_list, mc)
-        results.append((float(point), dict(zip(schemes, estimates))))
-    return results
-
-
 def cj_full_array_high_snr_constant(
     gains: LinkGains, params: SystemParams, mc: McConfig
 ) -> SopEstimate:
@@ -319,8 +227,7 @@ def cj_full_array_high_snr_constant(
     two2r = 2.0 ** (2.0 * params.rate)
     shift = k * (gains.gamma_ar + gains.gamma_rb)
 
-    def run_chunk(job: tuple[int, int]) -> int:
-        idx, n = job
+    def run_chunk(idx: int, n: int) -> int:
         block = sample_channel_block(gains, k, mc.seed, idx, n)
         g_ar = np.abs(block.h_ar) ** 2
         g_rb = np.abs(block.h_rb) ** 2
@@ -332,10 +239,4 @@ def cj_full_array_high_snr_constant(
         outage = numer < two2r * (sum_b + shift) * perp
         return int(np.count_nonzero(outage))
 
-    plan = _chunk_plan(mc.trials, mc.chunk_size)
-    if mc.workers == 1:
-        counts = [run_chunk(job) for job in plan]
-    else:
-        with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            counts = list(pool.map(run_chunk, plan))
-    return _to_estimate(sum(counts), mc.trials)
+    return _to_estimate(sum(_map_chunks(run_chunk, mc)), mc.trials)

@@ -1,9 +1,9 @@
 """Special functions and quadrature primitives used by the closed-form outage expressions.
 
 Only the handful of functions the outage formulas actually need live here:
-the exponential integral on the negative axis, the modified Bessel function
-K1, the Erlang/chi-square survival sum, and a semi-infinite adaptive
-quadrature based on the substitution z = lower + u/(1-u).
+the scaled exponential integral e^y E1(y), the modified Bessel function K1,
+and a semi-infinite adaptive quadrature based on the substitution
+z = lower + u/(1-u).
 """
 
 from __future__ import annotations
@@ -36,17 +36,6 @@ class QuadratureSpec:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
         if self.max_subdivisions < 1:
             raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
-
-
-def exp_integral_ei(x: float) -> float:
-    """Exponential integral Ei(x) for strictly negative arguments.
-
-    Every use in the outage formulas is Ei(-m*b) with m*b > 0, so the
-    positive axis (where Ei has a principal-value singularity) is rejected.
-    """
-    if not x < 0:
-        raise ValueError(f"exp_integral_ei requires x < 0, got {x}")
-    return float(scipy.special.expi(x))
 
 
 def exp_scaled_e1(y: float) -> float:
@@ -84,19 +73,6 @@ def bessel_k1(x: float) -> float:
     if not x > 0:
         raise ValueError(f"bessel_k1 requires x > 0, got {x}")
     return float(scipy.special.k1(x))
-
-
-def chi2_2k_cdf_complement(v: float, k: int) -> float:
-    """Survival function of a Gamma(k, 1) variable (chi-square with 2k dof at 2v).
-
-    Equals sum_{n=0}^{k-1} v^n e^{-v} / n!, the quantity appearing in the
-    multi-antenna beamforming-gain distribution.
-    """
-    if v < 0:
-        raise ValueError(f"chi2_2k_cdf_complement requires v >= 0, got {v}")
-    if k < 1 or int(k) != k:
-        raise ValueError(f"chi2_2k_cdf_complement requires integer k >= 1, got {k}")
-    return float(scipy.special.gammaincc(int(k), v))
 
 
 def integrate_semi_infinite(

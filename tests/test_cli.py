@@ -90,6 +90,19 @@ class TestExitCodes:
         code, _, _ = run_cli(["point", "--scheme", "dt", "--mode", "select-nocsi"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("points", ["1.5", "0", "1,2.5"])
+    def test_sweep_rejects_non_integral_antenna_counts(self, points, tmp_path, capsys):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            ["sweep", "--axis", "k_antennas", "--points", points, "--trials", "1024",
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("config error:")
+        assert out == ""
+        assert not out_path.exists()  # every point is checked before the CSV starts
+
     def test_selection_beyond_64_antennas(self, capsys):
         code, out, _ = run_cli(
             ["point", "--k", "65", "--mode", "select-csi", "--method", "analytic"], capsys

@@ -1,13 +1,16 @@
-"""Domain types, fading statistics, and beamforming/selection kernels."""
+"""Domain types, fading statistics, and the beamforming/selection rules.
+
+The rules are checked through ``rate_margins_block``, the one signal model:
+each hand-built trial's margin must equal the one computed by hand."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from relaysec.model import (
-    ChannelDraw,
     LinkGains,
     PowerAllocation,
     Scheme,
@@ -18,13 +21,20 @@ from relaysec.model import (
     db_to_linear,
     derived_coefficients,
     linear_to_db,
-    mmse_sinr_relay_cj,
-    mrc_mrt_snr_terms,
-    sample_channel,
     sample_channel_block,
-    select_antennas,
     threshold_t,
 )
+from relaysec.montecarlo import rate_margins_block
+
+
+def _margin(block, gains, params) -> float:
+    """The secrecy-rate margin of a one-trial block."""
+    [margin] = rate_margins_block(block, gains, params)
+    return float(margin)
+
+
+def _two_phase(bob_snr, relay_snr) -> float:
+    return 0.5 * math.log2(1.0 + bob_snr) - 0.5 * math.log2(1.0 + relay_snr)
 
 
 class TestTypes:
@@ -62,9 +72,11 @@ class TestTypes:
             SopEstimate(value=0.3, stderr=0.01, method="analytic")
         SopEstimate(value=0.0, stderr=0.0, trials=100, method="montecarlo")
 
-    def test_channel_draw_shape_check(self):
+    def test_integral_antenna_count_is_stored_as_int(self):
+        params = SystemParams(rho=1.0, k_antennas=3.0)
+        assert params.k_antennas == 3 and isinstance(params.k_antennas, int)
         with pytest.raises(ValueError):
-            ChannelDraw(h_ab=1.0, h_ar=np.ones(2, complex), h_rb=np.ones(3, complex))
+            SystemParams(rho=1.0, k_antennas=1.5)
 
 
 class TestDbConversion:
@@ -116,149 +128,142 @@ class TestSampling:
         assert not np.array_equal(a.h_ab, c.h_ab)
 
     def test_single_draw(self):
-        rng = np.random.default_rng(0)
-        draw = sample_channel(LinkGains(1.0, 1.0, 1.0), 4, rng)
-        assert draw.k == 4
-        with pytest.raises(ValueError):
-            sample_channel(LinkGains(1.0, 1.0, 1.0), 0, rng)
-
-
-def _draw(h_ab, h_ar, h_rb):
-    return ChannelDraw(
-        h_ab=complex(h_ab),
-        h_ar=np.asarray(h_ar, dtype=complex),
-        h_rb=np.asarray(h_rb, dtype=complex),
-    )
+        block = sample_channel_block(LinkGains(1.0, 1.0, 1.0), 4, seed=0, chunk_index=0, n=1)
+        assert block.h_ab.shape == block.tx_pick.shape == (1,)
+        assert block.h_ar.shape == block.h_rb.shape == (1, 4)
+        assert 0 <= block.tx_pick[0] < 4
 
 
 class TestAntennaSelection:
-    def test_single_antenna(self):
-        draw = _draw(1.0, [0.5], [0.7])
-        for scheme in (
-            SchemeId(Scheme.AF, SelectionMode.SELECT_CSI),
-            SchemeId(Scheme.CJ, SelectionMode.SELECT_CSI),
-            SchemeId(Scheme.CJ, SelectionMode.SELECT_NOCSI),
-        ):
-            assert select_antennas(draw, scheme) == (0, 0)
+    def test_single_antenna(self, channel_block, all_schemes):
+        # With one antenna every selection mode is the full array.
+        gains = LinkGains(1.3, 0.8, 2.1)
+        block = channel_block(0.4 - 0.2j, [0.5 + 0.1j], [0.7 - 0.3j])
+        for scheme in all_schemes:
+            full = SystemParams(rho=9.0, scheme=SchemeId(scheme.scheme))
+            selected = SystemParams(rho=9.0, scheme=scheme)
+            assert _margin(block, gains, selected) == pytest.approx(
+                _margin(block, gains, full), rel=1e-12
+            )
 
-    def test_first_hop_argmax(self):
-        draw = _draw(1.0, [1.0, 3.0, 2.0], [1.0, 1.0, 1.0])
-        m, _ = select_antennas(draw, SchemeId(Scheme.AF, SelectionMode.SELECT_CSI))
-        assert m == 1
+    def test_first_hop_argmax(self, channel_block):
+        gains = LinkGains(1.0, 1.0, 1.0)
+        block = channel_block(1.0, [1.0, 3.0, 2.0], [1.0, 1.0, 1.0])
+        af = SystemParams(rho=10.0, k_antennas=3, scheme=SchemeId(Scheme.AF, SelectionMode.SELECT_CSI))
+        # Receive on antenna 1 (|h|^2 = 9), transmit on antenna 0 (first of the ties).
+        expected = _two_phase(10.0 + 10.0 * 1.0 * 9.0 / (1.0 + 1.0 + 0.1), 10.0 * 9.0)
+        assert _margin(block, gains, af) == pytest.approx(expected, rel=1e-12)
+        dt = replace(af, scheme=SchemeId(Scheme.DT, SelectionMode.SELECT_CSI))
+        assert _margin(block, gains, dt) == pytest.approx(math.log2(11.0 / 91.0), rel=1e-12)
 
-    def test_cj_ratio_rule(self):
-        draw = _draw(1.0, [2.0, 1.0], [math.sqrt(2.0), math.sqrt(0.1)])
-        m, n = select_antennas(draw, SchemeId(Scheme.CJ, SelectionMode.SELECT_CSI))
-        assert m == 1  # 1/0.1 beats 4/2
-        assert n == 0
+    def test_cj_ratio_rule(self, channel_block):
+        gains = LinkGains(1.0, 1.0, 1.0)
+        block = channel_block(1.0, [2.0, 1.0], [math.sqrt(2.0), math.sqrt(0.1)])
+        params = SystemParams(rho=10.0, k_antennas=2, scheme=SchemeId(Scheme.CJ, SelectionMode.SELECT_CSI))
+        # Receive on antenna 1 (1/0.1 beats 4/2), transmit on antenna 0 (|h|^2 = 2).
+        bob = 10.0 * 2.0 * 1.0 / (2.0 + 1.0 + 1.0 + 0.1)
+        relay = 1.0 / (0.1 + 0.1)
+        assert _margin(block, gains, params) == pytest.approx(_two_phase(bob, relay), rel=1e-12)
 
-    def test_cj_nocsi_reuses_receive_antenna(self):
-        draw = _draw(1.0, [1.0, 5.0, 2.0], [9.0, 1.0, 4.0])
-        assert select_antennas(draw, SchemeId(Scheme.CJ, SelectionMode.SELECT_NOCSI)) == (1, 1)
+    def test_cj_nocsi_reuses_receive_antenna(self, channel_block):
+        gains = LinkGains(1.0, 1.0, 1.0)
+        # The random pick (antenna 0) is ignored: antenna 1 receives and transmits.
+        block = channel_block(1.0, [1.0, 5.0, 2.0], [9.0, 1.0, 4.0], tx_pick=0)
+        params = SystemParams(rho=10.0, k_antennas=3, scheme=SchemeId(Scheme.CJ, SelectionMode.SELECT_NOCSI))
+        bob = 10.0 * 1.0 * 25.0 / (1.0 + 1.0 + 1.0 + 0.1)
+        relay = 25.0 / (1.0 + 0.1)
+        assert _margin(block, gains, params) == pytest.approx(_two_phase(bob, relay), rel=1e-12)
 
-    def test_af_nocsi_needs_rng(self):
-        draw = _draw(1.0, [1.0, 2.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            select_antennas(draw, SchemeId(Scheme.AF, SelectionMode.SELECT_NOCSI))
-        m, n = select_antennas(
-            draw, SchemeId(Scheme.AF, SelectionMode.SELECT_NOCSI), rng=np.random.default_rng(0)
-        )
-        assert m == 1 and n in (0, 1)
+    def test_af_nocsi_needs_rng(self, channel_block):
+        # Without second-hop CSI the AF relay transmits on the block's random pick.
+        gains = LinkGains(1.0, 1.0, 1.0)
+        params = SystemParams(rho=10.0, k_antennas=2, scheme=SchemeId(Scheme.AF, SelectionMode.SELECT_NOCSI))
+        for pick, hop2 in ((0, 1.0), (1, 4.0)):
+            block = channel_block(1.0, [1.0, 2.0], [1.0, 2.0], tx_pick=pick)
+            expected = _two_phase(10.0 + 10.0 * hop2 * 4.0 / (hop2 + 1.0 + 0.1), 40.0)
+            assert _margin(block, gains, params) == pytest.approx(expected, rel=1e-12)
 
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(9)
-        for _ in range(25):
-            draw = sample_channel(LinkGains(1.0, 1.0, 1.0), 5, rng)
-            scaled = _draw(draw.h_ab * 3.7, draw.h_ar * 3.7, draw.h_rb * 3.7)
-            for scheme in (
-                SchemeId(Scheme.AF, SelectionMode.SELECT_CSI),
-                SchemeId(Scheme.CJ, SelectionMode.SELECT_CSI),
-                SchemeId(Scheme.CJ, SelectionMode.SELECT_NOCSI),
-            ):
-                assert select_antennas(draw, scheme) == select_antennas(scaled, scheme)
+    def test_scale_invariance(self, all_schemes):
+        # Scaling every coefficient by c, the mean gains by c^2 and the SNR by
+        # 1/c^2 leaves every received SNR, hence every pick and margin, alone.
+        c = 3.7
+        gains = LinkGains(1.0, 0.7, 1.9)
+        scaled_gains = LinkGains(c * c * 1.0, c * c * 0.7, c * c * 1.9)
+        block = sample_channel_block(gains, 5, seed=9, chunk_index=0, n=25)
+        scaled = block._replace(h_ab=c * block.h_ab, h_ar=c * block.h_ar, h_rb=c * block.h_rb)
+        for scheme in all_schemes:
+            params = SystemParams(rho=20.0, k_antennas=5, scheme=scheme)
+            np.testing.assert_allclose(
+                rate_margins_block(scaled, scaled_gains, replace(params, rho=20.0 / (c * c))),
+                rate_margins_block(block, gains, params),
+                rtol=1e-10, atol=1e-12,
+            )
 
 
 class TestMmseSinr:
-    def test_orthogonal_vectors(self):
-        draw = _draw(0.0, [1.0, 0.0], [0.0, 1.0])
-        rho = 13.0
-        assert mmse_sinr_relay_cj(draw, rho) == pytest.approx(rho * 1.0, rel=1e-12)
+    """The full-array CJ relay's max-SINR receiver against the jamming."""
 
-    def test_scalar_case(self):
-        draw = _draw(0.0, [0.9 + 0.3j], [0.2 - 0.7j])
-        rho = 8.0
-        har2 = abs(draw.h_ar[0]) ** 2
-        hrb2 = abs(draw.h_rb[0]) ** 2
-        assert mmse_sinr_relay_cj(draw, rho) == pytest.approx(har2 / (hrb2 + 1.0 / rho), rel=1e-12)
+    def test_orthogonal_vectors(self, channel_block):
+        # Jamming orthogonal to the signal is nulled completely: SINR = rho.
+        gains = LinkGains(1.0, 1.0, 1.0)
+        block = channel_block(0.0, [1.0, 0.0], [0.0, 1.0])
+        params = SystemParams(rho=13.0, k_antennas=2, scheme=SchemeId(Scheme.CJ))
+        bob = 13.0 / (1.0 + 2.0 + 2.0 + 2.0 / 13.0)
+        assert _margin(block, gains, params) == pytest.approx(_two_phase(bob, 13.0), rel=1e-12)
 
-    def test_dense_solve_oracle(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            draw = sample_channel(LinkGains(1.0, 0.7, 1.9), 4, rng)
-            rho = float(10.0 ** rng.uniform(-1, 3))
-            matrix = np.outer(draw.h_rb, np.conj(draw.h_rb)) + np.eye(4) / rho
-            oracle = float(np.real(np.vdot(draw.h_ar, np.linalg.solve(matrix, draw.h_ar))))
-            assert mmse_sinr_relay_cj(draw, rho) == pytest.approx(oracle, rel=1e-10)
+    def test_scalar_case(self, channel_block):
+        gains = LinkGains(1.3, 0.8, 2.1)
+        h_ar, h_rb = 0.9 + 0.3j, 0.2 - 0.7j
+        block = channel_block(0.0, [h_ar], [h_rb])
+        params = SystemParams(rho=8.0, scheme=SchemeId(Scheme.CJ))
+        har2, hrb2 = abs(h_ar) ** 2, abs(h_rb) ** 2
+        bob = 8.0 * hrb2 * har2 / (hrb2 + 0.8 + 2.1 + 1.0 / 8.0)
+        relay = har2 / (hrb2 + 1.0 / 8.0)
+        assert _margin(block, gains, params) == pytest.approx(_two_phase(bob, relay), rel=1e-12)
 
     def test_bounds(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            draw = sample_channel(LinkGains(1.0, 1.0, 1.0), 3, rng)
-            rho = 50.0
-            sinr = mmse_sinr_relay_cj(draw, rho)
-            assert 0.0 <= sinr <= rho * np.sum(np.abs(draw.h_ar) ** 2) + 1e-12
+        # 0 <= SINR <= rho*||h_ar||^2, so the relay term lies between zero and
+        # the jamming-free one.
+        gains = LinkGains(1.0, 1.0, 1.0)
+        rho = 50.0
+        block = sample_channel_block(gains, 3, seed=23, chunk_index=0, n=50)
+        sum_a = np.sum(np.abs(block.h_ar) ** 2, axis=1)
+        sum_b = np.sum(np.abs(block.h_rb) ** 2, axis=1)
+        i_b = 0.5 * np.log2(1.0 + rho * sum_b * sum_a / (sum_b + 3.0 + 3.0 + 3.0 / rho))
+        margins = rate_margins_block(block, gains, SystemParams(rho=rho, k_antennas=3, scheme=SchemeId(Scheme.CJ)))
+        assert np.all(margins <= i_b + 1e-12)
+        assert np.all(margins >= i_b - 0.5 * np.log2(1.0 + rho * sum_a) - 1e-12)
 
 
 class TestMrcMrtTerms:
-    def test_strong_second_hop_saturates(self):
-        gains = LinkGains(1.0, 1.0, 1.0)
-        params = SystemParams(rho=10.0, k_antennas=1)
-        draw = _draw(1.0, [2.0], [1e6])
-        direct, num, den = mrc_mrt_snr_terms(draw, gains, params)
-        assert num / den == pytest.approx(10.0 * 4.0, rel=1e-4)
+    """Full-array AF forwarding: MRC on receive, MRT on transmit."""
 
-    def test_single_antenna_matches_general(self):
+    def test_strong_second_hop_saturates(self, channel_block):
+        # The forwarded SNR tends to the relay's own, rho*|h_ar|^2 = 40.
+        gains = LinkGains(1.0, 1.0, 1.0)
+        block = channel_block(1.0, [2.0], [1e6])
+        params = SystemParams(rho=10.0, scheme=SchemeId(Scheme.AF))
+        assert _margin(block, gains, params) == pytest.approx(_two_phase(10.0 + 40.0, 40.0), rel=1e-4)
+
+    def test_single_antenna_matches_general(self, channel_block):
         gains = LinkGains(1.0, 0.6, 1.4)
-        params = SystemParams(rho=7.0, k_antennas=1)
-        draw = _draw(0.3 + 0.1j, [1.1 - 0.2j], [0.8 + 0.5j])
-        direct, num, den = mrc_mrt_snr_terms(draw, gains, params)
-        har2 = abs(draw.h_ar[0]) ** 2
-        hrb2 = abs(draw.h_rb[0]) ** 2
-        assert direct == pytest.approx(7.0 * abs(draw.h_ab) ** 2, rel=1e-12)
-        assert num / den == pytest.approx(
-            7.0 * hrb2 * har2 / (hrb2 + 0.6 + 1.0 / 7.0), rel=1e-12
-        )
+        h_ab, h_ar, h_rb = 0.3 + 0.1j, 1.1 - 0.2j, 0.8 + 0.5j
+        block = channel_block(h_ab, [h_ar], [h_rb])
+        params = SystemParams(rho=7.0, scheme=SchemeId(Scheme.AF))
+        har2, hrb2 = abs(h_ar) ** 2, abs(h_rb) ** 2
+        bob = 7.0 * abs(h_ab) ** 2 + 7.0 * hrb2 * har2 / (hrb2 + 0.6 + 1.0 / 7.0)
+        assert _margin(block, gains, params) == pytest.approx(_two_phase(bob, 7.0 * har2), rel=1e-12)
 
-    def test_matrix_form_oracle(self):
-        # Recompute the second-phase SNR from the two-row signal model with
-        # unnormalized power and noise floors.
-        gains = LinkGains(1.3, 0.8, 2.1)
-        power, noise = 3.7, 0.21
-        params = SystemParams(rho=power / noise, k_antennas=3)
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            draw = sample_channel(gains, 3, rng)
-            sum_a = float(np.sum(np.abs(draw.h_ar) ** 2))
-            sum_b = float(np.sum(np.abs(draw.h_rb) ** 2))
-            sigma2 = 3 * (power * gains.gamma_ar + noise)
-            signal = (power / sigma2) * sum_b * sum_a * power
-            amplified_noise = (power / sigma2) * sum_b * noise + noise
-            direct, num, den = mrc_mrt_snr_terms(draw, gains, params)
-            assert num / den == pytest.approx(signal / amplified_noise, rel=1e-12)
-            assert direct == pytest.approx(power * abs(draw.h_ab) ** 2 / noise, rel=1e-12)
-
-    def test_power_fractions_scale(self):
+    def test_power_fractions_scale(self, channel_block):
         gains = LinkGains(1.0, 1.0, 1.0)
-        draw = _draw(1.0, [1.0], [1.0])
+        block = channel_block(1.0, [1.0], [1.0])
         half = SystemParams(
-            rho=10.0, k_antennas=1, power=PowerAllocation(frac_alice=0.5, frac_relay=1.0)
+            rho=10.0, scheme=SchemeId(Scheme.AF), power=PowerAllocation(frac_alice=0.5, frac_relay=1.0)
         )
-        direct, num, den = mrc_mrt_snr_terms(draw, gains, half)
-        assert direct == pytest.approx(5.0, rel=1e-12)
-        # Alice at half power halves the forwarded signal and the relay's
-        # statistical input power alike.
-        assert num == pytest.approx(5.0, rel=1e-12)
-        assert den == pytest.approx(1.0 + 0.5 * 1.0 + 1.0 / 10.0, rel=1e-12)
+        # Alice at half power halves the direct SNR (5), the forwarded signal
+        # (5) and the relay's statistical input power alike (1 + 0.5 + 0.1).
+        bob = 5.0 + 5.0 / (1.0 + 0.5 * 1.0 + 1.0 / 10.0)
+        assert _margin(block, gains, half) == pytest.approx(_two_phase(bob, 5.0), rel=1e-12)
 
 
 class TestDerivedCoefficients:

@@ -1,5 +1,7 @@
-"""Simulation engine: per-draw rates, estimates, determinism, sweeps."""
+"""Simulation engine: the signal model, estimates, determinism, sweeps."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -8,12 +10,11 @@ import scipy.stats
 
 from relaysec import LinkGains, McConfig, SchemeId, SystemParams, db_to_linear
 from relaysec import analytic
+from relaysec.cli import main
 from relaysec.model import (
-    ChannelDraw,
     PowerAllocation,
     Scheme,
     SelectionMode,
-    sample_channel,
     sample_channel_block,
 )
 from relaysec.montecarlo import (
@@ -21,67 +22,129 @@ from relaysec.montecarlo import (
     estimate_sop_many,
     positive_secrecy_probability,
     rate_margins_block,
-    secrecy_rate,
-    sweep,
 )
 
 
-def _draw(h_ab, h_ar, h_rb):
-    return ChannelDraw(
-        h_ab=complex(h_ab),
-        h_ar=np.asarray(h_ar, dtype=complex),
-        h_rb=np.asarray(h_rb, dtype=complex),
-    )
+def _dense_margin(block, i, gains, params, noise):
+    """Margin of trial ``i`` from explicit powers, a noise floor and dense matrices.
+
+    The relay receives y = sqrt(P_a) h_ar s [+ sqrt(P_j) h_rb z] + n on K
+    antennas, eavesdrops through a combiner w (MRC, MMSE against the jamming,
+    or a selected antenna) and forwards beta * F y with F = t w_f^H, where
+    beta normalizes by the statistical power of the raw received vector (or
+    of the selected antenna).  Bob combines the direct and forwarded rows
+    (AF) or cancels his own jamming (CJ).  Antenna picks are explicit argmaxes.
+    """
+    k = params.k_antennas
+    scheme, mode = params.scheme.scheme, params.scheme.mode
+    power = params.power
+    p_a, p_r, p_j = (f * params.rho * noise for f in (power.frac_alice, power.frac_relay, power.frac_bob_jam))
+    if scheme is not Scheme.CJ:
+        p_j = 0.0
+    h_ab, h_ar, h_rb = block.h_ab[i], block.h_ar[i], block.h_rb[i]
+    g_ar, g_rb = np.abs(h_ar) ** 2, np.abs(h_rb) ** 2
+
+    def argmax(values):
+        return max(range(k), key=lambda m: values[m])
+
+    def unit(m):
+        return np.eye(k)[m].astype(complex)
+
+    interference = p_j * np.outer(h_rb, np.conj(h_rb)) + noise * np.eye(k)
+    if mode is SelectionMode.FULL_ARRAY:
+        w_f = h_ar / np.linalg.norm(h_ar)
+        t = np.conj(h_rb) / np.linalg.norm(h_rb)
+        w_eav = np.linalg.solve(interference, h_ar)
+        antennas = k
+    else:
+        if scheme is Scheme.CJ and mode is SelectionMode.SELECT_CSI:
+            m, n = argmax(g_ar / g_rb), argmax(g_rb)
+        elif scheme is Scheme.CJ:
+            m = n = argmax(g_ar)
+        elif mode is SelectionMode.SELECT_CSI:
+            m, n = argmax(g_ar), argmax(g_rb)
+        else:
+            m, n = argmax(g_ar), int(block.tx_pick[i])
+        w_f = w_eav = unit(m)
+        t = unit(n)
+        antennas = 1
+    relay_sinr = p_a * abs(np.vdot(w_eav, h_ar)) ** 2 / np.real(np.vdot(w_eav, interference @ w_eav))
+
+    if scheme is Scheme.DT:
+        return math.log2(1.0 + p_a * abs(h_ab) ** 2 / noise) - math.log2(1.0 + relay_sinr)
+
+    beta = math.sqrt(p_r / (antennas * (p_a * gains.gamma_ar + p_j * gains.gamma_rb + noise)))
+    f = np.outer(t, np.conj(w_f))
+    relayed = beta * math.sqrt(p_a) * (h_rb @ f @ h_ar)
+    relayed_noise = beta**2 * noise * np.linalg.norm(h_rb @ f) ** 2 + noise
+    if scheme is Scheme.AF:
+        rows = np.array([math.sqrt(p_a) * h_ab, relayed])
+        cov = np.diag([noise, relayed_noise])
+    else:  # the jamming Bob forwarded back to himself is known and cancelled
+        rows = np.array([relayed])
+        cov = np.array([[relayed_noise]])
+    bob_snr = np.real(np.vdot(rows, np.linalg.solve(cov, rows)))
+    return 0.5 * math.log2(1.0 + bob_snr) - 0.5 * math.log2(1.0 + relay_sinr)
+
+
+class TestKernelOracles:
+    def test_margins_match_dense_oracles(self, scheme):
+        rng = np.random.default_rng(2468)
+        for k in range(1, 5):
+            for case in range(4):
+                gains = LinkGains(*(db_to_linear(v) for v in rng.uniform(-5.0, 5.0, 3)))
+                params = SystemParams(
+                    rho=db_to_linear(rng.uniform(-5.0, 30.0)), k_antennas=k, scheme=scheme,
+                    power=PowerAllocation(*rng.uniform(0.05, 1.0, 3)),
+                )
+                noise = float(rng.uniform(0.1, 3.0))
+                block = sample_channel_block(gains, k, seed=int(rng.integers(1 << 32)), chunk_index=case, n=16)
+                expected = [_dense_margin(block, i, gains, params, noise) for i in range(16)]
+                np.testing.assert_allclose(
+                    rate_margins_block(block, gains, params), expected, rtol=1e-10, atol=1e-12
+                )
 
 
 class TestSecrecyRate:
-    def test_dt_equal_channels(self):
-        gains = LinkGains(1.0, 1.0, 1.0)
-        draw = _draw(1.0, [1.0], [0.5])
-        params = SystemParams(rho=10.0, scheme=SchemeId(Scheme.DT))
-        assert secrecy_rate(draw, gains, params) == 0.0
+    """The margin I_B - I_R; the achievable secrecy rate is its positive part."""
 
-    def test_rate_is_clipped_at_zero(self):
+    def test_dt_equal_channels(self, channel_block):
         gains = LinkGains(1.0, 1.0, 1.0)
-        draw = _draw(0.1, [2.0], [0.5])  # eavesdropper much stronger
+        block = channel_block(1.0, [1.0], [0.5])
         params = SystemParams(rho=10.0, scheme=SchemeId(Scheme.DT))
-        assert secrecy_rate(draw, gains, params) == 0.0
+        assert rate_margins_block(block, gains, params)[0] == 0.0
 
-    def test_af_without_relay_path(self):
+    def test_margin_is_not_clipped(self, channel_block):
+        gains = LinkGains(1.0, 1.0, 1.0)
+        block = channel_block(0.1, [2.0], [0.5])  # eavesdropper much stronger
+        params = SystemParams(rho=10.0, scheme=SchemeId(Scheme.DT))
+        # Kept negative so that a zero target rate still counts it as an outage.
+        assert rate_margins_block(block, gains, params)[0] == pytest.approx(math.log2(1.1 / 41.0), rel=1e-12)
+
+    def test_af_without_relay_path(self, channel_block):
         gains = LinkGains(1.0, 1.0, 1.0)
         rho = 13.0
-        draw = _draw(1.2 + 0.4j, [0.8 - 0.3j], [1e-30])
+        h_ab, h_ar = 1.2 + 0.4j, 0.8 - 0.3j
+        block = channel_block(h_ab, [h_ar], [1e-30])
         params = SystemParams(rho=rho, scheme=SchemeId(Scheme.AF))
-        hab2, har2 = abs(draw.h_ab) ** 2, abs(draw.h_ar[0]) ** 2
-        expected = max(0.5 * math.log2((1 + rho * hab2) / (1 + rho * har2)), 0.0)
-        assert secrecy_rate(draw, gains, params) == pytest.approx(expected, abs=1e-12)
+        hab2, har2 = abs(h_ab) ** 2, abs(h_ar) ** 2
+        expected = 0.5 * math.log2((1 + rho * hab2) / (1 + rho * har2))
+        assert rate_margins_block(block, gains, params)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_cj_scalar_formulas(self):
         gains = LinkGains(1.3, 0.8, 2.1)
         rho = 17.0
-        rng = np.random.default_rng(1)
         params = SystemParams(rho=rho, scheme=SchemeId(Scheme.CJ))
-        for _ in range(10):
-            draw = sample_channel(gains, 1, rng)
-            har2 = abs(draw.h_ar[0]) ** 2
-            hrb2 = abs(draw.h_rb[0]) ** 2
+        block = sample_channel_block(gains, 1, seed=1, chunk_index=0, n=10)
+        margins = rate_margins_block(block, gains, params)
+        for margin, h_ar, h_rb in zip(margins, block.h_ar[:, 0], block.h_rb[:, 0]):
+            har2 = abs(h_ar) ** 2
+            hrb2 = abs(h_rb) ** 2
             i_b = 0.5 * math.log2(
                 1 + rho * hrb2 * har2 / (hrb2 + gains.gamma_ar + gains.gamma_rb + 1 / rho)
             )
             i_r = 0.5 * math.log2(1 + har2 / (hrb2 + 1 / rho))
-            assert secrecy_rate(draw, gains, params) == pytest.approx(
-                max(i_b - i_r, 0.0), abs=1e-12
-            )
-
-    def test_af_nocsi_needs_transmit_pick(self):
-        gains = LinkGains(1.0, 1.0, 1.0)
-        draw = _draw(1.0, [1.0, 2.0], [1.0, 2.0])
-        params = SystemParams(
-            rho=10.0, k_antennas=2, scheme=SchemeId(Scheme.AF, SelectionMode.SELECT_NOCSI)
-        )
-        with pytest.raises(ValueError):
-            secrecy_rate(draw, gains, params)
-        assert secrecy_rate(draw, gains, params, tx_antenna=1) >= 0.0
+            assert margin == pytest.approx(i_b - i_r, abs=1e-12)
 
     def test_block_dimension_mismatch(self):
         gains = LinkGains(1.0, 1.0, 1.0)
@@ -216,19 +279,16 @@ class TestAgainstDegenerateGeometry:
         res = scipy.stats.kstest(used, "expon", args=(0.0, fig8_gains.gamma_rb))
         assert res.pvalue > 1e-3
 
-    def test_cj_nocsi_reuse_and_random_variants_both_run(self, fig8_gains):
+    def test_cj_nocsi_reuse_matches_closed_form(self, fig8_gains):
+        # The closed form describes the reused receive antenna: the forwarding
+        # gain alone is a random pick's, but the joint outage law is not.
         params = SystemParams(
             rho=db_to_linear(12.0), rate=0.1, k_antennas=6,
             scheme=SchemeId(Scheme.CJ, SelectionMode.SELECT_NOCSI),
         )
-        mc = McConfig(trials=100_000, seed=15)
-        reuse = estimate_sop(fig8_gains, params, mc)
-        rand = estimate_sop(fig8_gains, params, mc, cj_nocsi_random_tx=True)
-        # Identical forwarding-gain law, but the joint outage law differs:
-        # the closed form corresponds to the reuse variant.
+        reuse = estimate_sop(fig8_gains, params, McConfig(trials=100_000, seed=15))
         closed = analytic.sop_cj_select_nocsi(fig8_gains, params)
         assert abs(reuse.value - closed) < max(4.0 * reuse.stderr, 0.005)
-        assert 0.0 < rand.value < 1.0
 
 
 class TestRandomizedCalibration:
@@ -279,43 +339,63 @@ def _scheme(s):
     return SchemeId(s)
 
 
-class TestSweep:
-    def test_single_point_equals_estimate(self, fig1_gains):
-        mc = McConfig(trials=50_000, seed=16)
-        base = SystemParams(rho=db_to_linear(10.0), rate=0.1, scheme=SchemeId(Scheme.AF))
-        [(point, by_scheme)] = sweep("rho_db", [10.0], fig1_gains, base, mc)
-        assert point == 10.0
-        assert by_scheme[base.scheme].value == estimate_sop(fig1_gains, base, mc).value
+def _sweep_rows(argv, capsys):
+    """CSV rows of a ``relaysec sweep`` run."""
+    code = main(["sweep", *argv])
+    assert code == 0
+    return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
 
-    def test_direct_and_af_improve_with_direct_gain(self):
+
+class TestSweep:
+    def test_single_point_equals_estimate(self, fig1_gains, capsys):
+        [row] = _sweep_rows(
+            ["--axis", "rho_db", "--points", "10", "--scheme", "af", "--gab-db", "0",
+             "--gar-db", "0", "--grb-db", "5", "--trials", "50000", "--seed", "16"],
+            capsys,
+        )
+        base = SystemParams(rho=db_to_linear(10.0), rate=0.1, scheme=SchemeId(Scheme.AF))
+        est = estimate_sop(fig1_gains, base, McConfig(trials=50_000, seed=16))
+        assert row["rho_db"] == "10"
+        assert row["sop"] == f"{est.value:.10g}"
+
+    def test_direct_and_af_improve_with_direct_gain(self, capsys):
         # Sweeping the direct-link gain upward drives both outages down.
-        base_gains = LinkGains(1.0, db_to_linear(2.0), db_to_linear(10.0))
-        base = SystemParams(rho=db_to_linear(10.0), rate=0.1)
-        mc = McConfig(trials=150_000, seed=17)
-        schemes = [SchemeId(Scheme.DT), SchemeId(Scheme.AF)]
-        rows = sweep("gab_db", [-5.0, 5.0, 15.0, 25.0], base_gains, base, mc, schemes)
-        for scheme in schemes:
-            vals = [by_scheme[scheme].value for _, by_scheme in rows]
+        rows = _sweep_rows(
+            ["--axis", "gab_db", "--points=-5,5,15,25", "--gar-db", "2", "--grb-db", "10",
+             "--rho-db", "10", "--schemes", "dt,af", "--trials", "150000", "--seed", "17"],
+            capsys,
+        )
+        for scheme in ("dt", "af"):
+            vals = [float(r["sop"]) for r in rows if r["scheme"] == scheme]
+            assert len(vals) == 4
             assert all(b < a for a, b in zip(vals, vals[1:]))
 
-    def test_joint_sweep_cj_flat_at_high_end(self):
+    def test_joint_sweep_cj_flat_at_high_end(self, capsys):
         # CJ does not depend on the direct link, and with both gains rising
         # together it settles at the strong-second-hop constant.
+        rows = _sweep_rows(
+            ["--axis", "gab_and_grb_db", "--points", "35,40", "--gar-db", "2", "--rho-db", "10",
+             "--schemes", "cj", "--trials", "200000", "--seed", "18"],
+            capsys,
+        )
         base_gains = LinkGains(1.0, db_to_linear(2.0), 1.0)
         base = SystemParams(rho=db_to_linear(10.0), rate=0.1)
-        mc = McConfig(trials=200_000, seed=18)
-        rows = sweep("gab_and_grb_db", [35.0, 40.0], base_gains, base, mc, [SchemeId(Scheme.CJ)])
         limit = analytic.limits(base_gains, base, "cj_strong_second_hop")
-        for _, by_scheme in rows:
-            est = by_scheme[SchemeId(Scheme.CJ)]
-            assert abs(est.value - limit) < max(6.0 * est.stderr, 0.01)
+        assert [(r["gab_db"], r["grb_db"]) for r in rows] == [("35", "35"), ("40", "40")]
+        for row in rows:
+            assert abs(float(row["sop"]) - limit) < max(6.0 * float(row["stderr"]), 0.01)
 
-    def test_k_axis(self, fig6_gains):
-        mc = McConfig(trials=30_000, seed=19)
-        base = SystemParams(rho=db_to_linear(30.0), rate=0.1, scheme=SchemeId(Scheme.CJ))
-        rows = sweep("k_antennas", [1, 2], fig6_gains, base, mc)
-        assert rows[1][1][base.scheme].value > rows[0][1][base.scheme].value
+    def test_k_axis(self, capsys):
+        rows = _sweep_rows(
+            ["--axis", "k_antennas", "--points", "1,2", "--scheme", "cj", "--gab-db", "5",
+             "--gar-db", "0", "--grb-db", "10", "--rho-db", "30", "--trials", "30000",
+             "--seed", "19"],
+            capsys,
+        )
+        assert [r["K"] for r in rows] == ["1", "2"]
+        assert float(rows[1]["sop"]) > float(rows[0]["sop"])
 
-    def test_unknown_axis(self, fig1_gains):
-        with pytest.raises(ValueError):
-            sweep("bogus", [1.0], fig1_gains, SystemParams(rho=1.0), McConfig(trials=10, seed=0))
+    def test_unknown_axis(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", "bogus", "--points", "1"])
+        assert exc.value.code == 2

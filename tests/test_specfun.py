@@ -1,8 +1,8 @@
 """Special-function and quadrature contracts.
 
 Reference values are frozen from the independent oracles defined at the
-top of this module (plain quadrature of the defining integrals, finite
-sums), which the tests also re-run so drift in either side is caught.
+top of this module (plain quadrature of the defining integrals), which
+the tests also re-run so drift in either side is caught.
 """
 
 import math
@@ -11,13 +11,12 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 from relaysec.specfun import (
     ConvergenceError,
     QuadratureSpec,
     bessel_k1,
-    chi2_2k_cdf_complement,
-    exp_integral_ei,
     exp_scaled_e1,
     integrate_semi_infinite,
 )
@@ -52,34 +51,43 @@ EI_MINUS_ONE = -0.21938393439552027  # ei_oracle(-1.0)
 K1_ONE = 0.6019072301972346          # k1_oracle(1.0)
 
 
+def ei_via_scaled_e1(x: float) -> float:
+    """Ei(x) for x < 0 through the identity Ei(-y) = -e^(-y) * [e^y E1(y)]."""
+    return -math.exp(x) * exp_scaled_e1(-x)
+
+
 class TestExponentialIntegral:
+    """The outage brackets' Ei(-y), evaluated through ``exp_scaled_e1``."""
+
     def test_reference_value(self):
         assert ei_oracle(-1.0) == pytest.approx(EI_MINUS_ONE, abs=1e-12)
-        assert exp_integral_ei(-1.0) == pytest.approx(EI_MINUS_ONE, rel=1e-10)
-        assert f"{exp_integral_ei(-1.0):.6f}" == "-0.219384"
+        assert ei_via_scaled_e1(-1.0) == pytest.approx(EI_MINUS_ONE, rel=1e-10)
+        assert exp_scaled_e1(1.0) == pytest.approx(-math.e * scipy.special.expi(-1.0), rel=1e-12)
+        assert f"{exp_scaled_e1(1.0):.6f}" == "0.596347"
 
     def test_oracle_agreement_on_grid(self):
         for x in (-0.01, -0.3, -2.0, -7.5, -30.0):
-            assert exp_integral_ei(x) == pytest.approx(ei_oracle(x), rel=1e-10)
+            assert ei_via_scaled_e1(x) == pytest.approx(ei_oracle(x), rel=1e-10)
 
     def test_log_divergence_near_zero(self):
         # Ei(x) ~ euler_gamma + ln|x| for small |x|.
-        assert exp_integral_ei(-1e-8) < -17.0
+        assert ei_via_scaled_e1(-1e-8) < -17.0
 
     def test_x_ei_vanishes_at_zero(self):
-        assert abs(1e-9 * exp_integral_ei(-1e-9)) < 1e-7
+        assert abs(1e-9 * ei_via_scaled_e1(-1e-9)) < 1e-7
 
     def test_domain_error(self):
+        # Ei on the positive axis would need the scaled E1 at y <= 0.
         with pytest.raises(ValueError):
-            exp_integral_ei(0.0)
+            exp_scaled_e1(0.0)
         with pytest.raises(ValueError):
-            exp_integral_ei(1.0)
+            exp_scaled_e1(-1.0)
 
     def test_negative_and_decreasing(self):
         # The derivative e^x / x is negative on x < 0, so Ei falls from
         # 0- toward -inf as x approaches zero from below.
         xs = np.linspace(-20.0, -1e-3, 400)
-        vals = [exp_integral_ei(x) for x in xs]
+        vals = [ei_via_scaled_e1(x) for x in xs]
         assert all(v < 0 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -93,7 +101,7 @@ class TestExpScaledE1:
 
     def test_consistent_with_ei(self):
         y = 2.5
-        assert exp_scaled_e1(y) == pytest.approx(-math.exp(y) * exp_integral_ei(-y), rel=1e-12)
+        assert exp_scaled_e1(y) == pytest.approx(-math.exp(y) * scipy.special.expi(-y), rel=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -123,42 +131,6 @@ class TestBesselK1:
             bessel_k1(0.0)
         with pytest.raises(ValueError):
             bessel_k1(-1.0)
-
-
-class TestErlangSurvival:
-    def test_at_zero(self):
-        for k in (1, 2, 5, 17):
-            assert chi2_2k_cdf_complement(0.0, k) == 1.0
-
-    def test_tail_vanishes(self):
-        assert chi2_2k_cdf_complement(1e4, 3) < 1e-12
-
-    def test_small_case(self):
-        assert chi2_2k_cdf_complement(2.0, 2) == pytest.approx(3.0 * math.exp(-2.0), rel=1e-12)
-
-    def test_matches_finite_sum(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            v = float(rng.uniform(0.0, 30.0))
-            k = int(rng.integers(1, 12))
-            direct = math.fsum(v**n * math.exp(-v) / math.factorial(n) for n in range(k))
-            assert chi2_2k_cdf_complement(v, k) == pytest.approx(direct, rel=1e-12, abs=1e-300)
-
-    def test_monotonicity(self):
-        vs = np.linspace(0.0, 12.0, 40)
-        for k in (1, 3, 8):
-            vals = [chi2_2k_cdf_complement(v, k) for v in vs]
-            assert all(0.0 <= x <= 1.0 for x in vals)
-            assert all(b <= a for a, b in zip(vals, vals[1:]))
-        for v in (0.5, 4.0):
-            by_k = [chi2_2k_cdf_complement(v, k) for k in range(1, 10)]
-            assert all(b >= a for a, b in zip(by_k, by_k[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            chi2_2k_cdf_complement(-1.0, 2)
-        with pytest.raises(ValueError):
-            chi2_2k_cdf_complement(1.0, 0)
 
 
 class TestSemiInfiniteQuadrature:
