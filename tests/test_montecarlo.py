@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,6 +146,21 @@ class TestSecrecyRate:
             )
             i_r = 0.5 * math.log2(1 + har2 / (hrb2 + 1 / rho))
             assert margin == pytest.approx(i_b - i_r, abs=1e-12)
+
+    def test_af_nocsi_needs_transmit_pick(self, channel_block):
+        # Without second-hop CSI the relay forwards on the block's random pick:
+        # the pick of the stronger second hop matches the CSI selection, the
+        # other pick forwards on the weaker hop and loses the secrecy margin.
+        gains = LinkGains(1.0, 1.0, 1.0)
+        nocsi = SystemParams(rho=10.0, k_antennas=2, scheme=SchemeId(Scheme.AF, SelectionMode.SELECT_NOCSI))
+        csi = replace(nocsi, scheme=SchemeId(Scheme.AF, SelectionMode.SELECT_CSI))
+        weak, strong = (
+            rate_margins_block(channel_block(1.0, [1.0, 2.0], [1.0, 2.0], tx_pick=pick), gains, nocsi)[0]
+            for pick in (0, 1)
+        )
+        best = rate_margins_block(channel_block(1.0, [1.0, 2.0], [1.0, 2.0]), gains, csi)[0]
+        assert strong == pytest.approx(best, rel=1e-12)
+        assert weak < 0.0 < strong
 
     def test_block_dimension_mismatch(self):
         gains = LinkGains(1.0, 1.0, 1.0)
