@@ -17,7 +17,7 @@ from .model import (
     db_to_linear,
     derived_coefficients,
 )
-from .montecarlo import McConfig, estimate_sop, positive_secrecy_probability
+from .montecarlo import McConfig, estimate_sop
 from .powerallo import minimize_sop
 from .specfun import QuadratureSpec
 
@@ -35,7 +35,6 @@ __all__ = [
     "derived_coefficients",
     "estimate_sop",
     "minimize_sop",
-    "positive_secrecy_probability",
 ]
 
 __version__ = "0.1.0"

@@ -322,7 +322,7 @@ def limits(gains: LinkGains, params: SystemParams, which: str, mc=None) -> float
     ``af_high_snr`` is the actual high-SNR limit of the exact AF outage;
     ``af_high_snr_printed`` keeps the variant that reuses the
     positive-secrecy beta coefficient inside the bracket, retained only so
-    the validation suite can report how far it sits from the true limit.
+    the validation suite can pin how far it sits from the true limit.
     """
     rho = params.rho
     two_r = 2.0 ** params.rate

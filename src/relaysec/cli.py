@@ -5,8 +5,8 @@ All interface values are in dB (gains, SNR); conversion to linear scale
 happens once at the boundary.  Results are emitted as CSV with the stable
 column prefix ``scheme,mode,K,rho_db,gab_db,gar_db,grb_db,rate,method,
 sop,stderr,trials`` followed by the Wilson 95% bounds for Monte Carlo
-rows.  Exit codes: 0 success, 1 validation failure, 2 configuration
-error, 3 unsupported (scheme, method) combination.
+rows.  Exit codes: 0 success, 1 a failed ``validate`` check, 2
+configuration error, 3 unsupported (scheme, method) combination.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .model import (
     SystemParams,
     db_to_linear,
     derived_coefficients,
-    threshold_t,
 )
 from .montecarlo import McConfig, estimate_sop, estimate_sop_many
 
@@ -138,16 +137,16 @@ class Setting:
 
     def link(self, rate: float, scheme: SchemeId = SchemeId(Scheme.DT)) -> tuple[LinkGains, SystemParams]:
         """Linear-scale model inputs; a value outside the model's domain is a ConfigError."""
+        linear = {}
+        for name in ("rho_db", "gab_db", "gar_db", "grb_db"):
+            try:
+                linear[name] = db_to_linear(getattr(self, name))
+            except OverflowError:
+                raise ConfigError(f"{name} = {getattr(self, name):g} is out of range") from None
         try:
-            gains = LinkGains(
-                gamma_ab=db_to_linear(self.gab_db),
-                gamma_ar=db_to_linear(self.gar_db),
-                gamma_rb=db_to_linear(self.grb_db),
-            )
-            params = SystemParams(
-                rho=db_to_linear(self.rho_db), k_antennas=self.k, rate=rate, scheme=scheme
-            )
-        except (ValueError, OverflowError) as exc:
+            gains = LinkGains(linear["gab_db"], linear["gar_db"], linear["grb_db"])
+            params = SystemParams(rho=linear["rho_db"], k_antennas=self.k, rate=rate, scheme=scheme)
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return gains, params
 
@@ -245,28 +244,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=None, help="key=value config file")
-    common.add_argument("--scheme", choices=sorted(_SCHEMES), default="af")
-    common.add_argument("--mode", choices=sorted(_MODES), default="full")
-    common.add_argument("--k", type=int, default=1, help="relay antenna count")
-    common.add_argument("--rho-db", type=float, default=20.0, help="transmit SNR [dB]")
-    common.add_argument("--gab-db", type=float, default=0.0, help="mean gain Alice->Bob [dB]")
-    common.add_argument("--gar-db", type=float, default=0.0, help="mean gain Alice->relay [dB]")
-    common.add_argument("--grb-db", type=float, default=5.0, help="mean gain relay->Bob [dB]")
-    common.add_argument("--rate", type=float, default=DEFAULT_RATE, help="target secrecy rate")
-    common.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
-    common.add_argument("--seed", type=int, default=McConfig().seed)
-    common.add_argument("--workers", type=int, default=1)
-    common.add_argument("--out", type=str, default=None, help="CSV output path (default stdout)")
+    # Each subcommand takes only the flag groups it reads, so an ignored
+    # flag (or config-file key) is an error rather than a silent no-op.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", type=str, default=None, help="key=value config file")
+    run.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
+    run.add_argument("--seed", type=int, default=McConfig().seed)
+    run.add_argument("--workers", type=int, default=1)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--rate", type=float, default=DEFAULT_RATE, help="target secrecy rate")
+    output.add_argument("--out", type=str, default=None, help="CSV output path (default stdout)")
+    link = argparse.ArgumentParser(add_help=False)
+    link.add_argument("--scheme", choices=sorted(_SCHEMES), default="af")
+    link.add_argument("--mode", choices=sorted(_MODES), default="full")
+    link.add_argument("--k", type=int, default=1, help="relay antenna count")
+    link.add_argument("--rho-db", type=float, default=20.0, help="transmit SNR [dB]")
+    link.add_argument("--gab-db", type=float, default=0.0, help="mean gain Alice->Bob [dB]")
+    link.add_argument("--gar-db", type=float, default=0.0, help="mean gain Alice->relay [dB]")
+    link.add_argument("--grb-db", type=float, default=5.0, help="mean gain relay->Bob [dB]")
+    every = [run, output, link]
 
-    p_point = sub.add_parser("point", parents=[common], help="evaluate one parameter point")
+    p_point = sub.add_parser("point", parents=every, help="evaluate one parameter point")
     p_point.add_argument(
         "--method", choices=("analytic", "montecarlo", "asymptotic", "both"), default="both"
     )
     p_point.add_argument("--limit", type=str, default=None, help="asymptotic selector override")
 
-    p_fig = sub.add_parser("figure", parents=[common], help="emit a full figure dataset")
+    p_fig = sub.add_parser("figure", parents=[run, output], help="emit a full figure dataset")
     p_fig.add_argument("figure_id", type=int, choices=sorted(FIGURE_PRESETS))
     p_fig.add_argument(
         "--power-opt-trials", type=int, default=100_000,
@@ -277,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="omit the power-optimized curves even where the preset has them",
     )
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="Monte Carlo sweep along one axis")
+    p_sweep = sub.add_parser("sweep", parents=every, help="Monte Carlo sweep along one axis")
     p_sweep.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p_sweep.add_argument("--points", type=str, required=True, help="comma-separated axis values")
     p_sweep.add_argument(
@@ -285,15 +289,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated scheme[:mode] tokens (default: --scheme/--mode)",
     )
 
-    p_opt = sub.add_parser("power-opt", parents=[common], help="optimize per-node power fractions")
+    p_opt = sub.add_parser("power-opt", parents=every, help="optimize per-node power fractions")
     p_opt.add_argument("--grid-step", type=float, default=0.25)
     p_opt.add_argument("--constraint", choices=("per-node", "total"), default="per-node")
 
-    p_val = sub.add_parser("validate", parents=[common], help="run the consistency suite")
-    p_val.add_argument(
-        "--debug-paper-t", action="store_true",
-        help="use the uncorrected integration threshold to demonstrate the discrepancy",
-    )
+    sub.add_parser("validate", parents=[run], help="run the consistency checks")
     return parser
 
 
@@ -322,7 +322,7 @@ def _read_config_file(path: str) -> list[str]:
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+    if args.config:
         # Re-parse with config-file pseudo-args inserted right after the
         # subcommand; the original tail (flags and positionals) follows, so
         # explicit flags win over the file.
@@ -343,7 +343,10 @@ def _gains_params(args) -> tuple[Setting, LinkGains, SystemParams]:
 
 def _mc_config(args, default_trials: int = 1_000_000) -> McConfig:
     trials = args.trials if args.trials is not None else default_trials
-    return McConfig(trials=trials, seed=args.seed, workers=args.workers)
+    try:
+        return McConfig(trials=trials, seed=args.seed, workers=args.workers)
+    except ValueError as exc:  # McConfig names the field, and each field is its flag
+        raise ConfigError(f"--{exc}") from exc
 
 
 def _open_out(args) -> TextIO:
@@ -422,6 +425,14 @@ def _run_preset(preset: FigurePreset, args, label: str) -> int:
     point is reported without leaving a partial CSV behind.
     """
     mc = _mc_config(args)
+    if preset.power_opt:
+        # Search on a reduced trial budget, then settle the winner against
+        # full power on the same budget as the plain Monte Carlo rows so
+        # the power-opt row is never above its montecarlo companion.
+        try:
+            opt_mc = replace(mc, trials=min(args.power_opt_trials, mc.trials))
+        except ValueError as exc:
+            raise ConfigError(f"--power-opt-{exc}") from exc
     resolved = []
     for point in preset.points:
         setting = preset.base.at(preset.axis, point)
@@ -449,10 +460,6 @@ def _run_preset(preset: FigurePreset, args, label: str) -> int:
             writer.row(setting, params, "asymptotic", SopEstimate(value=value, method="asymptotic"))
 
         for scheme in preset.power_opt:
-            # Search on a reduced trial budget, then settle the winner against
-            # full power on the same budget as the plain Monte Carlo rows so
-            # the power-opt row is never above its montecarlo companion.
-            opt_mc = replace(mc, trials=min(args.power_opt_trials, mc.trials))
             params = replace(base_params, scheme=scheme)
             alloc, _ = powerallo.minimize_sop(gains, params, opt_mc)
             est = min(
@@ -482,6 +489,8 @@ def run_sweep(args) -> int:
         points = tuple(float(tok) for tok in args.points.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"bad --points list: {exc}") from exc
+    if not points:
+        raise ConfigError("--points lists no value")
     if args.schemes:
         schemes = tuple(_parse_scheme_token(tok) for tok in args.schemes.split(","))
     else:
@@ -496,9 +505,12 @@ def run_sweep(args) -> int:
 def run_power_opt(args) -> int:
     setting, gains, params = _gains_params(args)
     mc = _mc_config(args)
-    allocation, est = powerallo.minimize_sop(
-        gains, params, mc, grid_step=args.grid_step, constraint=args.constraint
-    )
+    try:
+        allocation, est = powerallo.minimize_sop(
+            gains, params, mc, grid_step=args.grid_step, constraint=args.constraint
+        )
+    except ValueError as exc:
+        raise ConfigError(f"--grid-step: {exc}") from exc
     full = estimate_sop(gains, params, mc)
     out = _open_out(args)
     writer = CsvWriter(out)
@@ -519,125 +531,152 @@ def run_power_opt(args) -> int:
 # Validation suite
 # ---------------------------------------------------------------------------
 
-def _validation_points(n: int = 10) -> list[tuple[LinkGains, float]]:
+@dataclass(frozen=True)
+class Check:
+    """One consistency check of the closed forms, shared by ``relaysec
+    validate`` and the acceptance tests: ``run(mc)`` returns ``(passed,
+    detail)``, and ``mc`` is the budget of the checks that simulate."""
+
+    name: str
+    run: Callable[[McConfig], tuple[bool, str]]
+
+
+def _gains_db(gab_db: float, gar_db: float, grb_db: float) -> LinkGains:
+    return LinkGains(db_to_linear(gab_db), db_to_linear(gar_db), db_to_linear(grb_db))
+
+
+def _at(rho_db: float, rate: float = DEFAULT_RATE) -> SystemParams:
+    return SystemParams(rho=db_to_linear(rho_db), rate=rate)
+
+
+def _check_points() -> tuple[tuple[LinkGains, float], ...]:
+    """(gains, rho) of the identity checks: ten seeded points, five figure
+    settings (dB) and two asymmetric gain sets (linear)."""
     rng = np.random.default_rng(1234)
-    points = []
-    for _ in range(n):
-        gab, gar, grb = (db_to_linear(v) for v in rng.uniform(-10.0, 10.0, size=3))
-        rho = db_to_linear(rng.uniform(5.0, 25.0))
-        points.append((LinkGains(gab, gar, grb), rho))
-    return points
+    seeded = [
+        (_gains_db(*rng.uniform(-10.0, 10.0, size=3)), db_to_linear(rng.uniform(5.0, 25.0)))
+        for _ in range(10)
+    ]
+    named = [((0, 0, 5), 10), ((0, 0, 5), 20), ((5, 0, 10), 30), ((5, 0, 5), 15), ((0, 0, 2), 12)]
+    return (
+        *seeded, *((_gains_db(*g), db_to_linear(r)) for g, r in named),
+        (LinkGains(2.0, 0.5, 4.0), 40.0), (LinkGains(0.5, 2.0, 1.5), 25.0),
+    )
+
+
+_FIG1_GAINS = _gains_db(0.0, 0.0, 5.0)
+_WEAK_FIRST_HOP = _gains_db(0.0, -40.0, 5.0)
+
+
+def _within(label: str, value: float, tol: float) -> tuple[bool, str]:
+    return value <= tol, f"{label} = {value:.3e} (tol {tol:g})"
+
+
+def _beyond(label: str, value: float, floor: float) -> tuple[bool, str]:
+    return value > floor, f"{label} = {value:.4f} (must exceed {floor:g})"
+
+
+def _worst_gap(
+    name: str, rate: float, tol: float, gap: Callable[[LinkGains, SystemParams], float]
+) -> Check:
+    """``gap(gains, params)`` at most ``tol`` at every check point."""
+    return Check(name, lambda mc: _within("worst |delta|", max(
+        gap(gains, SystemParams(rho=rho, rate=rate)) for gains, rho in _check_points()), tol))
+
+
+def _reduction(form: str, tol: float) -> Check:
+    """``analytic.sop_<form>`` at K=1 matches its single-antenna counterpart."""
+    return _worst_gap(f"single-antenna reduction, {form}", DEFAULT_RATE, tol, lambda g, p: abs(
+        getattr(analytic, f"sop_{form}")(g, p) - getattr(analytic, f"sop_{form[:2]}_single")(g, p)))
+
+
+def _limit(name: str, form: str, gains: LinkGains, rho_db: float, which: str, tol: float) -> Check:
+    """``analytic.<form>`` within ``tol`` of the limit ``which`` at one setting."""
+
+    def run(mc: McConfig) -> tuple[bool, str]:
+        params = _at(rho_db)
+        exact = getattr(analytic, form)(gains, params)
+        gap = abs(exact - analytic.limits(gains, params, which))
+        return _within(f"|exact - limit| at {rho_db:g} dB", gap, tol)
+
+    return Check(name, run)
+
+
+def _threshold_root(mc: McConfig) -> tuple[bool, str]:
+    worst, signs = 0.0, True
+    for gains, rho in _check_points():
+        coef = derived_coefficients(gains, SystemParams(rho=rho, rate=DEFAULT_RATE))
+        worst = max(worst, abs(coef.phi(coef.t)))
+        signs = signs and coef.phi(0.5 * coef.t) < 0.0 < coef.phi(2.0 * coef.t)
+    return worst <= 1e-9 and signs, f"worst |phi(t)| = {worst:.3e}, sign change at t: {signs}"
+
+
+def _printed_cj_threshold(mc: McConfig) -> tuple[bool, str]:
+    params = _at(10.0, rate=0.0)
+    wrong = analytic.sop_cj_single(_FIG1_GAINS, params, paper_printed_t=True)
+    return _beyond("misfit", abs(wrong - (1 - analytic.p_pos_cj(_FIG1_GAINS, params))), 0.01)
+
+
+def _printed_af_limit(mc: McConfig) -> tuple[bool, str]:
+    printed = analytic.limits(_FIG1_GAINS, _at(80.0), "af_high_snr_printed")
+    gap = abs(printed - analytic.limits(_FIG1_GAINS, _at(80.0), "af_high_snr"))
+    return _beyond("|printed - limit| at 80 dB", gap, 0.01)
+
+
+def _af_select_matches_mc(mc: McConfig) -> tuple[bool, str]:
+    gains = _gains_db(5.0, 0.0, 5.0)
+    params = replace(_at(10.0), k_antennas=3, scheme=_AF_SEL)
+    sim = estimate_sop(gains, params, mc)
+    delta = abs(analytic.sop_af_select_csi(gains, params) - sim.value)
+    tol = max(4.0 * sim.stderr, 0.005)
+    return delta <= tol, f"|closed - mc| = {delta:.4f} (tol {tol:.4f}, trials {sim.trials})"
+
+
+def _weak_first_hop_order(mc: McConfig) -> tuple[bool, str]:
+    dt, af = (analytic.limits(_WEAK_FIRST_HOP, _at(20.0), f"{scheme}_weak_first_hop")
+              for scheme in ("dt", "af"))
+    return dt <= af, f"direct {dt:.4f} <= relaying {af:.4f}"
+
+
+CHECKS: tuple[Check, ...] = (
+    _worst_gap("zero-rate complement, direct transmission", 0.0, 1e-9,
+               lambda g, p: abs(analytic.sop_dt_single(g, p) - (1 - analytic.p_pos_dt(g)))),
+    _worst_gap("zero-rate complement, amplify-and-forward", 0.0, 1e-9,
+               lambda g, p: abs(analytic.sop_af_single(g, p) - (1 - analytic.p_pos_af(g, p)))),
+    _worst_gap("zero-rate complement, cooperative jamming", 0.0, 1e-9,
+               lambda g, p: abs(analytic.sop_cj_single(g, p) - (1 - analytic.p_pos_cj(g, p)))),
+    Check("paper erratum: printed CJ threshold constant breaks the zero-rate complement",
+          _printed_cj_threshold),
+    Check("integration threshold solves phi(t) = 0", _threshold_root),
+    # The af_select_csi reduction also pins the index range of the selection sum.
+    *(_reduction(form, 1e-9)
+      for form in ("dt_multi", "dt_select", "af_select_csi", "af_select_nocsi", "cj_select_nocsi")),
+    _reduction("af_multi", 1e-6),
+    Check("antenna-selection AF closed form matches Monte Carlo", _af_select_matches_mc),
+    _limit("high-SNR AF limit consistent with exact expression",
+           "sop_af_single", _FIG1_GAINS, 80.0, "af_high_snr", 1e-4),
+    Check("paper erratum: printed high-SNR AF limit misses the exact limit", _printed_af_limit),
+    _limit("high-SNR CJ outage vanishes", "sop_cj_single", _FIG1_GAINS, 50.0, "cj_high_snr", 0.02),
+    _limit("high-SNR DT limit", "sop_dt_single", _FIG1_GAINS, 50.0, "dt_high_snr", 0.005),
+    _limit("high-SNR AF limit", "sop_af_single", _FIG1_GAINS, 50.0, "af_high_snr", 0.005),
+    _limit("strong-second-hop CJ limit", "sop_cj_single", _gains_db(5.0, 0.0, 40.0), 15.0,
+           "cj_strong_second_hop", 0.01),
+    _limit("weak-first-hop DT limit", "sop_dt_single", _WEAK_FIRST_HOP, 20.0,
+           "dt_weak_first_hop", 0.005),
+    _limit("weak-first-hop AF limit", "sop_af_single", _WEAK_FIRST_HOP, 20.0,
+           "af_weak_first_hop", 0.005),
+    Check("weak-first-hop limits order direct transmission below relaying", _weak_first_hop_order),
+)
 
 
 def run_validate(args) -> int:
-    checks: list[tuple[str, bool, str]] = []
-    notes: list[str] = []
-    use_paper_t = args.debug_paper_t
     mc = _mc_config(args, default_trials=200_000)
-
-    pts = _validation_points()
-
-    def record(name: str, worst: float, tol: float):
-        checks.append((name, worst <= tol, f"worst |delta| = {worst:.3e} (tol {tol:.0e})"))
-
-    # Zero-rate complements: outage at R=0 must complement positive secrecy.
-    worst_dt = worst_af = worst_cj = 0.0
-    for gains, rho in pts:
-        p0 = SystemParams(rho=rho, rate=0.0)
-        worst_dt = max(worst_dt, abs(analytic.sop_dt_single(gains, p0) - (1 - analytic.p_pos_dt(gains))))
-        worst_af = max(worst_af, abs(analytic.sop_af_single(gains, p0) - (1 - analytic.p_pos_af(gains, p0))))
-        cj = analytic.sop_cj_single(gains, p0, paper_printed_t=use_paper_t)
-        worst_cj = max(worst_cj, abs(cj - (1 - analytic.p_pos_cj(gains, p0))))
-    record("zero-rate complement, direct transmission", worst_dt, 1e-9)
-    record("zero-rate complement, amplify-and-forward", worst_af, 1e-9)
-    name_cj = "zero-rate complement, cooperative jamming"
-    if use_paper_t:
-        name_cj += " (uncorrected threshold)"
-    record(name_cj, worst_cj, 1e-9)
-
-    # Threshold root: phi changes sign exactly at t.
-    worst_root = 0.0
-    sign_ok = True
-    for gains, rho in pts:
-        p = SystemParams(rho=rho, rate=DEFAULT_RATE)
-        coef = derived_coefficients(gains, p)
-        t = threshold_t(gains, p, paper_printed=use_paper_t)
-        worst_root = max(worst_root, abs(coef.phi(t)))
-        sign_ok = sign_ok and coef.phi(0.5 * coef.t) < 0.0 < coef.phi(2.0 * coef.t)
-    checks.append(
-        (
-            "integration threshold solves phi(t) = 0",
-            worst_root <= 1e-9 and sign_ok,
-            f"worst |phi(t)| = {worst_root:.3e}",
-        )
-    )
-
-    # Single-antenna reductions of the K-antenna formulas.
-    worst = {"dt_multi": 0.0, "dt_select": 0.0, "af_select_csi": 0.0, "af_select_nocsi": 0.0,
-             "cj_select_nocsi": 0.0, "af_multi": 0.0}
-    for gains, rho in pts:
-        p = SystemParams(rho=rho, rate=DEFAULT_RATE, k_antennas=1)
-        dt1 = analytic.sop_dt_single(gains, p)
-        af1 = analytic.sop_af_single(gains, p)
-        cj1 = analytic.sop_cj_single(gains, p)
-        worst["dt_multi"] = max(worst["dt_multi"], abs(analytic.sop_dt_multi(gains, p) - dt1))
-        worst["dt_select"] = max(worst["dt_select"], abs(analytic.sop_dt_select(gains, p) - dt1))
-        worst["af_select_csi"] = max(worst["af_select_csi"], abs(analytic.sop_af_select_csi(gains, p) - af1))
-        worst["af_select_nocsi"] = max(worst["af_select_nocsi"], abs(analytic.sop_af_select_nocsi(gains, p) - af1))
-        worst["cj_select_nocsi"] = max(worst["cj_select_nocsi"], abs(analytic.sop_cj_select_nocsi(gains, p) - cj1))
-        worst["af_multi"] = max(worst["af_multi"], abs(analytic.sop_af_multi(gains, p) - af1))
-    for key, tol in (
-        ("dt_multi", 1e-9), ("dt_select", 1e-9), ("af_select_csi", 1e-9),
-        ("af_select_nocsi", 1e-9), ("cj_select_nocsi", 1e-9), ("af_multi", 1e-6),
-    ):
-        record(f"single-antenna reduction, {key}", worst[key], tol)
-
-    # AF selection closed form against Monte Carlo.
-    gains7 = LinkGains(db_to_linear(5.0), db_to_linear(0.0), db_to_linear(5.0))
-    p7 = SystemParams(
-        rho=db_to_linear(10.0), rate=DEFAULT_RATE, k_antennas=3,
-        scheme=SchemeId(Scheme.AF, SelectionMode.SELECT_CSI),
-    )
-    closed = analytic.sop_af_select_csi(gains7, p7)
-    sim = estimate_sop(gains7, p7, mc)
-    delta = abs(closed - sim.value)
-    tol = max(4.0 * sim.stderr, 0.005)
-    checks.append(
-        (
-            "antenna-selection AF closed form matches Monte Carlo",
-            delta <= tol,
-            f"|closed - mc| = {delta:.4f} (tol {tol:.4f}, trials {sim.trials})",
-        )
-    )
-
-    # High-SNR AF limit: the exact expression must approach the limit value.
-    gains1 = LinkGains(1.0, 1.0, db_to_linear(5.0))
-    p_hi = SystemParams(rho=db_to_linear(80.0), rate=DEFAULT_RATE)
-    lim = analytic.limits(gains1, p_hi, "af_high_snr")
-    exact = analytic.sop_af_single(gains1, p_hi)
-    checks.append(
-        (
-            "high-SNR AF limit consistent with exact expression",
-            abs(lim - exact) <= 1e-4,
-            f"|limit - exact@80dB| = {abs(lim - exact):.2e}",
-        )
-    )
-    printed = analytic.limits(gains1, p_hi, "af_high_snr_printed")
-    notes.append(
-        f"NOTE high-SNR AF limit: as-printed variant differs from the exact limit by "
-        f"{abs(printed - lim):.4f} at the reference gains (printed={printed:.4f}, "
-        f"limit={lim:.4f}); the consistent form is used."
-    )
-
     failures = 0
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        print(f"{status} {name}: {detail}")
-    for note in notes:
-        print(note)
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
+    for check in CHECKS:
+        ok, detail = check.run(mc)
+        failures += not ok
+        print(f"{'PASS' if ok else 'FAIL'} {check.name}: {detail}")
+    print(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
     return 1 if failures else 0
 
 

@@ -177,10 +177,6 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
 def _complex_gaussian(rng: np.random.Generator, shape, mean_square: float) -> np.ndarray:
     scale = math.sqrt(mean_square / 2.0)
     z = rng.standard_normal(shape + (2,))

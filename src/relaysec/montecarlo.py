@@ -163,9 +163,8 @@ def _count_many(
     gains: LinkGains,
     params_list: Sequence[SystemParams],
     mc: McConfig,
-    positive: bool = False,
 ) -> list[int]:
-    """Outage (or positive-secrecy) counts for several schemes on shared draws."""
+    """Outage counts for several schemes on shared draws."""
     k = params_list[0].k_antennas
     if any(p.k_antennas != k for p in params_list):
         raise ValueError("shared-draw evaluation requires a common antenna count")
@@ -175,10 +174,7 @@ def _count_many(
         counts = []
         for params in params_list:
             margins = rate_margins_block(block, gains, params)
-            if positive:
-                counts.append(int(np.count_nonzero(margins > 0.0)))
-            else:
-                counts.append(int(np.count_nonzero(margins < params.rate)))
+            counts.append(int(np.count_nonzero(margins < params.rate)))
         return counts
 
     per_chunk = _map_chunks(run_chunk, mc)
@@ -194,14 +190,6 @@ def _to_estimate(count: int, trials: int) -> SopEstimate:
 def estimate_sop(gains: LinkGains, params: SystemParams, mc: McConfig) -> SopEstimate:
     """Fraction of fading draws whose secrecy rate falls below the target rate."""
     count = _count_many(gains, [params], mc)[0]
-    return _to_estimate(count, mc.trials)
-
-
-def positive_secrecy_probability(
-    gains: LinkGains, params: SystemParams, mc: McConfig
-) -> SopEstimate:
-    """Fraction of fading draws with a strictly positive secrecy rate."""
-    count = _count_many(gains, [params], mc, positive=True)[0]
     return _to_estimate(count, mc.trials)
 
 

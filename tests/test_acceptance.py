@@ -1,12 +1,16 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
-line per criterion.  The Monte Carlo budget is one million trials per
+line per criterion.  Criteria 2-4 (zero-rate complements, single-antenna
+reductions, limiting regimes and the pinned errata of the paper) are the
+``relaysec.cli.CHECKS`` registry that ``relaysec validate`` prints, one
+test per check.  The Monte Carlo budget is one million trials per
 parameter point, shared across schemes at each point via common random
 numbers; the whole module targets a few minutes on a laptop.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ import scipy.stats
 
 from relaysec import LinkGains, McConfig, SchemeId, SystemParams, db_to_linear
 from relaysec import analytic
+from relaysec.cli import CHECKS
 from relaysec.model import Scheme, SelectionMode, sample_channel_block
 from relaysec.montecarlo import estimate_sop, estimate_sop_many
 from relaysec.powerallo import minimize_sop
@@ -126,96 +131,14 @@ class TestCriterion1Calibration:
         )
 
 
-class TestCriterion2Complements:
-    def test_zero_rate_complements(self):
-        settings = [
-            (FIG1, db_to_linear(10.0)),
-            (FIG6, db_to_linear(30.0)),
-            (FIG7, db_to_linear(15.0)),
-            (LinkGains(2.0, 0.5, 4.0), 40.0),
-        ]
-        worst = 0.0
-        for gains, rho in settings:
-            p0 = SystemParams(rho=rho, rate=0.0)
-            worst = max(worst, abs(analytic.sop_dt_single(gains, p0) - (1 - analytic.p_pos_dt(gains))))
-            worst = max(worst, abs(analytic.sop_af_single(gains, p0) - (1 - analytic.p_pos_af(gains, p0))))
-            worst = max(worst, abs(analytic.sop_cj_single(gains, p0) - (1 - analytic.p_pos_cj(gains, p0))))
-        p0 = SystemParams(rho=db_to_linear(10.0), rate=0.0)
-        wrong = analytic.sop_cj_single(FIG1, p0, paper_printed_t=True)
-        misfit = abs(wrong - (1 - analytic.p_pos_cj(FIG1, p0)))
-        ok = worst <= 1e-9 and misfit > 0.01
-        report(
-            2, "zero-rate complements", ok,
-            f"worst corrected delta {worst:.2e} (tol 1e-9); uncorrected-threshold "
-            f"misfit {misfit:.4f} (must exceed 0.01)",
-        )
+class TestCriteria2To4Checks:
+    """Zero-rate complements, K=1 reductions, limiting regimes and the
+    paper's errata: the checks ``relaysec validate`` runs, at full budget."""
 
-
-class TestCriterion3Reductions:
-    def test_single_antenna_reductions(self):
-        settings = [
-            (FIG1, db_to_linear(20.0)),
-            (FIG6, db_to_linear(30.0)),
-            (FIG8, db_to_linear(12.0)),
-            (LinkGains(0.5, 2.0, 1.5), 25.0),
-        ]
-        worst_exact = worst_quad = 0.0
-        for gains, rho in settings:
-            p = SystemParams(rho=rho, rate=0.1, k_antennas=1)
-            dt1 = analytic.sop_dt_single(gains, p)
-            af1 = analytic.sop_af_single(gains, p)
-            cj1 = analytic.sop_cj_single(gains, p)
-            worst_exact = max(
-                worst_exact,
-                abs(analytic.sop_dt_multi(gains, p) - dt1),
-                abs(analytic.sop_dt_select(gains, p) - dt1),
-                abs(analytic.sop_af_select_csi(gains, p) - af1),
-                abs(analytic.sop_af_select_nocsi(gains, p) - af1),
-                abs(analytic.sop_cj_select_nocsi(gains, p) - cj1),
-            )
-            worst_quad = max(worst_quad, abs(analytic.sop_af_multi(gains, p) - af1))
-        ok = worst_exact <= 1e-9 and worst_quad <= 1e-6
-        report(
-            3, "single-antenna reductions", ok,
-            f"worst closed-form delta {worst_exact:.2e} (tol 1e-9); "
-            f"worst double-quadrature delta {worst_quad:.2e} (tol 1e-6)",
-        )
-
-
-class TestCriterion4Asymptotics:
-    def test_limiting_regimes(self):
-        problems = []
-
-        p50 = SystemParams(rho=db_to_linear(50.0), rate=0.1)
-        cj50 = analytic.sop_cj_single(FIG1, p50)
-        if not cj50 < 0.02:
-            problems.append(f"jamming outage at 50 dB is {cj50:.4f}, not < 0.02")
-        dt_gap = abs(analytic.sop_dt_single(FIG1, p50) - analytic.limits(FIG1, p50, "dt_high_snr"))
-        af_gap = abs(analytic.sop_af_single(FIG1, p50) - analytic.limits(FIG1, p50, "af_high_snr"))
-        if dt_gap > 0.005 or af_gap > 0.005:
-            problems.append(f"high-SNR gaps dt={dt_gap:.4f} af={af_gap:.4f} exceed 0.005")
-
-        gains_strong = LinkGains(db_to_linear(5.0), 1.0, db_to_linear(40.0))
-        p15 = SystemParams(rho=db_to_linear(15.0), rate=0.1)
-        bessel_gap = abs(
-            analytic.sop_cj_single(gains_strong, p15)
-            - analytic.limits(gains_strong, p15, "cj_strong_second_hop")
-        )
-        if bessel_gap > 0.01:
-            problems.append(f"strong-second-hop gap {bessel_gap:.4f} exceeds 0.01")
-
-        gains_weak = LinkGains(1.0, db_to_linear(-40.0), db_to_linear(5.0))
-        p20 = SystemParams(rho=db_to_linear(20.0), rate=0.1)
-        dt_lim = analytic.limits(gains_weak, p20, "dt_weak_first_hop")
-        af_lim = analytic.limits(gains_weak, p20, "af_weak_first_hop")
-        dt_weak = abs(analytic.sop_dt_single(gains_weak, p20) - dt_lim)
-        af_weak = abs(analytic.sop_af_single(gains_weak, p20) - af_lim)
-        if dt_weak > 0.005 or af_weak > 0.005:
-            problems.append(f"weak-first-hop gaps dt={dt_weak:.4f} af={af_weak:.4f} exceed 0.005")
-        if not dt_lim <= af_lim:
-            problems.append("direct-transmission limit exceeds the relaying limit")
-
-        report(4, "asymptotic regimes", not problems, "; ".join(problems) or "all limits within tolerance")
+    @pytest.mark.parametrize("check", CHECKS, ids=lambda check: re.sub(r"\W+", "-", check.name))
+    def test_check(self, check):
+        ok, detail = check.run(mc_config())
+        report("2-4", check.name, ok, detail)
 
 
 class TestCriterion5AntennaGrowth:

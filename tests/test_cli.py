@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from relaysec import cli
 from relaysec.cli import CSV_COLUMNS, FIGURE_PRESETS, main
 
 PINNED_PREFIX = "scheme,mode,K,rho_db,gab_db,gar_db,grb_db,rate,method,sop,stderr,trials"
@@ -103,6 +104,36 @@ class TestExitCodes:
         assert out == ""
         assert not out_path.exists()  # every point is checked before the CSV starts
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["figure", "1", "--trials", "0"], "--trials"),
+        (["figure", "1", "--trials", "-5"], "--trials"),
+        (["figure", "1", "--trials", "64", "--power-opt-trials", "0"], "--power-opt-trials"),
+        (["point", "--workers", "0", "--method", "montecarlo"], "--workers"),
+        (["validate", "--trials", "0"], "--trials"),
+        (["power-opt", "--trials", "64", "--grid-step", "0"], "--grid-step"),
+        (["power-opt", "--trials", "64", "--grid-step", "nan"], "--grid-step"),
+        (["power-opt", "--trials", "64", "--grid-step", "0.75"], "--grid-step"),
+        (["sweep", "--axis", "rho_db", "--points", ","], "--points"),
+        (["point", "--rho-db", "1e308"], "rho_db"),
+        (["sweep", "--axis", "gar_db", "--points", "0,1e308", "--trials", "64"], "gar_db"),
+    ])
+    def test_bad_value_names_its_flag(self, argv, flag, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("config error:") and flag in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [["figure", "1", "--k", "6"], ["validate", "--k", "0"]])
+    def test_unread_flag_is_rejected(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"k = {argv[-1]}\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv[:-2], "--config", str(cfg)])
+        assert exc.value.code == 2
+
     def test_selection_beyond_64_antennas(self, capsys):
         code, out, _ = run_cli(
             ["point", "--k", "65", "--mode", "select-csi", "--method", "analytic"], capsys
@@ -140,12 +171,18 @@ class TestValidate:
         code, out, _ = run_cli(["validate", "--trials", "40000"], capsys)
         assert code == 0
         assert "FAIL" not in out
-        assert "NOTE high-SNR AF limit" in out
+        assert "PASS paper erratum: printed CJ threshold constant" in out
+        assert "PASS paper erratum: printed high-SNR AF limit" in out
+        assert f"{len(cli.CHECKS)}/{len(cli.CHECKS)} checks passed" in out
 
-    def test_uncorrected_threshold_fails(self, capsys):
-        code, out, _ = run_cli(["validate", "--trials", "40000", "--debug-paper-t"], capsys)
+    def test_failing_check_exits_one(self, monkeypatch, capsys):
+        failing = cli.Check("always fails", lambda mc: (False, "forced"))
+        monkeypatch.setattr(cli, "CHECKS", (*cli.CHECKS, failing))
+        n = len(cli.CHECKS)
+        code, out, _ = run_cli(["validate", "--trials", "4096"], capsys)
         assert code == 1
-        assert "FAIL zero-rate complement, cooperative jamming" in out
+        assert "FAIL always fails: forced" in out
+        assert f"{n - 1}/{n} checks passed" in out
 
 
 class TestSweepCommand:

@@ -20,7 +20,6 @@ from relaysec.model import (
     SystemParams,
     db_to_linear,
     derived_coefficients,
-    linear_to_db,
     sample_channel_block,
     threshold_t,
 )
@@ -85,7 +84,7 @@ class TestDbConversion:
         assert db_to_linear(db) == pytest.approx(lin, rel=1e-12)
 
     def test_roundtrip(self):
-        assert linear_to_db(db_to_linear(7.3)) == pytest.approx(7.3, abs=1e-12)
+        assert 10.0 * math.log10(db_to_linear(7.3)) == pytest.approx(7.3, abs=1e-12)
 
 
 class TestSampling:

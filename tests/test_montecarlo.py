@@ -21,7 +21,6 @@ from relaysec.model import (
 from relaysec.montecarlo import (
     estimate_sop,
     estimate_sop_many,
-    positive_secrecy_probability,
     rate_margins_block,
 )
 
@@ -189,22 +188,15 @@ class TestEstimates:
         est = estimate_sop(fig1_gains, params, McConfig(trials=400_000, seed=6))
         assert abs(est.value - analytic.sop_af_single(fig1_gains, params)) < 4.0 * est.stderr
 
-    def test_positive_secrecy_complements_zero_rate(self):
-        gains = LinkGains(1.5, 0.7, 2.0)
-        mc = McConfig(trials=200_000, seed=7)
-        params = SystemParams(rho=20.0, rate=0.0, scheme=SchemeId(Scheme.CJ))
-        pos = positive_secrecy_probability(gains, params, mc)
-        out = estimate_sop(gains, params, mc)
-        assert pos.value + out.value == pytest.approx(1.0, abs=1e-12)
-
     def test_positive_secrecy_matches_closed_forms(self, fig1_gains):
+        """Positive secrecy is the complement of outage at zero target rate."""
         mc = McConfig(trials=400_000, seed=8)
-        p_dt = SystemParams(rho=db_to_linear(10.0), scheme=SchemeId(Scheme.DT))
-        est = positive_secrecy_probability(fig1_gains, p_dt, mc)
-        assert abs(est.value - analytic.p_pos_dt(fig1_gains)) < 4.0 * est.stderr
-        p_cj = SystemParams(rho=db_to_linear(10.0), scheme=SchemeId(Scheme.CJ))
-        est = positive_secrecy_probability(fig1_gains, p_cj, mc)
-        assert abs(est.value - analytic.p_pos_cj(fig1_gains, p_cj)) < 4.0 * est.stderr
+        p_dt = SystemParams(rho=db_to_linear(10.0), rate=0.0, scheme=SchemeId(Scheme.DT))
+        est = estimate_sop(fig1_gains, p_dt, mc)
+        assert abs(1.0 - est.value - analytic.p_pos_dt(fig1_gains)) < 4.0 * est.stderr
+        p_cj = SystemParams(rho=db_to_linear(10.0), rate=0.0, scheme=SchemeId(Scheme.CJ))
+        est = estimate_sop(fig1_gains, p_cj, mc)
+        assert abs(1.0 - est.value - analytic.p_pos_cj(fig1_gains, p_cj)) < 4.0 * est.stderr
 
     def test_worker_determinism(self, fig1_gains):
         params = SystemParams(rho=db_to_linear(15.0), rate=0.1, scheme=SchemeId(Scheme.AF))
