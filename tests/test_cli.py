@@ -286,6 +286,16 @@ GOLDEN_RUNS = [
         id="figure-1",
     ),
     pytest.param(
+        ["figure", "6", "--trials", "4096", "--power-opt-trials", "1024"],
+        40, "7c0b4f8546da4a5da99a9a058b7764abcfc63540333693cda7684cb8cdbab839",
+        id="figure-6",
+    ),
+    pytest.param(
+        ["figure", "7", "--trials", "4096", "--power-opt-trials", "1024"],
+        45, "72d5135a99503068a3d23c4784c91fb4b813be1fd032cd9ed17ef66c1d6ceec0",
+        id="figure-7",
+    ),
+    pytest.param(
         ["figure", "8", "--trials", "4096", "--skip-power-opt"],
         80, "5d711894489ac04a704e342b7593f5e56cdd246ea94b4aa4650863a1479f71b3",
         id="figure-8",
