@@ -418,21 +418,16 @@ def run_point(args) -> int:
     return 0
 
 
-def _run_preset(preset: FigurePreset, args, label: str) -> int:
+def _run_preset(
+    preset: FigurePreset, args, label: str, mc: McConfig, opt_mc: McConfig | None = None
+) -> int:
     """Write the rows of every axis point of ``preset``.
 
-    Every point is resolved before the CSV header is written, so a bad
-    point is reported without leaving a partial CSV behind.
+    ``opt_mc`` is the trial budget of the power search, needed when the
+    preset has power-opt curves.  Every point is resolved before the CSV
+    header is written, so a bad point is reported without leaving a
+    partial CSV behind.
     """
-    mc = _mc_config(args)
-    if preset.power_opt:
-        # Search on a reduced trial budget, then settle the winner against
-        # full power on the same budget as the plain Monte Carlo rows so
-        # the power-opt row is never above its montecarlo companion.
-        try:
-            opt_mc = replace(mc, trials=min(args.power_opt_trials, mc.trials))
-        except ValueError as exc:
-            raise ConfigError(f"--power-opt-{exc}") from exc
     resolved = []
     for point in preset.points:
         setting = preset.base.at(preset.axis, point)
@@ -480,7 +475,16 @@ def run_figure(args) -> int:
     preset = FIGURE_PRESETS[args.figure_id]
     if args.skip_power_opt:
         preset = replace(preset, power_opt=())
-    return _run_preset(preset, args, f"figure {args.figure_id}")
+    mc = _mc_config(args)
+    # Search on a reduced trial budget, then settle the winner against full
+    # power on the same budget as the plain Monte Carlo rows so the
+    # power-opt row is never above its montecarlo companion.  The budget is
+    # checked even when no search runs, so a bad flag never passes silently.
+    try:
+        opt_mc = replace(mc, trials=min(args.power_opt_trials, mc.trials))
+    except ValueError as exc:
+        raise ConfigError(f"--power-opt-{exc}") from exc
+    return _run_preset(preset, args, f"figure {args.figure_id}", mc, opt_mc)
 
 
 def run_sweep(args) -> int:
@@ -499,7 +503,7 @@ def run_sweep(args) -> int:
         axis=args.axis, points=points, base=_args_setting(args), schemes=schemes,
         analytic_schemes=(),
     )
-    return _run_preset(preset, args, "sweep")
+    return _run_preset(preset, args, "sweep", _mc_config(args))
 
 
 def run_power_opt(args) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -147,18 +147,89 @@ class SopEstimate:
             raise ValueError("closed-form and asymptotic estimates carry no sampling uncertainty")
 
 
-class ChannelBlock(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class ChannelBlock:
     """A vectorized batch of fading realizations plus per-trial antenna picks.
 
     ``tx_pick`` holds one uniform antenna index per trial, consumed by the
     AF no-CSI transmit selection; it is drawn unconditionally so the
     random-number layout is identical across schemes (common random numbers).
+
+    The derived features every scheme reads (squared gains, their sums,
+    antenna picks, the gathered gains and the MRC cross term) are computed
+    on first use and kept for the block's lifetime, so the schemes of one
+    chunk share a single computation.  A plain per-instance memo, not
+    ``functools.cached_property``, keeps chunk threads from contending for
+    a class-wide lock.  Cached arrays are read-only: a scheme that wrote
+    into one would corrupt the next scheme's margins.
     """
 
     h_ab: np.ndarray    # (n,) complex
     h_ar: np.ndarray    # (n, k) complex
     h_rb: np.ndarray    # (n, k) complex
     tx_pick: np.ndarray  # (n,) int
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _cached(self, key, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        value = self._memo.get(key)
+        if value is None:
+            value = compute()
+            value.flags.writeable = False
+            self._memo[key] = value
+        return value
+
+    @property
+    def g_ab(self) -> np.ndarray:
+        return self._cached("g_ab", lambda: np.abs(self.h_ab) ** 2)
+
+    @property
+    def g_ar(self) -> np.ndarray:
+        return self._cached("g_ar", lambda: np.abs(self.h_ar) ** 2)
+
+    @property
+    def g_rb(self) -> np.ndarray:
+        return self._cached("g_rb", lambda: np.abs(self.h_rb) ** 2)
+
+    @property
+    def sum_a(self) -> np.ndarray:
+        return self._cached("sum_a", lambda: self.g_ar.sum(axis=1))
+
+    @property
+    def sum_b(self) -> np.ndarray:
+        return self._cached("sum_b", lambda: self.g_rb.sum(axis=1))
+
+    @property
+    def argmax_ar(self) -> np.ndarray:
+        """Strongest first-hop antenna."""
+        return self._cached("argmax_ar", lambda: np.argmax(self.g_ar, axis=1))
+
+    @property
+    def argmax_rb(self) -> np.ndarray:
+        """Strongest second-hop antenna."""
+        return self._cached("argmax_rb", lambda: np.argmax(self.g_rb, axis=1))
+
+    @property
+    def argmax_ratio(self) -> np.ndarray:
+        """Antenna with the largest first-hop to second-hop gain ratio."""
+        return self._cached("argmax_ratio", lambda: np.argmax(self.g_ar / self.g_rb, axis=1))
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._cached("rows", lambda: np.arange(self.h_ab.shape[0]))
+
+    @property
+    def cross(self) -> np.ndarray:
+        """|h_rb^H h_ar|^2, the MRC cross term of signal and jamming."""
+        return self._cached(
+            "cross", lambda: np.abs(np.einsum("ij,ij->i", np.conj(self.h_rb), self.h_ar)) ** 2
+        )
+
+    def gathered(self, gain: str, pick: str) -> np.ndarray:
+        """Each trial's ``gain`` (``"g_ar"`` or ``"g_rb"``) on the antenna
+        named by ``pick`` (an ``argmax_*`` feature or ``"tx_pick"``)."""
+        return self._cached(
+            (gain, pick), lambda: getattr(self, gain)[self.rows, getattr(self, pick)]
+        )
 
 
 @dataclass(frozen=True)
@@ -180,7 +251,7 @@ def db_to_linear(x_db: float) -> float:
 def _complex_gaussian(rng: np.random.Generator, shape, mean_square: float) -> np.ndarray:
     scale = math.sqrt(mean_square / 2.0)
     z = rng.standard_normal(shape + (2,))
-    return scale * (z[..., 0] + 1j * z[..., 1])
+    return scale * z.view(np.complex128)[..., 0]
 
 
 def block_rng(seed: int, chunk_index: int) -> np.random.Generator:

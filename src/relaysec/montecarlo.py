@@ -68,24 +68,18 @@ def rate_margins_block(block: ChannelBlock, gains: LinkGains, params: SystemPara
     if block.h_ar.shape[1] != k:
         raise ValueError(f"block has {block.h_ar.shape[1]} antennas, params expect {k}")
 
-    g_ab = np.abs(block.h_ab) ** 2
-    g_ar = np.abs(block.h_ar) ** 2
-    g_rb = np.abs(block.h_rb) ** 2
-    rows = np.arange(block.h_ab.shape[0])
-
     if scheme is Scheme.DT:
         if mode is SelectionMode.FULL_ARRAY:
-            relay_gain = g_ar.sum(axis=1)
+            relay_gain = block.sum_a
         else:
-            relay_gain = g_ar.max(axis=1)
-        i_b = np.log2(1.0 + a * rho * g_ab)
+            relay_gain = block.gathered("g_ar", "argmax_ar")
+        i_b = np.log2(1.0 + a * rho * block.g_ab)
         i_r = np.log2(1.0 + a * rho * relay_gain)
         return i_b - i_r
 
     if scheme is Scheme.AF:
         if mode is SelectionMode.FULL_ARRAY:
-            sum_a = g_ar.sum(axis=1)
-            sum_b = g_rb.sum(axis=1)
+            sum_a, sum_b = block.sum_a, block.sum_b
             if r > 0.0:
                 den = sum_b + (a / r) * k * gains.gamma_ar + k / (r * rho)
                 relay_snr = a * rho * sum_b * sum_a / den
@@ -93,46 +87,39 @@ def rate_margins_block(block: ChannelBlock, gains: LinkGains, params: SystemPara
                 relay_snr = np.zeros_like(sum_a)
             eav_gain = sum_a
         else:
-            m_star = np.argmax(g_ar, axis=1)
-            if mode is SelectionMode.SELECT_CSI:
-                n_star = np.argmax(g_rb, axis=1)
-            else:
-                n_star = block.tx_pick
-            best_a = g_ar[rows, m_star]
-            hop2 = g_rb[rows, n_star]
+            best_a = block.gathered("g_ar", "argmax_ar")
+            n_star = "argmax_rb" if mode is SelectionMode.SELECT_CSI else "tx_pick"
+            hop2 = block.gathered("g_rb", n_star)
             if r > 0.0:
                 den = hop2 + (a / r) * gains.gamma_ar + 1.0 / (r * rho)
                 relay_snr = a * rho * hop2 * best_a / den
             else:
                 relay_snr = np.zeros_like(best_a)
             eav_gain = best_a
-        i_b = 0.5 * np.log2(1.0 + a * rho * g_ab + relay_snr)
+        i_b = 0.5 * np.log2(1.0 + a * rho * block.g_ab + relay_snr)
         i_r = 0.5 * np.log2(1.0 + a * rho * eav_gain)
         return i_b - i_r
 
     # Cooperative jamming: the destination forfeits the direct link and jams
     # during the first phase, then cancels its own interference.
     if mode is SelectionMode.FULL_ARRAY:
-        sum_a = g_ar.sum(axis=1)
-        sum_b = g_rb.sum(axis=1)
+        sum_a, sum_b = block.sum_a, block.sum_b
         if r > 0.0:
             den = sum_b + (a / r) * k * gains.gamma_ar + (j / r) * k * gains.gamma_rb + k / (r * rho)
             bob_snr = a * rho * sum_b * sum_a / den
         else:
             bob_snr = np.zeros_like(sum_a)
-        cross = np.abs(np.einsum("ij,ij->i", np.conj(block.h_rb), block.h_ar)) ** 2
-        sinr = a * rho * sum_a - (a * rho) * (j * rho) * cross / (1.0 + j * rho * sum_b)
+        sinr = a * rho * sum_a - (a * rho) * (j * rho) * block.cross / (1.0 + j * rho * sum_b)
     else:
         if mode is SelectionMode.SELECT_CSI:
-            m_star = np.argmax(g_ar / g_rb, axis=1)
-            n_star = np.argmax(g_rb, axis=1)
+            m_star, n_star = "argmax_ratio", "argmax_rb"
         else:
             # Without CSI the relay transmits on its receive antenna, the
             # law the closed form describes.
-            m_star = n_star = np.argmax(g_ar, axis=1)
-        best_a = g_ar[rows, m_star]
-        hop2 = g_rb[rows, n_star]
-        jam = g_rb[rows, m_star]
+            m_star = n_star = "argmax_ar"
+        best_a = block.gathered("g_ar", m_star)
+        hop2 = block.gathered("g_rb", n_star)
+        jam = block.gathered("g_rb", m_star)
         if r > 0.0:
             den = hop2 + (a / r) * gains.gamma_ar + (j / r) * gains.gamma_rb + 1.0 / (r * rho)
             bob_snr = a * rho * hop2 * best_a / den
@@ -217,12 +204,8 @@ def cj_full_array_high_snr_constant(
 
     def run_chunk(idx: int, n: int) -> int:
         block = sample_channel_block(gains, k, mc.seed, idx, n)
-        g_ar = np.abs(block.h_ar) ** 2
-        g_rb = np.abs(block.h_rb) ** 2
-        sum_a = g_ar.sum(axis=1)
-        sum_b = g_rb.sum(axis=1)
-        cross = np.abs(np.einsum("ij,ij->i", np.conj(block.h_rb), block.h_ar)) ** 2
-        perp = np.maximum(sum_a - cross / sum_b, 0.0)
+        sum_a, sum_b = block.sum_a, block.sum_b
+        perp = np.maximum(sum_a - block.cross / sum_b, 0.0)
         numer = sum_b * sum_a
         outage = numer < two2r * (sum_b + shift) * perp
         return int(np.count_nonzero(outage))

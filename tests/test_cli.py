@@ -108,6 +108,9 @@ class TestExitCodes:
         (["figure", "1", "--trials", "0"], "--trials"),
         (["figure", "1", "--trials", "-5"], "--trials"),
         (["figure", "1", "--trials", "64", "--power-opt-trials", "0"], "--power-opt-trials"),
+        (["figure", "2", "--trials", "64", "--power-opt-trials", "0"], "--power-opt-trials"),
+        (["figure", "1", "--trials", "64", "--skip-power-opt", "--power-opt-trials", "-3"],
+         "--power-opt-trials"),
         (["point", "--workers", "0", "--method", "montecarlo"], "--workers"),
         (["validate", "--trials", "0"], "--trials"),
         (["power-opt", "--trials", "64", "--grid-step", "0"], "--grid-step"),

@@ -189,7 +189,7 @@ class TestAntennaSelection:
         gains = LinkGains(1.0, 0.7, 1.9)
         scaled_gains = LinkGains(c * c * 1.0, c * c * 0.7, c * c * 1.9)
         block = sample_channel_block(gains, 5, seed=9, chunk_index=0, n=25)
-        scaled = block._replace(h_ab=c * block.h_ab, h_ar=c * block.h_ar, h_rb=c * block.h_rb)
+        scaled = replace(block, h_ab=c * block.h_ab, h_ar=c * block.h_ar, h_rb=c * block.h_rb)
         for scheme in all_schemes:
             params = SystemParams(rho=20.0, k_antennas=5, scheme=scheme)
             np.testing.assert_allclose(

@@ -169,6 +169,47 @@ class TestSecrecyRate:
             rate_margins_block(block, gains, params)
 
 
+class TestSharedFeatures:
+    """The schemes of one chunk read each block feature from one computation."""
+
+    @pytest.mark.parametrize("order", ["forward", "reverse"])
+    def test_shared_block_matches_fresh_blocks(self, all_schemes, order):
+        gains = LinkGains(db_to_linear(1.5), 0.8, db_to_linear(3.0))
+        schemes = all_schemes if order == "forward" else all_schemes[::-1]
+        for k in range(1, 5):
+            shared = sample_channel_block(gains, k, seed=13, chunk_index=k, n=512)
+            for scheme in schemes:
+                params = SystemParams(
+                    rho=db_to_linear(12.0), k_antennas=k, scheme=scheme,
+                    power=PowerAllocation(0.9, 0.7, 0.6),
+                )
+                fresh = sample_channel_block(gains, k, seed=13, chunk_index=k, n=512)
+                assert np.array_equal(
+                    rate_margins_block(shared, gains, params), rate_margins_block(fresh, gains, params)
+                )
+
+    def test_cached_features_are_read_only(self):
+        block = sample_channel_block(LinkGains(1.0, 1.0, 1.0), 3, seed=1, chunk_index=0, n=8)
+        features = (
+            block.g_ab, block.g_ar, block.g_rb, block.sum_a, block.sum_b, block.argmax_ar,
+            block.argmax_rb, block.argmax_ratio, block.rows, block.cross,
+            block.gathered("g_ar", "argmax_ar"), block.gathered("g_rb", "tx_pick"),
+        )
+        for feature in features:
+            with pytest.raises(ValueError, match="read-only"):
+                feature[0] = 0
+        assert block.g_ar is block.g_ar
+        assert block.gathered("g_rb", "argmax_ratio") is block.gathered("g_rb", "argmax_ratio")
+
+    def test_all_pairs_independent_of_workers(self, all_schemes, fig8_gains):
+        params = [SystemParams(rho=db_to_linear(15.0), k_antennas=3, scheme=s) for s in all_schemes]
+        runs = [
+            estimate_sop_many(fig8_gains, params, McConfig(trials=40_000, seed=17, chunk_size=1 << 12, workers=w))
+            for w in (1, 4)
+        ]
+        assert runs[0] == runs[1]
+
+
 class TestEstimates:
     def test_zero_rate_symmetry(self):
         gains = LinkGains(2.0, 2.0, 1.0)
