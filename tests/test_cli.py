@@ -108,9 +108,6 @@ class TestExitCodes:
         (["figure", "1", "--trials", "0"], "--trials"),
         (["figure", "1", "--trials", "-5"], "--trials"),
         (["figure", "1", "--trials", "64", "--power-opt-trials", "0"], "--power-opt-trials"),
-        (["figure", "2", "--trials", "64", "--power-opt-trials", "0"], "--power-opt-trials"),
-        (["figure", "1", "--trials", "64", "--skip-power-opt", "--power-opt-trials", "-3"],
-         "--power-opt-trials"),
         (["point", "--workers", "0", "--method", "montecarlo"], "--workers"),
         (["validate", "--trials", "0"], "--trials"),
         (["power-opt", "--trials", "64", "--grid-step", "0"], "--grid-step"),
@@ -119,6 +116,9 @@ class TestExitCodes:
         (["sweep", "--axis", "rho_db", "--points", ","], "--points"),
         (["point", "--rho-db", "1e308"], "rho_db"),
         (["sweep", "--axis", "gar_db", "--points", "0,1e308", "--trials", "64"], "gar_db"),
+        (["figure", "2", "--trials", "64", "--power-opt-trials", "0"], "--power-opt-trials"),
+        (["figure", "1", "--trials", "64", "--skip-power-opt", "--power-opt-trials", "-3"],
+         "--power-opt-trials"),
     ])
     def test_bad_value_names_its_flag(self, argv, flag, capsys):
         code, out, err = run_cli(argv, capsys)
