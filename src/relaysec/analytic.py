@@ -96,26 +96,6 @@ def p_pos_cj(gains: LinkGains, params: SystemParams) -> float:
     return math.exp(-math.sqrt(s / params.rho) / gains.gamma_rb)
 
 
-def _cj_integrand(gains: LinkGains, params: SystemParams) -> Callable[[float], float]:
-    coef = derived_coefficients(gains, params)
-    c = 2.0 ** (2.0 * params.rate) - 1.0
-    gar = gains.gamma_ar
-    grb = gains.gamma_rb
-
-    def integrand(z: float) -> float:
-        # At zero rate the jamming-gain function drops out of the exponent
-        # exactly, leaving the bare second-hop density (this is what makes
-        # a wrong integration threshold visible as a complement failure).
-        if c == 0.0:
-            return math.exp(-z / grb)
-        phi = coef.phi(z)
-        if phi <= 0.0:
-            return 0.0
-        return math.exp(-c / (gar * phi) - z / grb)
-
-    return integrand
-
-
 def sop_cj_single(
     gains: LinkGains,
     params: SystemParams,
@@ -123,14 +103,42 @@ def sop_cj_single(
 ) -> float:
     """Secrecy outage probability of cooperative jamming, single-antenna relay.
 
+    With x = z / gamma_rb the second-hop gain is a unit exponential, so the
+    integrand decays on the unit scale the quadrature maps with.  Outage
+    is certain below the threshold t; above it, the outage probability
+    given x is -expm1(-c / (gamma_ar phi)), which never forms one minus a
+    number close to one:
+
+        SOP = -expm1(-t/gamma_rb)
+              + int_{t/gamma_rb}^inf -expm1(-c / (gamma_ar phi(gamma_rb x))) e^{-x} dx.
+
     ``paper_printed_t`` switches the integration threshold to the
     uncorrected root constant; it exists only so the validation suite can
     demonstrate that the uncorrected threshold breaks the zero-rate
     complement identity.
     """
+    coef = derived_coefficients(gains, params)
     t = threshold_t(gains, params, paper_printed=paper_printed_t)
-    integral = specfun.integrate_semi_infinite(_cj_integrand(gains, params), t)
-    return min(1.0, max(0.0, 1.0 - integral / gains.gamma_rb))
+    c = 2.0 ** (2.0 * params.rate) - 1.0
+    gar = gains.gamma_ar
+    grb = gains.gamma_rb
+    below = -math.expm1(-t / grb)
+    # At zero rate the jamming-gain function drops out of the exponent
+    # exactly, so only the threshold term remains (this is what makes a
+    # wrong integration threshold visible as a complement failure).
+    if c == 0.0:
+        return below
+
+    def integrand(x: float) -> float:
+        phi = coef.phi(grb * x)
+        if phi <= 0.0:
+            return math.exp(-x)
+        return -math.expm1(-c / (gar * phi)) * math.exp(-x)
+
+    # The outage given x falls from one towards its floor in a layer just
+    # above the threshold; subdivision starts there.
+    above = specfun.integrate_semi_infinite(integrand, t / grb, focus=[(t + 1.0) / grb])
+    return min(1.0, max(0.0, below + above))
 
 
 _LogForm = Callable[[int, float], float]  # (K, argument) -> log value

@@ -6,7 +6,8 @@ happens once at the boundary.  Results are emitted as CSV with the stable
 column prefix ``scheme,mode,K,rho_db,gab_db,gar_db,grb_db,rate,method,
 sop,stderr,trials`` followed by the Wilson 95% bounds for Monte Carlo
 rows.  Exit codes: 0 success, 1 a failed ``validate`` check, 2
-configuration error, 3 unsupported (scheme, method) combination.
+configuration error, 3 unsupported (scheme, method) combination, 4 a
+closed form whose quadrature missed its tolerance.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
@@ -34,6 +36,7 @@ from .model import (
     derived_coefficients,
 )
 from .montecarlo import McConfig, estimate_sop, estimate_sop_many
+from .specfun import ConvergenceError
 
 CSV_COLUMNS = (
     "scheme,mode,K,rho_db,gab_db,gar_db,grb_db,rate,method,sop,stderr,trials,"
@@ -48,6 +51,10 @@ class ConfigError(Exception):
 
 
 class UnsupportedCombination(Exception):
+    pass
+
+
+class NumericalError(Exception):
     pass
 
 
@@ -355,6 +362,19 @@ def _open_out(args) -> TextIO:
     return sys.stdout
 
 
+@contextmanager
+def _naming_point(setting: Setting, params: SystemParams):
+    """Report a quadrature that misses its tolerance as a NumericalError naming the point."""
+    try:
+        yield
+    except ConvergenceError as exc:
+        raise NumericalError(
+            f"{params.scheme} K={params.k_antennas} rho_db={setting.rho_db:g} "
+            f"gab_db={setting.gab_db:g} gar_db={setting.gar_db:g} grb_db={setting.grb_db:g} "
+            f"rate={params.rate:g}: {exc}"
+        ) from exc
+
+
 def _default_limit_selector(scheme: SchemeId, k: int) -> str:
     if scheme.scheme is Scheme.DT and scheme.mode is SelectionMode.FULL_ARRAY:
         return "dt_high_snr"
@@ -382,7 +402,8 @@ def run_point(args) -> int:
     analytic_est: SopEstimate | None = None
     if args.method in ("analytic", "both"):
         try:
-            analytic_est = SopEstimate(value=analytic.analytic_sop(gains, params))
+            with _naming_point(setting, params):
+                analytic_est = SopEstimate(value=analytic.analytic_sop(gains, params))
         except UnsupportedAnalytic as exc:
             raise UnsupportedCombination(
                 f"{exc} (hint: rerun with --method montecarlo)"
@@ -404,7 +425,8 @@ def run_point(args) -> int:
     if args.method == "asymptotic":
         selector = args.limit or _default_limit_selector(params.scheme, k)
         try:
-            value = analytic.limits(gains, params, selector, mc=mc)
+            with _naming_point(setting, params):
+                value = analytic.limits(gains, params, selector, mc=mc)
         except ValueError as exc:
             raise UnsupportedCombination(str(exc)) from exc
         rows.append(("asymptotic", SopEstimate(value=value, method="asymptotic")))
@@ -439,7 +461,8 @@ def _run_preset(
         for scheme in preset.analytic_schemes:
             params = replace(base_params, scheme=scheme)
             try:
-                value = analytic.analytic_sop(gains, params)
+                with _naming_point(setting, params):
+                    value = analytic.analytic_sop(gains, params)
             except UnsupportedAnalytic:
                 continue
             writer.row(setting, params, "analytic", SopEstimate(value=value))
@@ -451,7 +474,8 @@ def _run_preset(
 
         for scheme, selector in preset.asymptotes:
             params = replace(base_params, scheme=scheme)
-            value = analytic.limits(gains, params, selector, mc=mc)
+            with _naming_point(setting, params):
+                value = analytic.limits(gains, params, selector, mc=mc)
             writer.row(setting, params, "asymptotic", SopEstimate(value=value, method="asymptotic"))
 
         for scheme in preset.power_opt:
@@ -708,6 +732,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UnsupportedCombination as exc:
         print(f"unsupported combination: {exc}", file=sys.stderr)
         return 3
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

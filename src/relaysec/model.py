@@ -157,11 +157,13 @@ class ChannelBlock:
 
     The derived features every scheme reads (squared gains, their sums,
     antenna picks, the gathered gains and the MRC cross term) are computed
-    on first use and kept for the block's lifetime, so the schemes of one
-    chunk share a single computation.  A plain per-instance memo, not
+    on first use and kept for the block's lifetime.  ``sample_channel_block``
+    holds the last block it drew until a call with other arguments, so the
+    schemes of one chunk, and every candidate of a power search, share a
+    single draw and a single computation.  A plain per-instance memo, not
     ``functools.cached_property``, keeps chunk threads from contending for
-    a class-wide lock.  Cached arrays are read-only: a scheme that wrote
-    into one would corrupt the next scheme's margins.
+    a class-wide lock.  The drawn and the cached arrays are read-only: a
+    scheme that wrote into one would corrupt the next caller's margins.
     """
 
     h_ab: np.ndarray    # (n,) complex
@@ -265,19 +267,42 @@ def block_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# The last block drawn, keyed by the full argument tuple of
+# ``sample_channel_block``.  One entry; chunk threads that miss at the same
+# time may each leave theirs until the next draw clears them.
+_last_block: dict[tuple, ChannelBlock] = {}
+
+
 def sample_channel_block(gains: LinkGains, k: int, seed: int, chunk_index: int, n: int) -> ChannelBlock:
     """Vectorized fading draws for trials [chunk_index*chunk, ...) of a run.
 
     The draw layout (order and count of underlying uniforms) is fixed for
     a given (k, n), so the same (seed, chunk_index) yields bit-identical
     channels regardless of which schemes consume them.
+
+    A block is a pure function of the arguments, so the last one drawn is
+    held and returned again, with its computed features, to a call with
+    the same arguments: a power search scores every candidate on the same
+    fading without drawing it again.  A call with other arguments drops
+    the held block before it draws, so the old and the new block are
+    never alive here together.  Concurrent chunk threads may replace each
+    other's entry, which costs a redraw, never a wrong block.
     """
+    key = (gains, k, seed, chunk_index, n)
+    block = _last_block.get(key)
+    if block is not None:
+        return block
+    _last_block.clear()
     rng = block_rng(seed, chunk_index)
     h_ab = _complex_gaussian(rng, (n,), gains.gamma_ab)
     h_ar = _complex_gaussian(rng, (n, k), gains.gamma_ar)
     h_rb = _complex_gaussian(rng, (n, k), gains.gamma_rb)
     tx_pick = rng.integers(0, k, size=n)
-    return ChannelBlock(h_ab=h_ab, h_ar=h_ar, h_rb=h_rb, tx_pick=tx_pick)
+    for array in (h_ab, h_ar, h_rb, tx_pick):
+        array.flags.writeable = False
+    block = ChannelBlock(h_ab=h_ab, h_ar=h_ar, h_rb=h_rb, tx_pick=tx_pick)
+    _last_block[key] = block
+    return block
 
 
 def threshold_t(gains: LinkGains, params: SystemParams, paper_printed: bool = False) -> float:

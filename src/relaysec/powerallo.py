@@ -5,6 +5,13 @@ objective here is the Monte Carlo estimator, which accepts per-node powers
 natively.  A fixed seed makes the objective deterministic (common random
 numbers across candidates), so the search is an ordinary derivative-free
 minimization: coarse grid, then coordinate-wise golden-section refinement.
+
+Every candidate goes through its own ``estimate_sop``, but the fading is
+drawn once: ``model.sample_channel_block`` returns the block it holds to a
+call with the same (gains, K, seed, chunk, n), together with the features
+already computed on it.  Only one block is held, so this works for a
+search budget of one chunk; a budget of several chunks draws each chunk
+anew for every candidate.
 """
 
 from __future__ import annotations

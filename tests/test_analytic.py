@@ -73,6 +73,29 @@ def af_multi_mp_oracle(gains, params):
         return float(1 - mpmath.exp(-c / (rho * gab)) * ev)
 
 
+def cj_single_mp_oracle(gains, params):
+    """SOP = 1 - (1/gamma_rb) int_t^inf exp(-c/(gamma_ar phi(z)) - z/gamma_rb) dz at 30 digits,
+    written as the outage below t plus the outage above it, with breakpoints
+    spread over the transition layer just above t."""
+    with mpmath.workdps(30):
+        gar, grb, rho = (mpmath.mpf(v) for v in (gains.gamma_ar, gains.gamma_rb, params.rho))
+        two2r = mpmath.mpf(2) ** (2 * mpmath.mpf(params.rate))
+        c = two2r - 1
+        s = gar + grb + 1 / rho
+        t = (c + mpmath.sqrt(c * c + 4 * rho * two2r * s)) / (2 * rho)
+
+        def integrand(x):
+            z = grb * x
+            phi = rho * z / (z + s) - two2r / (z + 1 / rho)
+            if phi <= 0:  # at t itself, up to rounding
+                return mpmath.exp(-x)
+            return -mpmath.expm1(-c / (gar * phi)) * mpmath.exp(-x)
+
+        x0 = t / grb
+        edges = [x0 + mpmath.mpf(10) ** j for j in range(-14, 3)]
+        return float(-mpmath.expm1(-x0) + mpmath.quad(integrand, [x0, *edges, mpmath.inf]))
+
+
 def _sum_digits(k):
     # The alternating sums cancel like C(K-1, K/2)^2 ~ 4^K: 0.6*K digits.
     return int(0.6 * k) + 30
@@ -236,6 +259,28 @@ class TestCooperativeJammingSingle:
     def test_dead_first_hop_outage(self):
         gains = LinkGains(1.0, 1e-9, 2.0)
         assert analytic.sop_cj_single(gains, SystemParams(rho=100.0, rate=0.1)) > 0.999
+
+    @pytest.mark.parametrize("gains,params", [
+        # The quadrature used to miss its tolerance here ...
+        (LinkGains(db_to_linear(6.73), db_to_linear(-19.36), db_to_linear(39.34)),
+         SystemParams(rho=db_to_linear(30.88), rate=2.73)),
+        # ... and to return 0.9999999999999963 here.
+        (LinkGains(2.62725080291109, 0.004700426752389981, 9076.248522928032),
+         SystemParams(rho=12852.793729980967, rate=3.7461742073609883)),
+    ], ids=["raised", "wrong"])
+    def test_strong_second_hop_points(self, gains, params):
+        assert analytic.sop_cj_single(gains, params) == pytest.approx(
+            cj_single_mp_oracle(gains, params), abs=1e-10
+        )
+
+    def test_matches_mp_oracle_over_the_domain(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            gains = LinkGains(*(db_to_linear(v) for v in rng.uniform(-40.0, 40.0, 3)))
+            params = SystemParams(rho=db_to_linear(rng.uniform(-10.0, 60.0)), rate=float(rng.uniform(0.0, 4.0)))
+            assert analytic.sop_cj_single(gains, params) == pytest.approx(
+                cj_single_mp_oracle(gains, params), abs=1e-8
+            )
 
 
 class TestMultiAntennaDirect:

@@ -4,12 +4,14 @@ The rules are checked through ``rate_margins_block``, the one signal model:
 each hand-built trial's margin must equal the one computed by hand."""
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from relaysec import model
 from relaysec.model import (
     LinkGains,
     PowerAllocation,
@@ -118,7 +120,9 @@ class TestSampling:
     def test_block_reproducibility(self):
         gains = LinkGains(1.0, 1.0, 1.0)
         a = sample_channel_block(gains, 3, seed=42, chunk_index=5, n=128)
+        sample_channel_block(gains, 3, seed=43, chunk_index=5, n=128)  # drops the held block
         b = sample_channel_block(gains, 3, seed=42, chunk_index=5, n=128)
+        assert b is not a
         assert np.array_equal(a.h_ab, b.h_ab)
         assert np.array_equal(a.h_ar, b.h_ar)
         assert np.array_equal(a.h_rb, b.h_rb)
@@ -131,6 +135,47 @@ class TestSampling:
         assert block.h_ab.shape == block.tx_pick.shape == (1,)
         assert block.h_ar.shape == block.h_rb.shape == (1, 4)
         assert 0 <= block.tx_pick[0] < 4
+
+    _KEY = dict(gains=LinkGains(1.0, 2.0, 3.0), k=2, seed=7, chunk_index=1, n=64)
+
+    def test_same_arguments_return_the_held_block(self):
+        block = sample_channel_block(**self._KEY)
+        assert sample_channel_block(**self._KEY) is block
+
+    @pytest.mark.parametrize("field,value", [
+        ("gains", LinkGains(1.0, 2.0, 4.0)),
+        ("k", 3),
+        ("seed", 8),
+        ("chunk_index", 2),
+        ("n", 65),
+    ])
+    def test_any_changed_argument_draws_anew(self, field, value):
+        held = sample_channel_block(**self._KEY)
+        assert sample_channel_block(**{**self._KEY, field: value}) is not held
+        # One block is held at a time, so the first one is gone too.
+        assert sample_channel_block(**self._KEY) is not held
+
+    def test_drawn_arrays_are_read_only(self):
+        block = sample_channel_block(**self._KEY)
+        for array in (block.h_ab, block.h_ar, block.h_rb, block.tx_pick):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_held_block_is_released_before_the_next_draw(self, monkeypatch):
+        block = sample_channel_block(**self._KEY)
+        held = weakref.ref(block)
+        del block
+        assert held() is not None
+        alive_at_draw = []
+        draw = model.block_rng
+
+        def spy(seed, chunk_index):
+            alive_at_draw.append(held() is not None)
+            return draw(seed, chunk_index)
+
+        monkeypatch.setattr(model, "block_rng", spy)
+        sample_channel_block(**{**self._KEY, "chunk_index": 2})
+        assert alive_at_draw == [False]
 
 
 class TestAntennaSelection:

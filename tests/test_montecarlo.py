@@ -183,7 +183,7 @@ class TestSharedFeatures:
                     rho=db_to_linear(12.0), k_antennas=k, scheme=scheme,
                     power=PowerAllocation(0.9, 0.7, 0.6),
                 )
-                fresh = sample_channel_block(gains, k, seed=13, chunk_index=k, n=512)
+                fresh = replace(shared)  # the same draws with no feature computed yet
                 assert np.array_equal(
                     rate_margins_block(shared, gains, params), rate_margins_block(fresh, gains, params)
                 )

@@ -1,5 +1,8 @@
 """Power-allocation search: feasibility, determinism, and the full-power bound."""
 
+import sys
+from dataclasses import replace
+
 import pytest
 
 from relaysec import McConfig, SchemeId, SystemParams, db_to_linear
@@ -28,6 +31,21 @@ class TestMinimizeSop:
         alloc, _ = minimize_sop(fig1_gains, _params(Scheme.CJ), MC, grid_step=0.5)
         for frac in (alloc.frac_alice, alloc.frac_relay, alloc.frac_bob_jam):
             assert FRACTION_FLOOR - 1e-9 <= frac <= 1.0 + 1e-9
+
+    def test_independent_of_workers(self, fig1_gains):
+        # Five chunks on more threads than cores, switching often, so the
+        # chunk threads keep replacing each other's held block.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [
+                minimize_sop(fig1_gains, _params(Scheme.AF), replace(MC, chunk_size=1 << 13, workers=w),
+                             grid_step=0.5)
+                for w in (1, 8)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1]
 
     def test_deterministic_given_seed(self, fig1_gains):
         a1, e1 = minimize_sop(fig1_gains, _params(Scheme.AF), MC, grid_step=0.5)
