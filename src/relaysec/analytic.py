@@ -141,36 +141,39 @@ def sop_cj_single(
     return min(1.0, max(0.0, below + above))
 
 
-_LogForm = Callable[[int, float], float]  # (K, argument) -> log value
+_LogForm = Callable[[int], Callable[[float], float]]  # K -> (argument -> log value)
 
 
-def _log_laplace_sum(k: int, s: float) -> float:
+def _log_laplace_sum(k: int) -> Callable[[float], float]:
     """log E[e^{-sG}] for G the sum of K unit exponentials (MRC combining)."""
-    return -k * math.log1p(s)
+    return lambda s: -k * math.log1p(s)
 
 
-def _log_laplace_max(k: int, s: float) -> float:
+def _log_laplace_max(k: int) -> Callable[[float], float]:
     """log E[e^{-sG}] for G the maximum of K unit exponentials (selection).
 
     The maximum is distributed as sum_i E_i / i (Renyi), so its transform
     is prod_{i=1..K} i / (i + s) = Gamma(K+1) Gamma(1+s) / Gamma(K+1+s).
     """
-    return math.lgamma(k + 1) + math.lgamma(1.0 + s) - math.lgamma(k + 1 + s)
+    head = math.lgamma(k + 1)
+    return lambda s: head + math.lgamma(1.0 + s) - math.lgamma(k + 1 + s)
 
 
-def _log_pdf_sum(k: int, w: float) -> float:
+def _log_pdf_sum(k: int) -> Callable[[float], float]:
     """Erlang-K log density: the full array's second-hop gain (MRT)."""
-    return (k - 1) * math.log(w) - w - math.lgamma(k)
+    tail = math.lgamma(k)
+    return lambda w: (k - 1) * math.log(w) - w - tail
 
 
-def _log_pdf_max(k: int, w: float) -> float:
+def _log_pdf_max(k: int) -> Callable[[float], float]:
     """Log density of the maximum of K unit exponentials (best transmit antenna)."""
-    return math.log(k) + (k - 1) * math.log(-math.expm1(-w)) - w
+    head = math.log(k)
+    return lambda w: head + (k - 1) * math.log(-math.expm1(-w)) - w
 
 
-def _log_pdf_exp(k: int, w: float) -> float:
+def _log_pdf_exp(k: int) -> Callable[[float], float]:
     """Unit-exponential log density: a transmit antenna picked without CSI."""
-    return -w
+    return lambda w: -w
 
 
 def _sop_dt(gains: LinkGains, params: SystemParams, log_laplace: _LogForm) -> float:
@@ -182,7 +185,7 @@ def _sop_dt(gains: LinkGains, params: SystemParams, log_laplace: _LogForm) -> fl
     two_r = 2.0 ** params.rate
     return 1.0 - math.exp(
         -(two_r - 1.0) / (params.rho * gains.gamma_ab)
-        + log_laplace(params.k_antennas, two_r * gains.gamma_ar / gains.gamma_ab)
+        + log_laplace(params.k_antennas)(two_r * gains.gamma_ar / gains.gamma_ab)
     )
 
 
@@ -220,8 +223,11 @@ def _sop_af(
     scale = gains.gamma_ar / gains.gamma_ab
     grb = gains.gamma_rb
 
+    log_transform = log_laplace(k)
+    log_density = log_pdf(k)
+
     def integrand(w: float) -> float:
-        return math.exp(log_laplace(k, scale * (c + m / (grb * w + m))) + log_pdf(k, w))
+        return math.exp(log_transform(scale * (c + m / (grb * w + m))) + log_density(w))
 
     expectation = specfun.integrate_semi_infinite(integrand, 0.0, focus=focus)
     return min(1.0, max(0.0, 1.0 - math.exp(-c / (params.rho * gains.gamma_ab)) * expectation))
@@ -256,34 +262,33 @@ def sop_af_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
     )
 
 
-def _phi_level_crossing(coef, gains: LinkGains, c: float, target_x: float) -> float:
+def _phi_level_crossing(gains: LinkGains, params: SystemParams, c: float, target_x: float) -> float:
     """z > t where c / (gamma_ar * phi(z)) drops to ``target_x``.
 
-    The exponent argument is strictly decreasing in z, so bisection on an
-    expanding bracket is safe; used to seed quadrature break points at the
-    transition layer of the antenna-selection integrand.
+    phi rises from 0 at t towards rho, so the crossing is where phi(z) = y
+    with y = c / (gamma_ar * target_x), and exists only when y < rho.
+    Clearing the denominators of phi(z) = y leaves
+
+        (rho - y) z^2 + (1 - T - y (s + 1/rho)) z - s (T + y/rho) = 0,
+
+    T = 2^{2R}, s = gamma_ar + gamma_rb + 1/rho, whose constant term is
+    negative: one root is positive, and it is taken in the form that adds
+    two numbers of the same sign.  Used to seed quadrature break points
+    at the transition layer of the antenna-selection integrand.
     """
-    t = coef.t
-
-    def x_of(z: float) -> float:
-        phi = coef.phi(z)
-        return math.inf if phi <= 0.0 else c / (gains.gamma_ar * phi)
-
-    hi = t + max(t, 1.0)
-    for _ in range(80):
-        if x_of(hi) < target_x:
-            break
-        hi *= 2.0
-    else:
+    rho = params.rho
+    y = c / (gains.gamma_ar * target_x)
+    if rho <= y:
         return math.inf  # exponent never drops that far; no layer to mark
-    lo = t
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if x_of(mid) > target_x:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    two2r = 2.0 ** (2.0 * params.rate)
+    s = gains.gamma_ar + gains.gamma_rb + 1.0 / rho
+    a = rho - y
+    b = 1.0 - two2r - y * (s + 1.0 / rho)
+    neg_c = s * (two2r + y / rho)
+    root = math.sqrt(b * b + 4.0 * a * neg_c)
+    if b < 0.0:
+        return (root - b) / (2.0 * a)
+    return 2.0 * neg_c / (b + root)
 
 
 def sop_cj_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
@@ -308,9 +313,9 @@ def sop_cj_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
         # The K-th power turns on over a narrow layer above t; anchor
         # subdivision where the exponent argument passes ~log K and ~1.
         focus = [
-            _phi_level_crossing(coef, gains, c, 4.0 * (1.0 + math.log(k))),
-            _phi_level_crossing(coef, gains, c, 1.0),
-            _phi_level_crossing(coef, gains, c, 0.05),
+            _phi_level_crossing(gains, params, c, 4.0 * (1.0 + math.log(k))),
+            _phi_level_crossing(gains, params, c, 1.0),
+            _phi_level_crossing(gains, params, c, 0.05),
         ]
     integral = specfun.integrate_semi_infinite(integrand, t, focus=focus)
     head = 1.0 - math.exp(-t / grb)

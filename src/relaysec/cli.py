@@ -446,25 +446,33 @@ def _run_preset(
     """Write the rows of every axis point of ``preset``.
 
     ``opt_mc`` is the trial budget of the power search, needed when the
-    preset has power-opt curves.  Every point is resolved before the CSV
-    header is written, so a bad point is reported without leaving a
+    preset has power-opt curves.  Every point is resolved, and its
+    analytic and asymptotic values computed, before the CSV header is
+    written, so neither a bad point nor a numerical error leaves a
     partial CSV behind.
     """
     resolved = []
     for point in preset.points:
         setting = preset.base.at(preset.axis, point)
-        resolved.append((point, setting, *setting.link(args.rate)))
-
-    out = _open_out(args)
-    writer = CsvWriter(out)
-    for point, setting, gains, base_params in resolved:
+        gains, base_params = setting.link(args.rate)
+        closed, asymptotes = [], []
         for scheme in preset.analytic_schemes:
             params = replace(base_params, scheme=scheme)
             try:
                 with _naming_point(setting, params):
-                    value = analytic.analytic_sop(gains, params)
+                    closed.append((params, analytic.analytic_sop(gains, params)))
             except UnsupportedAnalytic:
                 continue
+        for scheme, selector in preset.asymptotes:
+            params = replace(base_params, scheme=scheme)
+            with _naming_point(setting, params):
+                asymptotes.append((params, analytic.limits(gains, params, selector, mc=mc)))
+        resolved.append((point, setting, gains, base_params, closed, asymptotes))
+
+    out = _open_out(args)
+    writer = CsvWriter(out)
+    for point, setting, gains, base_params, closed, asymptotes in resolved:
+        for params, value in closed:
             writer.row(setting, params, "analytic", SopEstimate(value=value))
 
         params_list = [replace(base_params, scheme=s) for s in preset.schemes]
@@ -472,10 +480,7 @@ def _run_preset(
         for params, est in zip(params_list, estimates):
             writer.row(setting, params, "montecarlo", est)
 
-        for scheme, selector in preset.asymptotes:
-            params = replace(base_params, scheme=scheme)
-            with _naming_point(setting, params):
-                value = analytic.limits(gains, params, selector, mc=mc)
+        for params, value in asymptotes:
             writer.row(setting, params, "asymptotic", SopEstimate(value=value, method="asymptotic"))
 
         for scheme in preset.power_opt:

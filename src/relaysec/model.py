@@ -25,6 +25,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+# numpy loads its random submodule on first attribute access; load it with
+# the package so the first simulated chunk does not pay for the import.
+import numpy.random  # noqa: F401
 
 
 class Scheme(enum.Enum):

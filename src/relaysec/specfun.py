@@ -1,20 +1,30 @@
 """Special functions and quadrature primitives used by the closed-form outage expressions.
 
-Only the handful of functions the outage formulas actually need live here:
-the scaled exponential integral e^y E1(y), the modified Bessel function K1,
-and a semi-infinite adaptive quadrature based on the substitution
-z = lower + u/(1-u).
+Only the handful of functions the outage formulas actually need live here,
+each in pure Python so that importing the package costs no numerical
+library:
+
+- ``exp_scaled_e1``, the scaled exponential integral e^y E1(y): its power
+  series below y = 1 and a modified-Lentz continued fraction from there on
+  (DLMF 6.6.2, 6.9.1);
+- ``bessel_k1``, the modified Bessel function K1: its series up to x = 2
+  and Steed's continued fraction (Temme's CF2) above (DLMF 10.31.1; Numerical
+  Recipes, 3rd ed., section 6.6);
+- ``integrate_semi_infinite``, a globally adaptive Gauss-Kronrod 7-15 rule
+  on the substitution z = lower + u/(1-u), with QUADPACK's error estimate
+  (Piessens et al., QUADPACK, 1983).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable
 
-import numpy as np
-import scipy.integrate
-import scipy.special
+_EULER_GAMMA = 0.57721566490153286
+_EPS = math.ulp(1.0)
 
 
 class ConvergenceError(RuntimeError):
@@ -44,14 +54,23 @@ def exp_scaled_e1(y: float) -> float:
     The outage brackets contain mu*(beta-1)*e^(mu*beta)*Ei(-mu*beta) where
     mu*beta can exceed 1e6 for strong-gain / high-SNR parameter points; the
     naive product overflows, so the scaled form is evaluated directly.
-    Below y=500 the scipy product is exact; above, a modified-Lentz
-    continued fraction for the scaled E1 is used.
+    Below y = 1 the power series E1(y) = -gamma - ln y - sum (-y)^k/(k k!)
+    is used; from y = 1 on, a modified-Lentz continued fraction, which
+    needs at most 92 steps.  Both stay within a few units in the last place.
     """
     if not y > 0:
         raise ValueError(f"exp_scaled_e1 requires y > 0, got {y}")
-    if y <= 500.0:
-        return float(math.exp(y) * scipy.special.exp1(y))
-    # e^y E1(y) = 1/(y+1 - 1/(y+3 - 4/(y+5 - 9/(y+7 - ...)))) for large y.
+    if y < 1.0:
+        term = 1.0
+        total = 0.0
+        k = 0
+        while True:
+            k += 1
+            term *= -y / k
+            total += term / k
+            if abs(term) <= 1e-17 * k * abs(total):
+                return math.exp(y) * (-_EULER_GAMMA - math.log(y) - total)
+    # e^y E1(y) = 1/(y+1 - 1/(y+3 - 4/(y+5 - 9/(y+7 - ...)))).
     b = y + 1.0
     c = 1e308
     d = 1.0 / b
@@ -69,10 +88,74 @@ def exp_scaled_e1(y: float) -> float:
 
 
 def bessel_k1(x: float) -> float:
-    """Modified Bessel function of the second kind, order one, for x > 0."""
+    """Modified Bessel function of the second kind, order one, for x > 0.
+
+    Up to x = 2 the series
+
+        K1(x) = 1/x + ln(x/2) I1(x) - (x/4) sum (psi(k+1) + psi(k+2)) q^k / (k! (k+1)!),
+
+    with q = x^2/4 and I1(x) = (x/2) sum q^k / (k! (k+1)!), cancels by at
+    most a factor of four.  Above, Steed's continued fraction gives K0 and
+    the ratio K1/K0 without cancellation.
+    """
     if not x > 0:
         raise ValueError(f"bessel_k1 requires x > 0, got {x}")
-    return float(scipy.special.k1(x))
+    if x <= 2.0:
+        q = 0.25 * x * x
+        term = 1.0
+        psi_sum = 1.0 - 2.0 * _EULER_GAMMA
+        i1_sum = term
+        psi_weighted = psi_sum
+        k = 0
+        while term > 1e-17 * i1_sum:
+            k += 1
+            term *= q / (k * (k + 1))
+            psi_sum += 1.0 / k + 1.0 / (k + 1)
+            i1_sum += term
+            psi_weighted += psi_sum * term
+        return 1.0 / x + math.log(0.5 * x) * 0.5 * x * i1_sum - 0.25 * x * psi_weighted
+    # Steed's algorithm for CF2 at order zero (Numerical Recipes' bessik):
+    # K0 = sqrt(pi/(2x)) e^-x / s and K1 = K0 (x + 1/2 - h) / x.
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = 0.0, 1.0
+    q = c = 0.25
+    a = -0.25
+    s = 1.0 + q * delh
+    for i in range(1, 200):
+        a -= 2 * i
+        c = -a * c / (i + 1.0)
+        q1, q2 = q2, (q1 - b * q2) / a
+        q += c * q2
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h += delh
+        dels = q * delh
+        s += dels
+        if abs(dels) < 1e-16 * abs(s):
+            k0 = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
+            return k0 * (x + 0.5 - 0.25 * h) / x
+    raise ConvergenceError(f"continued fraction for bessel_k1({x}) did not converge")
+
+
+# Gauss-Kronrod 7-15 rule on [-1, 1] (QUADPACK's qk15).  Nodes are ordered
+# centre, then the +/- pairs of the 7-point Gauss nodes, then the Kronrod
+# extension, so the Gauss weights line up with the first seven values.
+_GK_X = (0.949107912342758524526189684047851, 0.741531185599394439863864773280788,
+         0.405845151377397166906606412076961, 0.991455371120812639206854697526329,
+         0.864864423359769072789712788640926, 0.586087235467691130294144845693013,
+         0.207784955007898467600689403773245)
+_GK_W = (0.063092092629978553290700663189204, 0.140653259715525918745189590510238,
+         0.190350578064785409913256402421014, 0.022935322010529224963732008058970,
+         0.104790010322250183839876322541518, 0.169004726639267902826583426598550,
+         0.204432940075298892414161999234649)
+_G7_W = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+         0.381830050505118944950369775488975)
+_NODES = (0.0, *(s * x for x in _GK_X for s in (1.0, -1.0)))
+_KRONROD = (0.209482141084727828012999174891714, *(w for w in _GK_W for _ in (0, 1)))
+_GAUSS = (0.417959183673469387755102040816327, *(w for w in _G7_W for _ in (0, 1)))
 
 
 def integrate_semi_infinite(
@@ -83,43 +166,67 @@ def integrate_semi_infinite(
 ) -> float:
     """Integrate f over [lower, inf) to the tolerances in ``spec``.
 
-    The interval is mapped to (0, 1) with z = lower + u/(1-u) and the
-    transformed integrand is refined adaptively.  The substitution (rather
-    than tail truncation) keeps slowly decaying exponential tails accurate
-    even when the decay length is several orders of magnitude.
+    The interval is mapped to (0, 1) with z = lower + u/(1-u), and the
+    subinterval with the largest error estimate is bisected until the
+    summed estimate falls to max(abs_tol, rel_tol*|I|) or there are
+    ``spec.max_subdivisions`` subintervals.  The substitution (rather than
+    tail truncation) keeps slowly decaying exponential tails accurate even
+    when the decay length is several orders of magnitude.
 
     ``focus`` lists z values where the integrand changes character (sharp
     transition layers); subdivision starts at these points so narrow
     features next to the lower endpoint are not overlooked.
+
+    Raises ``ConvergenceError`` when the error estimate ends above ten
+    times the tolerance or is not finite.
     """
     if spec is None:
         spec = QuadratureSpec()
 
-    def transformed(u: float) -> float:
-        w = 1.0 - u
-        return f(lower + u / w) / (w * w)
+    def rule(a: float, b: float) -> tuple[float, float]:
+        """GK15 value and QUADPACK error estimate of the mapped integrand on [a, b]."""
+        centre = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        # The map to z is inlined: a helper per node would cost a call frame.
+        values = [f(lower + (u := centre + half * x) / (w := 1.0 - u)) / (w * w) for x in _NODES]
+        kronrod = sum(map(mul, _KRONROD, values))
+        mean = 0.5 * kronrod
+        asc = sum(map(mul, _KRONROD, [abs(v - mean) for v in values]))
+        error = abs(kronrod - sum(map(mul, _GAUSS, values)))
+        if asc != 0.0 and error != 0.0:
+            error = asc * min(1.0, (200.0 * error / asc) ** 1.5)
+        # The floor is QUADPACK's roundoff limit, 50 eps times the rule
+        # applied to |f|, which equals |kronrod| for the positive integrands here.
+        return kronrod * half, max(50.0 * _EPS * abs(kronrod), error) * half
 
-    points = None
+    edges = [0.0, 1.0]
     if focus:
-        points = sorted(
-            {(z - lower) / (1.0 + z - lower) for z in focus if z > lower and math.isfinite(z)}
-        )
-        points = [u for u in points if 0.0 < u < 1.0] or None
-
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        value, abserr, info = scipy.integrate.quad(
-            transformed,
-            0.0,
-            1.0,
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
-            points=points,
-            full_output=True,
-        )[:3]
-    if abserr > max(spec.abs_tol, spec.rel_tol * abs(value)) * 10.0:
+        inner = {(z - lower) / (1.0 + z - lower) for z in focus if lower < z < math.inf}
+        edges[1:1] = sorted(u for u in inner if 0.0 < u < 1.0)
+    heap = []  # (-error, a, b, value)
+    total = error = 0.0
+    for a, b in zip(edges, edges[1:]):
+        value, err = rule(a, b)
+        heap.append((-err, a, b, value))
+        total += value
+        error += err
+    heapq.heapify(heap)
+    while error > max(spec.abs_tol, spec.rel_tol * abs(total)) and len(heap) < spec.max_subdivisions:
+        neg_err, a, b, value = heap[0]
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break  # the interval is as narrow as floating point allows
+        left, left_err = rule(a, mid)
+        right, right_err = rule(mid, b)
+        heapq.heapreplace(heap, (-left_err, a, mid, left))
+        heapq.heappush(heap, (-right_err, mid, b, right))
+        total += left + right - value
+        error += left_err + right_err + neg_err
+    total = math.fsum(entry[3] for entry in heap)
+    error = math.fsum(-entry[0] for entry in heap)
+    if not error <= max(spec.abs_tol, spec.rel_tol * abs(total)) * 10.0:
         raise ConvergenceError(
-            f"semi-infinite quadrature from {lower} reached error {abserr:.3e} "
-            f"after {info['last']} subdivisions; tolerance not met"
+            f"semi-infinite quadrature from {lower} reached error {error:.3e} "
+            f"after {len(heap)} subdivisions; tolerance not met"
         )
-    return float(value)
+    return total

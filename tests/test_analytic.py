@@ -19,7 +19,7 @@ import scipy.special
 from relaysec import LinkGains, McConfig, SchemeId, SystemParams, db_to_linear
 from relaysec import analytic
 from relaysec.analytic import UnsupportedAnalytic
-from relaysec.model import Scheme, SelectionMode
+from relaysec.model import Scheme, SelectionMode, derived_coefficients
 from relaysec.montecarlo import estimate_sop
 
 
@@ -411,6 +411,30 @@ class TestSelectionAmplifyForward:
 
 
 class TestSelectionCooperativeJamming:
+    def test_level_crossing_solves_phi(self):
+        # The focus points of the selection integrand sit where phi(z) = y,
+        # y = c / (gamma_ar x*), above the threshold t.  Both terms of phi
+        # are below rho there, so phi itself is good to a few eps * rho.
+        rng = np.random.default_rng(5)
+        crossed = 0
+        for _ in range(300):
+            gains = LinkGains(*(10.0 ** rng.uniform(-4.0, 4.0, 3)))
+            params = SystemParams(
+                rho=10.0 ** rng.uniform(-1.0, 6.0), rate=float(rng.uniform(0.01, 4.0)), k_antennas=8
+            )
+            coef = derived_coefficients(gains, params)
+            c = 2.0 ** (2.0 * params.rate) - 1.0
+            for target_x in (4.0 * (1.0 + math.log(8)), 1.0, 0.05):
+                y = c / (gains.gamma_ar * target_x)
+                root = analytic._phi_level_crossing(gains, params, c, target_x)
+                if y >= params.rho:
+                    assert root == math.inf
+                    continue
+                crossed += 1
+                assert root > coef.t
+                assert abs(coef.phi(root) - y) <= 1e-12 * params.rho
+        assert crossed > 300
+
     def test_single_antenna_reduction(self):
         for gains, params in random_settings(10, seed=11):
             assert analytic.sop_cj_select_nocsi(gains, params) == pytest.approx(

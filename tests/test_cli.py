@@ -12,6 +12,7 @@ import pytest
 from relaysec import analytic, cli, model, montecarlo, powerallo, specfun
 from relaysec.cli import CSV_COLUMNS, FIGURE_PRESETS, main
 
+OUT_FILE = "<out>"  # stands for a path under the test's tmp_path
 PINNED_PREFIX = "scheme,mode,K,rho_db,gab_db,gar_db,grb_db,rate,method,sop,stderr,trials"
 
 
@@ -144,16 +145,27 @@ class TestExitCodes:
          "cj/full K=1 rho_db=30.88 gab_db=6.73 gar_db=-19.36 grb_db=39.34 rate=2.73"),
         (["figure", "1", "--trials", "64", "--skip-power-opt"],
          "cj/full K=1 rho_db=0 gab_db=0 gar_db=0 grb_db=5 rate=0.1"),
+        # With --out, the error leaves no file: the closed forms of every
+        # point are evaluated before the CSV header is written.
+        (["figure", "1", "--trials", "64", "--skip-power-opt", "--out", OUT_FILE],
+         "cj/full K=1 rho_db=0 gab_db=0 gar_db=0 grb_db=5 rate=0.1"),
+        (["figure", "2", "--trials", "64", "--out", OUT_FILE],
+         "cj/full K=1 rho_db=15 gab_db=5 gar_db=0 grb_db=-10 rate=0.1"),
+        (["point", "--scheme", "af", "--k", "4", "--method", "both", "--out", OUT_FILE],
+         "af/full K=4 rho_db=20 gab_db=0 gar_db=0 grb_db=5 rate=0.1"),
     ])
-    def test_quadrature_failure_exits_four(self, argv, where, monkeypatch, capsys):
+    def test_quadrature_failure_exits_four(self, argv, where, monkeypatch, capsys, tmp_path):
         def fail(*args, **kwargs):
             raise specfun.ConvergenceError("tolerance not met")
 
+        out = tmp_path / "rows.csv"
+        argv = [str(out) if arg == OUT_FILE else arg for arg in argv]
         monkeypatch.setattr(specfun, "integrate_semi_infinite", fail)
         code, _, err = run_cli(argv, capsys)
         assert code == 4
         assert err.splitlines()[-1] == f"numerical error: {where}: tolerance not met"
         assert "Traceback" not in err
+        assert not out.exists()
 
     def test_selection_beyond_64_antennas(self, capsys):
         code, out, _ = run_cli(
@@ -172,6 +184,34 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @staticmethod
+    def _scipy_modules_after(*argvs):
+        """The scipy modules loaded by importing the CLI and running ``argvs``, as a printed list."""
+        script = (
+            "import os, sys, relaysec.cli\n"
+            f"for argv in {[list(argv) for argv in argvs]!r}:\n"
+            "    assert relaysec.cli.main([*argv, '--out', os.devnull]) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().splitlines()[-1]
+
+    def test_cli_does_not_load_scipy(self):
+        assert self._scipy_modules_after() == "[]"
+
+    def test_closed_forms_and_k1_asymptote_do_not_load_scipy(self):
+        # One point per closed form, then a figure whose asymptote needs K1.
+        points = [
+            ["point", "--method", "analytic", "--scheme", scheme, "--mode", mode, "--k", k]
+            for scheme, mode, k in (
+                ("dt", "full", "1"), ("af", "full", "1"), ("cj", "full", "1"),
+                ("dt", "full", "4"), ("dt", "select-csi", "4"), ("af", "full", "4"),
+                ("af", "select-csi", "4"), ("af", "select-nocsi", "4"), ("cj", "select-nocsi", "4"),
+            )
+        ]
+        assert self._scipy_modules_after(*points, ["figure", "2", "--trials", "64"]) == "[]"
 
 
 class TestTracedNames:

@@ -2,7 +2,10 @@
 
 Reference values are frozen from the independent oracles defined at the
 top of this module (plain quadrature of the defining integrals), which
-the tests also re-run so drift in either side is caught.
+the tests also re-run so drift in either side is caught.  The functions
+are also held to 30-digit mpmath across their branch switches, and the
+quadrature to scipy's QUADPACK on the integrands of the closed forms;
+scipy and mpmath are test oracles only, never loaded by the package.
 """
 
 import math
@@ -13,6 +16,8 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+from relaysec import analytic, specfun
+from relaysec.model import LinkGains, Scheme, SchemeId, SelectionMode, SystemParams
 from relaysec.specfun import (
     ConvergenceError,
     QuadratureSpec,
@@ -92,7 +97,23 @@ class TestExponentialIntegral:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+def _switch_grid(lo: float, hi: float, switch: float) -> list[float]:
+    """A log grid over [lo, hi] plus points packed on both sides of a branch switch."""
+    return [
+        *np.geomspace(lo, hi, 300),
+        *(switch * (1.0 + d) for d in np.linspace(-0.05, 0.05, 41)),
+        math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf),
+    ]
+
+
 class TestExpScaledE1:
+    def test_mpmath_oracle_across_branches(self):
+        # Power series below y = 1, continued fraction from there on.
+        with mpmath.workdps(30):
+            for y in _switch_grid(1e-300, 1e6, 1.0):
+                ref = float(mpmath.exp(y) * mpmath.e1(y))
+                assert abs(exp_scaled_e1(y) - ref) <= 1e-13 * ref, y
+
     def test_matches_mpmath(self):
         for y in (1e-3, 0.1, 1.0, 10.0, 499.0, 501.0, 700.0, 1e4, 1e6):
             with mpmath.workdps(30):
@@ -109,6 +130,13 @@ class TestExpScaledE1:
 
 
 class TestBesselK1:
+    def test_mpmath_oracle_across_branches(self):
+        # Series up to x = 2, Steed's continued fraction above.
+        with mpmath.workdps(30):
+            for x in _switch_grid(1e-6, 700.0, 2.0):
+                ref = float(mpmath.besselk(1, x))
+                assert abs(bessel_k1(x) - ref) <= 1e-12 * ref, x
+
     def test_reference_value(self):
         assert k1_oracle(1.0) == pytest.approx(K1_ONE, abs=1e-12)
         assert bessel_k1(1.0) == pytest.approx(K1_ONE, rel=1e-10)
@@ -167,3 +195,83 @@ class TestSemiInfiniteQuadrature:
             QuadratureSpec(rel_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+
+    def test_max_subdivisions_is_honoured(self):
+        # Every bisection evaluates two new halves of 15 nodes each, so N
+        # subintervals cost 15 * (2N - 1) evaluations when none converges.
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return math.exp(-z / 1000.0) * math.sin(z) ** 2
+
+        for n in (1, 2, 7, 40):
+            calls.clear()
+            spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=n)
+            with pytest.raises(ConvergenceError, match=f"after {n} subdivisions"):
+                integrate_semi_infinite(f, 0.0, spec)
+            assert len(calls) == 15 * (2 * n - 1)
+
+    def test_focus_intervals_count_towards_the_limit(self):
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=4)
+        with pytest.raises(ConvergenceError, match="after 4 subdivisions"):
+            integrate_semi_infinite(
+                lambda z: math.exp(-z / 1000.0) * math.sin(z) ** 2, 0.0, spec, focus=[1.0, 2.0, 3.0]
+            )
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(ConvergenceError):
+            integrate_semi_infinite(lambda z: math.nan if z > 2.0 else math.exp(-z), 0.0)
+
+
+def _quadpack_oracle(f, lower: float, focus) -> float:
+    """The same mapped integral by scipy's QUADPACK, at tighter tolerances."""
+
+    def transformed(u):
+        w = 1.0 - u
+        return f(lower + u / w) / (w * w)
+
+    points = None
+    if focus:
+        points = sorted({(z - lower) / (1.0 + z - lower) for z in focus if lower < z < math.inf})
+    return scipy.integrate.quad(
+        transformed, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=500, points=points
+    )[0]
+
+
+# The five closed forms that integrate: (scheme, mode, K drawn from [low, high)).
+_INTEGRATING_FORMS = (
+    ("cj", "full", (1, 2)),  # sop_cj_single
+    ("af", "full", (2, 12)),  # sop_af_multi
+    ("af", "select-csi", (2, 12)),  # sop_af_select_csi
+    ("af", "select-nocsi", (2, 12)),  # sop_af_select_nocsi
+    ("cj", "select-nocsi", (2, 12)),  # sop_cj_select_nocsi
+)
+
+
+class TestClosedFormIntegrands:
+    """integrate_semi_infinite against QUADPACK on each closed form's integrand."""
+
+    @pytest.mark.parametrize("scheme,mode,k_range", _INTEGRATING_FORMS)
+    def test_agrees_with_quadpack(self, scheme, mode, k_range, monkeypatch):
+        seen = []
+
+        def recording(f, lower, spec=None, focus=None):
+            value = integrate_semi_infinite(f, lower, spec, focus)
+            seen.append((f, lower, focus, value))
+            return value
+
+        monkeypatch.setattr(specfun, "integrate_semi_infinite", recording)
+        rng = np.random.default_rng(2024)
+        spec = QuadratureSpec()
+        for _ in range(12):
+            gab, gar, grb = 10.0 ** rng.uniform(-2.0, 2.0, size=3)
+            params = SystemParams(
+                rho=10.0 ** rng.uniform(0.0, 4.0), k_antennas=int(rng.integers(*k_range)),
+                rate=float(rng.uniform(0.1, 3.0)), scheme=SchemeId(Scheme(scheme), SelectionMode(mode)),
+            )
+            analytic.analytic_sop(LinkGains(gab, gar, grb), params)
+        assert len(seen) == 12
+        for f, lower, focus, value in seen:
+            ref = _quadpack_oracle(f, lower, focus)
+            assert abs(value - ref) <= max(spec.abs_tol, spec.rel_tol * abs(ref)), (lower, focus)
