@@ -23,6 +23,7 @@ from typing import Callable
 
 from . import specfun
 from .model import (
+    FULL_POWER,
     LinkGains,
     Scheme,
     SelectionMode,
@@ -358,6 +359,8 @@ def limits(gains: LinkGains, params: SystemParams, which: str, mc=None) -> float
         return 1.0 - gab / (c * gar + gab) * math.exp(-c / (rho * gab))
     if which == "cj_strong_second_hop":
         x = math.sqrt(4.0 * c / (rho * gar))
+        if x == 0.0:
+            return 0.0  # x K1(x) -> 1 as x -> 0, e.g. at zero rate
         return 1.0 - math.exp(-c / (rho * gar)) * x * specfun.bessel_k1(x)
     if which == "af_weak_second_hop":
         # Relay path useless; half pre-log makes this direct transmission at doubled rate.
@@ -384,8 +387,16 @@ def limits(gains: LinkGains, params: SystemParams, which: str, mc=None) -> float
 def analytic_sop(gains: LinkGains, params: SystemParams) -> float:
     """Dispatch to the closed form matching ``params.scheme``.
 
-    Raises ``UnsupportedAnalytic`` for the two Monte-Carlo-only variants.
+    Raises ``UnsupportedAnalytic`` for the two Monte-Carlo-only variants,
+    and for any allocation other than full power: every closed form
+    assumes each node transmits at its full budget, so a split power
+    budget is Monte Carlo only.
     """
+    if params.power != FULL_POWER:
+        raise UnsupportedAnalytic(
+            f"the closed forms assume full power at every node, got {params.power}; "
+            "use the Monte Carlo estimator"
+        )
     scheme, mode, k = params.scheme.scheme, params.scheme.mode, params.k_antennas
     if k == 1:
         if scheme is Scheme.DT:

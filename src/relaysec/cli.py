@@ -13,9 +13,10 @@ closed form whose quadrature missed its tolerance.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
@@ -26,12 +27,12 @@ from . import analytic, powerallo
 from .analytic import UnsupportedAnalytic
 from .model import (
     LinkGains,
-    PowerAllocation,
     Scheme,
     SchemeId,
     SelectionMode,
     SopEstimate,
     SystemParams,
+    block_scope,
     db_to_linear,
     derived_coefficients,
 )
@@ -175,7 +176,9 @@ _CJ_SEL_NOCSI = SchemeId(Scheme.CJ, SelectionMode.SELECT_NOCSI)
 @dataclass(frozen=True)
 class FigurePreset:
     """Rows along one axis: ``base`` fixes the setting (None where the axis
-    sets the value) and each scheme tuple names the rows of one method."""
+    sets the value) and each scheme tuple names the rows of one method.
+    Every ``power_opt`` scheme is also in ``schemes``: its montecarlo row
+    is the full-power baseline the search's winner is settled against."""
 
     axis: str
     points: tuple[float, ...]
@@ -471,33 +474,48 @@ def _run_preset(
 
     out = _open_out(args)
     writer = CsvWriter(out)
-    for point, setting, gains, base_params, closed, asymptotes in resolved:
-        for params, value in closed:
-            writer.row(setting, params, "analytic", SopEstimate(value=value))
-
-        params_list = [replace(base_params, scheme=s) for s in preset.schemes]
-        estimates = estimate_sop_many(gains, params_list, mc)
-        for params, est in zip(params_list, estimates):
-            writer.row(setting, params, "montecarlo", est)
-
-        for params, value in asymptotes:
-            writer.row(setting, params, "asymptotic", SopEstimate(value=value, method="asymptotic"))
-
-        for scheme in preset.power_opt:
-            params = replace(base_params, scheme=scheme)
-            alloc, _ = powerallo.minimize_sop(gains, params, opt_mc)
-            est = min(
-                (estimate_sop(gains, replace(params, power=p), mc)
-                 for p in {alloc, PowerAllocation()}),
-                key=lambda e: e.value,
-            )
-            writer.row(setting, params, "power-opt", est)
-
-        print(f"{label}: point {point:g} done", file=sys.stderr)
+    # Points with the same gains and K read the same fading blocks; a scope
+    # keeps them for the later points.  A lone point keeps nothing.
+    for _, run in itertools.groupby(resolved, key=lambda r: (r[2], r[3].k_antennas)):
+        run = list(run)
+        with block_scope() if len(run) > 1 else nullcontext():
+            for point, setting, gains, base_params, closed, asymptotes in run:
+                _write_point(writer, preset, setting, gains, base_params, closed, asymptotes, mc, opt_mc)
+                print(f"{label}: point {point:g} done", file=sys.stderr)
 
     if out is not sys.stdout:
         out.close()
     return 0
+
+
+def _write_point(writer, preset, setting, gains, base_params, closed, asymptotes, mc, opt_mc) -> None:
+    """The rows of one axis point: analytic, montecarlo, asymptotic, power-opt.
+
+    The power searches run first, in one scope, so the second search
+    rereads the first one's blocks.  One pass over the full budget then
+    scores every scheme at full power, for the montecarlo rows, together
+    with each search's winner, which is settled against its scheme's
+    montecarlo row: that row is its full-power estimate on the same draws.
+    """
+    params_list = [replace(base_params, scheme=s) for s in preset.schemes]
+    winners = []
+    with block_scope():
+        for scheme in preset.power_opt:
+            params = replace(base_params, scheme=scheme)
+            alloc, _ = powerallo.minimize_sop(gains, params, opt_mc)
+            winners.append(replace(params, power=alloc))
+    estimates = estimate_sop_many(gains, params_list + winners, mc)
+    full_power = dict(zip(preset.schemes, estimates))
+
+    for params, value in closed:
+        writer.row(setting, params, "analytic", SopEstimate(value=value))
+    for params, est in zip(params_list, estimates):
+        writer.row(setting, params, "montecarlo", est)
+    for params, value in asymptotes:
+        writer.row(setting, params, "asymptotic", SopEstimate(value=value, method="asymptotic"))
+    for params, est in zip(winners, estimates[len(params_list):]):
+        best = min(full_power[params.scheme], est, key=lambda e: e.value)
+        writer.row(setting, params, "power-opt", best)
 
 
 def run_figure(args) -> int:
@@ -538,13 +556,14 @@ def run_sweep(args) -> int:
 def run_power_opt(args) -> int:
     setting, gains, params = _gains_params(args)
     mc = _mc_config(args)
-    try:
-        allocation, est = powerallo.minimize_sop(
-            gains, params, mc, grid_step=args.grid_step, constraint=args.constraint
-        )
-    except ValueError as exc:
-        raise ConfigError(f"--grid-step: {exc}") from exc
-    full = estimate_sop(gains, params, mc)
+    with block_scope():  # the full-power row reads the search's blocks
+        try:
+            allocation, est = powerallo.minimize_sop(
+                gains, params, mc, grid_step=args.grid_step, constraint=args.constraint
+            )
+        except ValueError as exc:
+            raise ConfigError(f"--grid-step: {exc}") from exc
+        full = estimate_sop(gains, params, mc)
     out = _open_out(args)
     writer = CsvWriter(out)
     writer.row(setting, params, "montecarlo", full)

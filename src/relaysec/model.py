@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 # numpy loads its random submodule on first attribute access; load it with
@@ -160,13 +162,15 @@ class ChannelBlock:
 
     The derived features every scheme reads (squared gains, their sums,
     antenna picks, the gathered gains and the MRC cross term) are computed
-    on first use and kept for the block's lifetime.  ``sample_channel_block``
-    holds the last block it drew until a call with other arguments, so the
-    schemes of one chunk, and every candidate of a power search, share a
-    single draw and a single computation.  A plain per-instance memo, not
-    ``functools.cached_property``, keeps chunk threads from contending for
-    a class-wide lock.  The drawn and the cached arrays are read-only: a
-    scheme that wrote into one would corrupt the next caller's margins.
+    on first use and kept for the block's lifetime, so the schemes of one
+    chunk share a single computation.  A block kept by a ``block_scope``
+    store is shared further, by every later pass over the same chunk in
+    that scope, and its features count toward the store's byte bound: a
+    feature that no longer fits is computed again on each use instead of
+    kept.  A plain per-instance memo, not ``functools.cached_property``,
+    keeps chunk threads from contending for a class-wide lock.  The drawn
+    and the cached arrays are read-only: a scheme that wrote into one
+    would corrupt the next caller's margins.
     """
 
     h_ab: np.ndarray    # (n,) complex
@@ -174,13 +178,20 @@ class ChannelBlock:
     h_rb: np.ndarray    # (n, k) complex
     tx_pick: np.ndarray  # (n,) int
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _store: _BlockStore | None = field(default=None, init=False, repr=False)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the drawn arrays; computed features not included."""
+        return self.h_ab.nbytes + self.h_ar.nbytes + self.h_rb.nbytes + self.tx_pick.nbytes
 
     def _cached(self, key, compute: Callable[[], np.ndarray]) -> np.ndarray:
         value = self._memo.get(key)
         if value is None:
             value = compute()
             value.flags.writeable = False
-            self._memo[key] = value
+            if self._store is None or self._store.admit(value.nbytes):
+                self._memo[key] = value
         return value
 
     @property
@@ -270,10 +281,81 @@ def block_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# The last block drawn, keyed by the full argument tuple of
-# ``sample_channel_block``.  One entry; chunk threads that miss at the same
-# time may each leave theirs until the next draw clears them.
-_last_block: dict[tuple, ChannelBlock] = {}
+# Bytes a block scope may keep, drawn arrays and computed features together.
+# A K = 1 chunk of 65,536 trials with the full-array features takes about
+# 6.5 MiB, so a default figure-1 run keeps all 17 of its blocks (103 MiB);
+# a K = 6 chunk with the selection features takes about 23 MiB.
+BLOCK_STORE_BYTES = 256 << 20
+
+
+class _BlockStore:
+    """The blocks drawn inside one ``block_scope``, up to a byte bound.
+
+    Admission is first come, first kept: once a block does not fit, it is
+    handed out unkept, so the leading chunks of a sequential scan stay and
+    still hit on the next pass.  Bookkeeping runs under a lock because the
+    chunk threads of ``workers > 1`` draw and compute features at once.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.nbytes = 0
+        self.blocks: dict[tuple, ChannelBlock] = {}
+        self._open = True
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> ChannelBlock | None:
+        with self._lock:
+            return self.blocks.get(key)
+
+    def keep(self, key: tuple, block: ChannelBlock) -> None:
+        with self._lock:
+            if self._open and key not in self.blocks and self.nbytes + block.nbytes <= self.limit:
+                self.blocks[key] = block
+                self.nbytes += block.nbytes
+                object.__setattr__(block, "_store", self)
+
+    def admit(self, nbytes: int) -> bool:
+        """Count a feature computed on a kept block; False if it does not fit."""
+        with self._lock:
+            if not self._open:
+                return True  # the scope is over; the block is its holder's alone
+            if self.nbytes + nbytes > self.limit:
+                return False
+            self.nbytes += nbytes
+            return True
+
+    def close(self) -> None:
+        with self._lock:
+            self._open = False
+            self.blocks.clear()
+
+
+_store: _BlockStore | None = None
+
+
+@contextmanager
+def block_scope() -> Iterator[None]:
+    """Keep every block ``sample_channel_block`` draws until the scope exits.
+
+    Open one where a later pass reads the same chunks again: the points of
+    a figure axis that leaves the gains and K alone, or the candidates of a
+    power search.  Inside an open scope this is a no-op, so a search run
+    from a figure point shares the figure's store.  The store is bounded
+    by ``BLOCK_STORE_BYTES`` and dropped, with every block it keeps, when
+    the outermost scope exits.  Scopes are process-wide, so the chunk
+    threads of ``workers > 1`` share the store of the scope that runs them.
+    """
+    global _store
+    if _store is not None:
+        yield
+        return
+    store = _store = _BlockStore(BLOCK_STORE_BYTES)
+    try:
+        yield
+    finally:
+        _store = None
+        store.close()
 
 
 def sample_channel_block(gains: LinkGains, k: int, seed: int, chunk_index: int, n: int) -> ChannelBlock:
@@ -283,19 +365,20 @@ def sample_channel_block(gains: LinkGains, k: int, seed: int, chunk_index: int, 
     a given (k, n), so the same (seed, chunk_index) yields bit-identical
     channels regardless of which schemes consume them.
 
-    A block is a pure function of the arguments, so the last one drawn is
-    held and returned again, with its computed features, to a call with
-    the same arguments: a power search scores every candidate on the same
-    fading without drawing it again.  A call with other arguments drops
-    the held block before it draws, so the old and the new block are
-    never alive here together.  Concurrent chunk threads may replace each
-    other's entry, which costs a redraw, never a wrong block.
+    A block is a pure function of the arguments.  Inside a ``block_scope``
+    the scope's store keeps each block drawn, keyed by the whole argument
+    tuple, while it fits the store's byte bound, and returns it, with the
+    features already computed on it, to every later call with the same
+    arguments.  Outside a scope nothing is kept: the block lives as long
+    as its caller holds it.  Chunk threads that miss on the same key at
+    once each draw it, which costs a redraw, never a wrong block.
     """
     key = (gains, k, seed, chunk_index, n)
-    block = _last_block.get(key)
-    if block is not None:
-        return block
-    _last_block.clear()
+    store = _store
+    if store is not None:
+        block = store.get(key)
+        if block is not None:
+            return block
     rng = block_rng(seed, chunk_index)
     h_ab = _complex_gaussian(rng, (n,), gains.gamma_ab)
     h_ar = _complex_gaussian(rng, (n, k), gains.gamma_ar)
@@ -304,7 +387,8 @@ def sample_channel_block(gains: LinkGains, k: int, seed: int, chunk_index: int, 
     for array in (h_ab, h_ar, h_rb, tx_pick):
         array.flags.writeable = False
     block = ChannelBlock(h_ab=h_ab, h_ar=h_ar, h_rb=h_rb, tx_pick=tx_pick)
-    _last_block[key] = block
+    if store is not None:
+        store.keep(key, block)
     return block
 
 

@@ -6,12 +6,14 @@ natively.  A fixed seed makes the objective deterministic (common random
 numbers across candidates), so the search is an ordinary derivative-free
 minimization: coarse grid, then coordinate-wise golden-section refinement.
 
-Every candidate goes through its own ``estimate_sop``, but the fading is
-drawn once: ``model.sample_channel_block`` returns the block it holds to a
-call with the same (gains, K, seed, chunk, n), together with the features
-already computed on it.  Only one block is held, so this works for a
-search budget of one chunk; a budget of several chunks draws each chunk
-anew for every candidate.
+The fading is drawn once per chunk for the whole search: the search runs
+inside a ``model.block_scope`` (its own, or the caller's when one is open),
+whose store keeps every block of the budget, with its computed features,
+up to ``model.BLOCK_STORE_BYTES``.  The grid stage scores all of its
+candidates in one ``estimate_sop_many`` pass over the chunks; the
+golden-section stage scores each probe with ``estimate_sop`` on the kept
+blocks.  Both stages fill one cache of estimates, keyed by the rounded
+fractions, so a probe that lands on a grid point is not scored again.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import itertools
 import math
 from dataclasses import replace
 
-from .model import LinkGains, PowerAllocation, Scheme, SopEstimate, SystemParams
-from .montecarlo import McConfig, estimate_sop
+from .model import LinkGains, PowerAllocation, Scheme, SopEstimate, SystemParams, block_scope
+from .montecarlo import McConfig, estimate_sop, estimate_sop_many
 
 FRACTION_FLOOR = 0.05  # zero-power corners degenerate (jam-free CJ is not CJ)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -54,6 +56,13 @@ def minimize_sop(
     be worse than full power at the same seed.  ``total`` instead pools a
     single budget across the active nodes (fraction sum <= 1).
     """
+    with block_scope():
+        return _search(gains, params, mc, grid_step, constraint)
+
+
+def _search(
+    gains: LinkGains, params: SystemParams, mc: McConfig, grid_step: float, constraint: str
+) -> tuple[PowerAllocation, SopEstimate]:
     if not 0.0 < grid_step <= 0.5:
         raise ValueError(f"grid_step must lie in (0, 0.5], got {grid_step}")
     if constraint not in ("per-node", "total"):
@@ -68,14 +77,19 @@ def minimize_sop(
             return True
         return sum(values) <= budget + 1e-12
 
-    cache: dict[tuple[float, ...], float] = {}
+    cache: dict[tuple[float, ...], SopEstimate] = {}
 
-    def objective(values: tuple[float, ...]) -> float:
+    def at_power(values: tuple[float, ...]) -> SystemParams:
+        return replace(params, power=_allocation(coords, values))
+
+    def estimate(values: tuple[float, ...]) -> SopEstimate:
         key = tuple(round(v, 6) for v in values)
         if key not in cache:
-            candidate = replace(params, power=_allocation(coords, key))
-            cache[key] = estimate_sop(gains, candidate, mc).value
+            cache[key] = estimate_sop(gains, at_power(key), mc)
         return cache[key]
+
+    def objective(values: tuple[float, ...]) -> float:
+        return estimate(values).value
 
     axis = [round(v, 6) for v in _grid_axis(grid_step)]
     candidates = [v for v in itertools.product(axis, repeat=n_active) if feasible(v)]
@@ -83,6 +97,9 @@ def minimize_sop(
         full = (1.0,) * n_active
         if full not in candidates:
             candidates.append(full)
+
+    # Grid stage: one pass over the chunks scores every candidate.
+    cache.update(zip(candidates, estimate_sop_many(gains, [at_power(v) for v in candidates], mc)))
     best = min(candidates, key=objective)
 
     # Coordinate-wise golden-section refinement (two passes).
@@ -109,8 +126,7 @@ def minimize_sop(
         if objective(full) < objective(best_values):
             best_values = full
     allocation = _allocation(coords, tuple(round(v, 6) for v in best_values))
-    final = estimate_sop(gains, replace(params, power=allocation), mc)
-    return allocation, final
+    return allocation, estimate(best_values)
 
 
 def _grid_axis(step: float) -> list[float]:

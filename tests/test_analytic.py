@@ -16,7 +16,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from relaysec import LinkGains, McConfig, SchemeId, SystemParams, db_to_linear
+from relaysec import LinkGains, McConfig, PowerAllocation, SchemeId, SystemParams, db_to_linear
 from relaysec import analytic
 from relaysec.analytic import UnsupportedAnalytic
 from relaysec.model import Scheme, SelectionMode, derived_coefficients
@@ -549,6 +549,13 @@ class TestLimits:
         lim = analytic.limits(gains_far, params, "cj_strong_second_hop")
         assert abs(analytic.sop_cj_single(gains_far, params) - lim) < 0.01
 
+    def test_strong_second_hop_at_zero_rate_is_zero(self, fig1_gains):
+        # x = sqrt(4c/(rho gar)) is 0 at zero rate, where x K1(x) -> 1.
+        params = SystemParams(rho=db_to_linear(10.0), rate=0.0)
+        assert analytic.limits(fig1_gains, params, "cj_strong_second_hop") == 0.0
+        near = SystemParams(rho=db_to_linear(10.0), rate=1e-9)
+        assert analytic.limits(fig1_gains, near, "cj_strong_second_hop") == pytest.approx(0.0, abs=1e-6)
+
     def test_weak_first_hop_ordering(self):
         gains = LinkGains(1.0, 1e-6, db_to_linear(5.0))
         for rate in (0.05, 0.1, 0.5, 1.0):
@@ -601,3 +608,16 @@ class TestDispatch:
             params = SystemParams(rho=10.0, rate=0.1, k_antennas=4, scheme=scheme)
             with pytest.raises(UnsupportedAnalytic):
                 analytic.analytic_sop(fig6_gains, params)
+
+    def test_split_power_refuses(self):
+        # The closed forms assume full power; at this point the AF form
+        # returned its full-power value 0.41919... for any allocation.
+        params = SystemParams(
+            rho=db_to_linear(20.0), rate=0.1, scheme=SchemeId(Scheme.AF),
+            power=PowerAllocation(0.1, 0.1, 0.1),
+        )
+        with pytest.raises(UnsupportedAnalytic, match="full power"):
+            analytic.analytic_sop(LinkGains(1.0, 1.0, 1.0), params)
+        full = analytic.analytic_sop(LinkGains(1.0, 1.0, 1.0), SystemParams(
+            rho=db_to_linear(20.0), rate=0.1, scheme=SchemeId(Scheme.AF)))
+        assert full == pytest.approx(0.41919056830568124, rel=1e-12)

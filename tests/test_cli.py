@@ -6,6 +6,7 @@ import inspect
 import io
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -167,6 +168,19 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["figure", "2", "--trials", "64", "--rate", "0"],
+        ["figure", "5", "--trials", "64", "--rate", "0"],
+        ["point", "--scheme", "cj", "--method", "asymptotic", "--limit", "cj_strong_second_hop",
+         "--rate", "0"],
+    ])
+    def test_zero_rate_strong_second_hop_limit(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        rows = [r for r in csv.DictReader(io.StringIO(out)) if r["method"] == "asymptotic"]
+        cj = [float(r["sop"]) for r in rows if r["scheme"] == "cj"]
+        assert cj and all(sop == 0.0 for sop in cj)
+
     def test_selection_beyond_64_antennas(self, capsys):
         code, out, _ = run_cli(
             ["point", "--k", "65", "--mode", "select-csi", "--method", "analytic"], capsys
@@ -304,6 +318,11 @@ class TestFigureCommand:
     def test_presets_cover_all_eight(self):
         assert sorted(FIGURE_PRESETS) == list(range(1, 9))
 
+    def test_power_opt_schemes_have_montecarlo_rows(self):
+        # The settle step reads a searched scheme's full-power estimate from its montecarlo row.
+        for preset in FIGURE_PRESETS.values():
+            assert set(preset.power_opt) <= set(preset.schemes)
+
     def test_figure_three_dataset(self, tmp_path, capsys):
         out_path = tmp_path / "fig3.csv"
         code, _, _ = run_cli(
@@ -394,6 +413,18 @@ GOLDEN_RUNS = [
         9, "aa57a34b0b269748e56b8136fdb33815671d3051a4e91cf593d43a67cd712ac4",
         id="sweep-joint-gain",
     ),
+    # Budgets of two 65,536-trial chunks: a search whose blocks are kept
+    # across candidates, and an axis whose blocks are kept across points.
+    pytest.param(
+        ["power-opt", "--scheme", "cj", "--rho-db", "10", "--trials", "131072"],
+        2, "ffcf91c206b4c1ee4875aae8dee6f123e9eedbb0a988a08b66692182ce55715d",
+        id="power-opt-two-chunks",
+    ),
+    pytest.param(
+        ["figure", "7", "--trials", "131072", "--skip-power-opt"],
+        45, "b5a1443c39f875b6c3d01deb8815b008f963ccf2ed94ec0a0374e1f00cb16faf",
+        id="figure-7-two-chunks",
+    ),
 ]
 
 
@@ -408,3 +439,56 @@ class TestGoldenDigest:
         ]
         assert len(rows) == n_rows
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
+class TestDrawReuse:
+    """Where a figure rereads fading blocks it draws each one once; where it
+    cannot reread them it keeps none."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record each draw (the store's state at that moment), each distinct
+        block requested, and a weak reference to each block handed out."""
+        draws, requested, handed = [], set(), []
+        block_rng, sample = model.block_rng, montecarlo.sample_channel_block
+
+        def spy_rng(seed, chunk_index):
+            draws.append((model._store is not None, sum(ref() is not None for ref in handed)))
+            return block_rng(seed, chunk_index)
+
+        def spy_sample(gains, k, seed, chunk_index, n):
+            requested.add((gains, k, seed, chunk_index, n))
+            block = sample(gains, k, seed, chunk_index, n)
+            handed.append(weakref.ref(block))
+            return block
+
+        monkeypatch.setattr(model, "block_rng", spy_rng)
+        monkeypatch.setattr(montecarlo, "sample_channel_block", spy_sample)
+        return draws, requested
+
+    def test_figure_one_draws_each_block_once(self, monkeypatch, capsys):
+        draws, requested = self._spy(monkeypatch)
+        code, _, err = run_cli(["figure", "1", "--trials", "131072", "--power-opt-trials", "70000"], capsys)
+        assert code == 0, err
+        # Two chunks for the rows, two for the search; chunk 0 is common to both.
+        assert sorted(key[3:] for key in requested) == [(0, 65536), (1, 4464), (1, 65536)]
+        assert len(draws) == len(requested)
+        assert all(scoped for scoped, _ in draws)
+
+    def test_figure_eight_keeps_no_block(self, monkeypatch, capsys):
+        draws, requested = self._spy(monkeypatch)
+        code, _, err = run_cli(["figure", "8", "--skip-power-opt", "--trials", "131072"], capsys)
+        assert code == 0, err
+        # K changes at every point: one draw per (K, chunk), none kept.
+        assert len(draws) == len(requested) == 20
+        assert draws == [(False, 0)] * 20
+
+    def test_workers_do_not_change_the_csv(self, tmp_path, capsys):
+        argv = ["figure", "1", "--trials", "262144", "--power-opt-trials", "70000"]
+        outputs = []
+        for workers in ("1", "4"):
+            out = tmp_path / f"workers-{workers}.csv"
+            code, _, err = run_cli([*argv, "--workers", workers, "--out", str(out)], capsys)
+            assert code == 0, err
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

@@ -120,7 +120,7 @@ class TestSampling:
     def test_block_reproducibility(self):
         gains = LinkGains(1.0, 1.0, 1.0)
         a = sample_channel_block(gains, 3, seed=42, chunk_index=5, n=128)
-        sample_channel_block(gains, 3, seed=43, chunk_index=5, n=128)  # drops the held block
+        sample_channel_block(gains, 3, seed=43, chunk_index=5, n=128)  # another key in between
         b = sample_channel_block(gains, 3, seed=42, chunk_index=5, n=128)
         assert b is not a
         assert np.array_equal(a.h_ab, b.h_ab)
@@ -139,8 +139,11 @@ class TestSampling:
     _KEY = dict(gains=LinkGains(1.0, 2.0, 3.0), k=2, seed=7, chunk_index=1, n=64)
 
     def test_same_arguments_return_the_held_block(self):
-        block = sample_channel_block(**self._KEY)
-        assert sample_channel_block(**self._KEY) is block
+        with model.block_scope():
+            block = sample_channel_block(**self._KEY)
+            assert sample_channel_block(**self._KEY) is block
+        # The store went with the scope, so the next call draws anew.
+        assert sample_channel_block(**self._KEY) is not block
 
     @pytest.mark.parametrize("field,value", [
         ("gains", LinkGains(1.0, 2.0, 4.0)),
@@ -150,10 +153,13 @@ class TestSampling:
         ("n", 65),
     ])
     def test_any_changed_argument_draws_anew(self, field, value):
-        held = sample_channel_block(**self._KEY)
-        assert sample_channel_block(**{**self._KEY, field: value}) is not held
-        # One block is held at a time, so the first one is gone too.
-        assert sample_channel_block(**self._KEY) is not held
+        with model.block_scope():
+            held = sample_channel_block(**self._KEY)
+            other = sample_channel_block(**{**self._KEY, field: value})
+            assert other is not held
+            # A scope keeps every block it draws, not only the last one.
+            assert sample_channel_block(**self._KEY) is held
+            assert sample_channel_block(**{**self._KEY, field: value}) is other
 
     def test_drawn_arrays_are_read_only(self):
         block = sample_channel_block(**self._KEY)
@@ -161,21 +167,64 @@ class TestSampling:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
-    def test_held_block_is_released_before_the_next_draw(self, monkeypatch):
+    def test_held_block_is_released_before_the_next_draw(self):
+        # Outside a scope nothing holds a block but its caller: it is gone,
+        # features and all, as soon as the caller drops it.
         block = sample_channel_block(**self._KEY)
+        block.sum_a, block.cross
         held = weakref.ref(block)
         del block
-        assert held() is not None
-        alive_at_draw = []
-        draw = model.block_rng
+        assert held() is None
+        assert model._store is None
 
-        def spy(seed, chunk_index):
-            alive_at_draw.append(held() is not None)
-            return draw(seed, chunk_index)
+    def test_scope_drops_its_blocks_on_exit(self):
+        with model.block_scope():
+            held = weakref.ref(sample_channel_block(**self._KEY))
+            assert held() is not None
+        assert held() is None
+        assert model._store is None
 
-        monkeypatch.setattr(model, "block_rng", spy)
-        sample_channel_block(**{**self._KEY, "chunk_index": 2})
-        assert alive_at_draw == [False]
+    def test_nested_scope_shares_the_outer_store(self):
+        with model.block_scope():
+            block = sample_channel_block(**self._KEY)
+            with model.block_scope():
+                assert sample_channel_block(**self._KEY) is block
+            # Leaving the inner scope drops nothing.
+            assert sample_channel_block(**self._KEY) is block
+
+    def test_store_never_exceeds_its_byte_bound(self, monkeypatch):
+        gains, n, k = LinkGains(1.0, 2.0, 3.0), 256, 2
+        params = [SystemParams(rho=10.0, k_antennas=k, scheme=s) for s in (
+            SchemeId(Scheme.CJ), SchemeId(Scheme.AF, SelectionMode.SELECT_CSI))]
+        fresh, sizes = [], []
+        for idx in range(6):
+            block = sample_channel_block(gains, k, 1, idx, n)
+            fresh.append([rate_margins_block(block, gains, p) for p in params])
+            sizes.append((block.nbytes, sum(v.nbytes for v in block._memo.values())))
+        (draws, features), = set(sizes)
+        # Room for two blocks with their features, a third block's draws and
+        # half of its features.
+        bound = 2 * (draws + features) + draws + features // 2
+        monkeypatch.setattr(model, "BLOCK_STORE_BYTES", bound)
+        with model.block_scope():
+            store = model._store
+            for _ in range(2):
+                for idx in range(6):
+                    block = sample_channel_block(gains, k, 1, idx, n)
+                    for p, want in zip(params, fresh[idx]):
+                        assert np.array_equal(rate_margins_block(block, gains, p), want)
+                    assert store.nbytes <= bound
+            kept = store.blocks.values()
+            assert store.nbytes == sum(
+                b.nbytes + sum(v.nbytes for v in b._memo.values()) for b in kept
+            )
+            # First come, first kept: the leading chunks stay, later ones are
+            # not kept, and the third block keeps only the features that fit.
+            assert [key[3] for key in store.blocks] == [0, 1, 2]
+            first, _, third = kept
+            assert len(third._memo) < len(first._memo)
+            assert sample_channel_block(gains, k, 1, 0, n) is sample_channel_block(gains, k, 1, 0, n)
+            assert sample_channel_block(gains, k, 1, 5, n) is not sample_channel_block(gains, k, 1, 5, n)
 
 
 class TestAntennaSelection:
