@@ -19,13 +19,11 @@ from .model import (
 )
 from .montecarlo import McConfig, estimate_sop
 from .powerallo import minimize_sop
-from .specfun import QuadratureSpec
 
 __all__ = [
     "LinkGains",
     "McConfig",
     "PowerAllocation",
-    "QuadratureSpec",
     "Scheme",
     "SchemeId",
     "SelectionMode",

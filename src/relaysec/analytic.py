@@ -5,7 +5,8 @@ has an exact outage expression for the single-antenna relay; the
 multi-antenna beamforming and antenna-selection variants generalize them
 where a closed form exists.  Two variants are Monte Carlo only by design:
 cooperative jamming with a full beamforming array (K > 1) and cooperative
-jamming with CSI-aided antenna selection.
+jamming with CSI-aided antenna selection.  Every asymptotic limit, the
+full-array cooperative-jamming floor included, is a closed form.
 
 The K-antenna DT and AF forms condition on the relay's gains.  Write G for
 the relay's first-hop gain in units of gamma_ar: the sum of K unit
@@ -14,6 +15,10 @@ only through its Laplace transform L(s) = E[e^{-sG}], which is closed in
 both cases, so DT needs no integral and AF one integral of a positive
 integrand over the second-hop gain.  Nothing cancels, so every K is
 evaluated in double precision by the same route.
+
+This module is a leaf of the package: it imports the model and the special
+functions, never the simulator, and each of its functions is a pure
+function of the link gains and the system parameters.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ _LIMIT_SELECTORS = (
     "dt_weak_first_hop",
     "af_weak_first_hop",
     "cj_weak_first_hop",
-    "cj_multi_high_snr",
     "cj_select_nocsi_large_k",
 )
 
@@ -166,6 +170,12 @@ def _log_pdf_sum(k: int) -> Callable[[float], float]:
     return lambda w: (k - 1) * math.log(w) - w - tail
 
 
+def _erlang_peak(k: int) -> list[float]:
+    """Quadrature focus points on the Erlang-K peak, of width sqrt(K) around K."""
+    root = math.sqrt(k)
+    return [k - 6.0 * root, float(k), k + 6.0 * root]
+
+
 def _log_pdf_max(k: int) -> Callable[[float], float]:
     """Log density of the maximum of K unit exponentials (best transmit antenna)."""
     head = math.log(k)
@@ -241,11 +251,9 @@ def sop_af_multi(gains: LinkGains, params: SystemParams) -> float:
     around K; the quadrature is anchored there or it can step over it.
     """
     k = params.k_antennas
-    root = math.sqrt(k)
     return _sop_af(
         gains, params, _log_laplace_sum, _log_pdf_sum,
-        m=k * (gains.gamma_ar + 1.0 / params.rho),
-        focus=[k - 6.0 * root, float(k), k + 6.0 * root],
+        m=k * (gains.gamma_ar + 1.0 / params.rho), focus=_erlang_peak(k),
     )
 
 
@@ -323,15 +331,43 @@ def sop_cj_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
     return min(1.0, max(0.0, head + integral / grb))
 
 
-def limits(gains: LinkGains, params: SystemParams, which: str, mc=None) -> float:
+def _cj_full_array_floor(gains: LinkGains, params: SystemParams) -> float:
+    """High-SNR outage floor of cooperative jamming with the full K-antenna array.
+
+    In the limit the relay's max-SINR receiver nulls the jamming, and
+    outage is the SNR-free event X < P (T (S_B + c) / S_B - 1), with
+    T = 2^{2R}, c = K (gamma_ar + gamma_rb), X ~ Exp(gamma_ar) the
+    first-hop gain along the jamming direction, P ~ Gamma(K-1, gamma_ar)
+    the rest of it and S_B ~ Gamma(K, gamma_rb) the second-hop gain.
+    Averaging over X and then P, and writing S_B = gamma_rb W, leaves
+
+        floor = 1 - T^{-(K-1)} E[(W / (W + d))^{K-1}],  d = c / gamma_rb,
+
+    with W Erlang-K at unit scale: one integral, taken in log form.  With
+    one antenna nothing is left to null the jamming with and the floor is 0.
+    """
+    k = params.k_antennas
+    if k == 1:
+        return 0.0
+    log_t = 2.0 * params.rate * math.log(2.0)
+    d = k * (gains.gamma_ar + gains.gamma_rb) / gains.gamma_rb
+    log_density = _log_pdf_sum(k)
+
+    def integrand(w: float) -> float:
+        return math.exp(log_density(w) - (k - 1) * (log_t + math.log1p(d / w)))
+
+    expectation = specfun.integrate_semi_infinite(integrand, 0.0, focus=_erlang_peak(k))
+    return min(1.0, max(0.0, 1.0 - expectation))
+
+
+def limits(gains: LinkGains, params: SystemParams, which: str) -> float:
     """Closed-form asymptotic outage values.
 
     Selectors describe the regime: ``*_high_snr`` (rho to infinity),
     ``*_strong_second_hop`` / ``*_weak_second_hop`` (gamma_rb limits),
-    ``*_weak_first_hop`` (gamma_ar to zero), ``cj_select_nocsi_large_k``
-    (antenna-selection floor), and ``cj_multi_high_snr``, which has no
-    closed form and is evaluated by Monte Carlo over the SNR-free limiting
-    event (pass an ``McConfig``).
+    ``*_weak_first_hop`` (gamma_ar to zero) and ``cj_select_nocsi_large_k``
+    (antenna-selection floor).  ``cj_high_snr`` holds for every K: zero for
+    one antenna, the full-array outage floor for more.
 
     ``af_high_snr`` is the actual high-SNR limit of the exact AF outage;
     ``af_high_snr_printed`` keeps the variant that reuses the
@@ -352,9 +388,7 @@ def limits(gains: LinkGains, params: SystemParams, which: str, mc=None) -> float
         beta = coef.beta1 if which == "af_high_snr_printed" else coef.beta2
         return 1.0 - gab / (c * gar + gab) * _ei_bracket(mu1p, beta)
     if which == "cj_high_snr":
-        if params.k_antennas > 1:
-            raise ValueError("cooperative jamming with K > 1 needs selector 'cj_multi_high_snr'")
-        return 0.0
+        return _cj_full_array_floor(gains, params)
     if which == "af_strong_second_hop":
         return 1.0 - gab / (c * gar + gab) * math.exp(-c / (rho * gab))
     if which == "cj_strong_second_hop":
@@ -375,12 +409,6 @@ def limits(gains: LinkGains, params: SystemParams, which: str, mc=None) -> float
         return 1.0
     if which == "cj_select_nocsi_large_k":
         return 1.0 - math.exp(-threshold_t(gains, params) / grb)
-    if which == "cj_multi_high_snr":
-        if mc is None:
-            raise ValueError("cj_multi_high_snr is Monte Carlo only; pass an McConfig")
-        from . import montecarlo
-
-        return montecarlo.cj_full_array_high_snr_constant(gains, params, mc).value
     raise ValueError(f"unsupported limit selector {which!r}; known: {', '.join(_LIMIT_SELECTORS)}")
 
 

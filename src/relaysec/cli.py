@@ -359,10 +359,16 @@ def _mc_config(args, default_trials: int = 1_000_000) -> McConfig:
         raise ConfigError(f"--{exc}") from exc
 
 
-def _open_out(args) -> TextIO:
-    if args.out:
-        return open(args.out, "w", newline="")
-    return sys.stdout
+@contextmanager
+def _csv_sink(args):
+    """A CsvWriter on ``--out`` (stdout by default); the file is closed
+    however the pass ends.  The header is written on entry, so a command
+    enters the sink only once every closed form of its run is evaluated."""
+    if not args.out:
+        yield CsvWriter(sys.stdout)
+        return
+    with open(args.out, "w", newline="") as stream:
+        yield CsvWriter(stream)
 
 
 @contextmanager
@@ -378,13 +384,13 @@ def _naming_point(setting: Setting, params: SystemParams):
         ) from exc
 
 
-def _default_limit_selector(scheme: SchemeId, k: int) -> str:
+def _default_limit_selector(scheme: SchemeId) -> str:
     if scheme.scheme is Scheme.DT and scheme.mode is SelectionMode.FULL_ARRAY:
         return "dt_high_snr"
     if scheme.scheme is Scheme.AF and scheme.mode is SelectionMode.FULL_ARRAY:
         return "af_high_snr"
     if scheme.scheme is Scheme.CJ and scheme.mode is SelectionMode.FULL_ARRAY:
-        return "cj_high_snr" if k == 1 else "cj_multi_high_snr"
+        return "cj_high_snr"
     if scheme.scheme is Scheme.CJ and scheme.mode is SelectionMode.SELECT_NOCSI:
         return "cj_select_nocsi_large_k"
     raise UnsupportedCombination(
@@ -399,7 +405,6 @@ def _default_limit_selector(scheme: SchemeId, k: int) -> str:
 def run_point(args) -> int:
     setting, gains, params = _gains_params(args)
     mc = _mc_config(args)
-    k = params.k_antennas
     rows: list[tuple[str, SopEstimate]] = []
 
     analytic_est: SopEstimate | None = None
@@ -426,20 +431,17 @@ def run_point(args) -> int:
             )
 
     if args.method == "asymptotic":
-        selector = args.limit or _default_limit_selector(params.scheme, k)
+        selector = args.limit or _default_limit_selector(params.scheme)
         try:
             with _naming_point(setting, params):
-                value = analytic.limits(gains, params, selector, mc=mc)
+                value = analytic.limits(gains, params, selector)
         except ValueError as exc:
             raise UnsupportedCombination(str(exc)) from exc
         rows.append(("asymptotic", SopEstimate(value=value, method="asymptotic")))
 
-    out = _open_out(args)
-    writer = CsvWriter(out)
-    for method, est in rows:
-        writer.row(setting, params, method, est)
-    if out is not sys.stdout:
-        out.close()
+    with _csv_sink(args) as writer:
+        for method, est in rows:
+            writer.row(setting, params, method, est)
     return 0
 
 
@@ -461,30 +463,23 @@ def _run_preset(
         closed, asymptotes = [], []
         for scheme in preset.analytic_schemes:
             params = replace(base_params, scheme=scheme)
-            try:
-                with _naming_point(setting, params):
-                    closed.append((params, analytic.analytic_sop(gains, params)))
-            except UnsupportedAnalytic:
-                continue
+            with _naming_point(setting, params):
+                closed.append((params, analytic.analytic_sop(gains, params)))
         for scheme, selector in preset.asymptotes:
             params = replace(base_params, scheme=scheme)
             with _naming_point(setting, params):
-                asymptotes.append((params, analytic.limits(gains, params, selector, mc=mc)))
+                asymptotes.append((params, analytic.limits(gains, params, selector)))
         resolved.append((point, setting, gains, base_params, closed, asymptotes))
 
-    out = _open_out(args)
-    writer = CsvWriter(out)
-    # Points with the same gains and K read the same fading blocks; a scope
-    # keeps them for the later points.  A lone point keeps nothing.
-    for _, run in itertools.groupby(resolved, key=lambda r: (r[2], r[3].k_antennas)):
-        run = list(run)
-        with block_scope() if len(run) > 1 else nullcontext():
-            for point, setting, gains, base_params, closed, asymptotes in run:
-                _write_point(writer, preset, setting, gains, base_params, closed, asymptotes, mc, opt_mc)
-                print(f"{label}: point {point:g} done", file=sys.stderr)
-
-    if out is not sys.stdout:
-        out.close()
+    with _csv_sink(args) as writer:
+        # Points with the same gains and K read the same fading blocks; a
+        # scope keeps them for the later points.  A lone point keeps nothing.
+        for _, run in itertools.groupby(resolved, key=lambda r: (r[2], r[3].k_antennas)):
+            run = list(run)
+            with block_scope() if len(run) > 1 else nullcontext():
+                for point, setting, gains, base_params, closed, asymptotes in run:
+                    _write_point(writer, preset, setting, gains, base_params, closed, asymptotes, mc, opt_mc)
+                    print(f"{label}: point {point:g} done", file=sys.stderr)
     return 0
 
 
@@ -564,18 +559,15 @@ def run_power_opt(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--grid-step: {exc}") from exc
         full = estimate_sop(gains, params, mc)
-    out = _open_out(args)
-    writer = CsvWriter(out)
-    writer.row(setting, params, "montecarlo", full)
-    writer.row(setting, params, "power-opt", est)
+    with _csv_sink(args) as writer:
+        writer.row(setting, params, "montecarlo", full)
+        writer.row(setting, params, "power-opt", est)
     print(
         f"best allocation: alice={allocation.frac_alice:.3f} "
         f"relay={allocation.frac_relay:.3f} jam={allocation.frac_bob_jam:.3f} "
         f"sop={est.value:.6f} (full power {full.value:.6f})",
         file=sys.stderr,
     )
-    if out is not sys.stdout:
-        out.close()
     return 0
 
 

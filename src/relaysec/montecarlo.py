@@ -187,27 +187,3 @@ def estimate_sop_many(
     counts = _count_many(gains, params_list, mc)
     return [_to_estimate(c, mc.trials) for c in counts]
 
-
-def cj_full_array_high_snr_constant(
-    gains: LinkGains, params: SystemParams, mc: McConfig
-) -> SopEstimate:
-    """High-SNR outage floor of full-array cooperative jamming (K > 1).
-
-    In the limit the relay's max-SINR receiver nulls the jamming, leaving
-    the SNR-free event  S_B * S_A / ((S_B + K*(gar+grb)) * ||P_perp h_ar||^2)
-    < 2^(2R), where P_perp projects off the jamming direction.  No closed
-    form exists; estimated by Monte Carlo.
-    """
-    k = params.k_antennas
-    two2r = 2.0 ** (2.0 * params.rate)
-    shift = k * (gains.gamma_ar + gains.gamma_rb)
-
-    def run_chunk(idx: int, n: int) -> int:
-        block = sample_channel_block(gains, k, mc.seed, idx, n)
-        sum_a, sum_b = block.sum_a, block.sum_b
-        perp = np.maximum(sum_a - block.cross / sum_b, 0.0)
-        numer = sum_b * sum_a
-        outage = numer < two2r * (sum_b + shift) * perp
-        return int(np.count_nonzero(outage))
-
-    return _to_estimate(sum(_map_chunks(run_chunk, mc)), mc.trials)

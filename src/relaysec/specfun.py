@@ -12,40 +12,31 @@ library:
   Recipes, 3rd ed., section 6.6);
 - ``integrate_semi_infinite``, a globally adaptive Gauss-Kronrod 7-15 rule
   on the substitution z = lower + u/(1-u), with QUADPACK's error estimate
-  (Piessens et al., QUADPACK, 1983).
+  (Piessens et al., QUADPACK, 1983), held to one tolerance contract:
+  ``ABS_TOL``, ``REL_TOL`` and ``MAX_SUBDIVISIONS``.
+
+Like ``analytic``, this module is a leaf: it imports nothing from the
+package.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Callable
 
 _EULER_GAMMA = 0.57721566490153286
 _EPS = math.ulp(1.0)
 
+# The tolerance contract of every semi-infinite quadrature.
+ABS_TOL = 1e-10
+REL_TOL = 1e-8
+MAX_SUBDIVISIONS = 200
+
 
 class ConvergenceError(RuntimeError):
     """Raised when an adaptive quadrature cannot meet its tolerance contract."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance contract for the semi-infinite quadratures."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
 
 
 def exp_scaled_e1(y: float) -> float:
@@ -161,15 +152,14 @@ _GAUSS = (0.417959183673469387755102040816327, *(w for w in _G7_W for _ in (0, 1
 def integrate_semi_infinite(
     f: Callable[[float], float],
     lower: float,
-    spec: QuadratureSpec | None = None,
     focus: "list[float] | None" = None,
 ) -> float:
-    """Integrate f over [lower, inf) to the tolerances in ``spec``.
+    """Integrate f over [lower, inf) to the module's tolerance contract.
 
     The interval is mapped to (0, 1) with z = lower + u/(1-u), and the
     subinterval with the largest error estimate is bisected until the
-    summed estimate falls to max(abs_tol, rel_tol*|I|) or there are
-    ``spec.max_subdivisions`` subintervals.  The substitution (rather than
+    summed estimate falls to max(ABS_TOL, REL_TOL*|I|) or there are
+    ``MAX_SUBDIVISIONS`` subintervals.  The substitution (rather than
     tail truncation) keeps slowly decaying exponential tails accurate even
     when the decay length is several orders of magnitude.
 
@@ -180,9 +170,6 @@ def integrate_semi_infinite(
     Raises ``ConvergenceError`` when the error estimate ends above ten
     times the tolerance or is not finite.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-
     def rule(a: float, b: float) -> tuple[float, float]:
         """GK15 value and QUADPACK error estimate of the mapped integrand on [a, b]."""
         centre = 0.5 * (a + b)
@@ -211,7 +198,7 @@ def integrate_semi_infinite(
         total += value
         error += err
     heapq.heapify(heap)
-    while error > max(spec.abs_tol, spec.rel_tol * abs(total)) and len(heap) < spec.max_subdivisions:
+    while error > max(ABS_TOL, REL_TOL * abs(total)) and len(heap) < MAX_SUBDIVISIONS:
         neg_err, a, b, value = heap[0]
         mid = 0.5 * (a + b)
         if not a < mid < b:
@@ -224,7 +211,7 @@ def integrate_semi_infinite(
         error += left_err + right_err + neg_err
     total = math.fsum(entry[3] for entry in heap)
     error = math.fsum(-entry[0] for entry in heap)
-    if not error <= max(spec.abs_tol, spec.rel_tol * abs(total)) * 10.0:
+    if not error <= max(ABS_TOL, REL_TOL * abs(total)) * 10.0:
         raise ConvergenceError(
             f"semi-infinite quadrature from {lower} reached error {error:.3e} "
             f"after {len(heap)} subdivisions; tolerance not met"

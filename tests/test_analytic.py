@@ -19,8 +19,29 @@ import scipy.special
 from relaysec import LinkGains, McConfig, PowerAllocation, SchemeId, SystemParams, db_to_linear
 from relaysec import analytic
 from relaysec.analytic import UnsupportedAnalytic
+from relaysec.cli import main
 from relaysec.model import Scheme, SelectionMode, derived_coefficients
 from relaysec.montecarlo import estimate_sop
+
+
+def cj_floor_quad_oracle(gains, params):
+    """Full-array CJ high-SNR floor, 1 - T^{-(K-1)} E[(W/(W+d))^{K-1}], by QUADPACK.
+
+    W is Erlang-K at unit scale and d = K (gamma_ar + gamma_rb) / gamma_rb;
+    the expectation is split at the Erlang peak so QUADPACK cannot step over it.
+    """
+    k = params.k_antennas
+    log_t = 2.0 * params.rate * math.log(2.0)
+    d = k * (gains.gamma_ar + gains.gamma_rb) / gains.gamma_rb
+
+    def f(w):
+        return math.exp(
+            (k - 1) * (2.0 * math.log(w) - math.log(w + d) - log_t) - w - math.lgamma(k)
+        )
+
+    head = scipy.integrate.quad(f, 0.0, k, epsabs=1e-14, epsrel=1e-13, limit=500)[0]
+    tail = scipy.integrate.quad(f, k, math.inf, epsabs=1e-14, epsrel=1e-13, limit=500)[0]
+    return 1.0 - (head + tail)
 
 
 def dt_select_beta_oracle(gains, params):
@@ -529,8 +550,14 @@ class TestRegressionPoints:
 
 
 class TestLimits:
-    def test_cj_high_snr_is_zero(self, fig1_gains):
+    def test_cj_high_snr_is_zero(self, fig1_gains, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("K = 1 needs no integral")
+
+        monkeypatch.setattr(analytic.specfun, "integrate_semi_infinite", no_quadrature)
         assert analytic.limits(fig1_gains, SystemParams(rho=1.0), "cj_high_snr") == 0.0
+        extreme = LinkGains(1.0, db_to_linear(40.0), db_to_linear(-40.0))
+        assert analytic.limits(extreme, SystemParams(rho=1.0, rate=4.0), "cj_high_snr") == 0.0
 
     def test_af_high_snr_matches_exact(self, fig1_gains):
         params = SystemParams(rho=db_to_linear(80.0), rate=0.1)
@@ -573,21 +600,33 @@ class TestLimits:
         with pytest.raises(ValueError):
             analytic.limits(fig1_gains, SystemParams(rho=1.0), "nonsense")
 
-    def test_cj_multi_high_snr_needs_mc(self, fig6_gains):
+    def test_cj_multi_high_snr_is_an_unknown_selector(self, fig6_gains, capsys):
+        # cj_high_snr covers every K, so the separate full-array selector is gone.
         params = SystemParams(rho=1.0, rate=0.1, k_antennas=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="known: dt_high_snr, .*cj_high_snr, "):
             analytic.limits(fig6_gains, params, "cj_multi_high_snr")
-        with pytest.raises(ValueError):
-            analytic.limits(fig6_gains, SystemParams(rho=1.0, k_antennas=2), "cj_high_snr")
+        argv = ["point", "--scheme", "cj", "--k", "2", "--method", "asymptotic",
+                "--limit", "cj_multi_high_snr"]
+        assert main(argv) == 3
+        assert "unsupported limit selector 'cj_multi_high_snr'" in capsys.readouterr().err
 
     def test_cj_multi_high_snr_matches_exact_at_large_snr(self, fig6_gains):
         mc = McConfig(trials=150_000, seed=13)
         params = SystemParams(
             rho=db_to_linear(60.0), rate=0.1, k_antennas=2, scheme=SchemeId(Scheme.CJ)
         )
-        const = analytic.limits(fig6_gains, params, "cj_multi_high_snr", mc=mc)
+        const = analytic.limits(fig6_gains, params, "cj_high_snr")
         exact = estimate_sop(fig6_gains, params, mc)
         assert abs(const - exact.value) < max(6.0 * exact.stderr, 0.005)
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 64, 1024])
+    def test_cj_high_snr_floor_matches_quadpack(self, k):
+        for gains_db, rate in (((5.0, 0.0, 10.0), 0.1), ((0.0, 20.0, -10.0), 0.0),
+                               ((0.0, -20.0, 30.0), 0.0), ((-5.0, 3.0, 1.0), 1.45)):
+            gains = LinkGains(*(db_to_linear(v) for v in gains_db))
+            params = SystemParams(rho=db_to_linear(60.0), rate=rate, k_antennas=k)
+            floor = analytic.limits(gains, params, "cj_high_snr")
+            assert floor == pytest.approx(cj_floor_quad_oracle(gains, params), rel=1e-9, abs=0.0)
 
 
 class TestDispatch:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, CSV schema, exit codes, validation."""
 
+import ast
 import csv
 import hashlib
 import inspect
@@ -7,6 +8,8 @@ import io
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +65,19 @@ class TestCsvSchema:
         assert code == 0
         ratio = float(err.split("|delta|/stderr=")[1].split()[0])
         assert ratio < 4.0
+
+    def test_full_array_cj_floor_ignores_trials_and_seed(self, capsys):
+        argv = ["point", "--scheme", "cj", "--k", "4", "--rho-db", "60", "--gab-db", "5",
+                "--grb-db", "10", "--method", "asymptotic"]
+        outs = []
+        for budget in (["--trials", "10"], ["--trials", "4096", "--seed", "9"]):
+            code, out, err = run_cli([*argv, *budget], capsys)
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+        (row,) = csv.DictReader(io.StringIO(outs[0]))
+        assert (row["method"], row["stderr"], row["trials"]) == ("asymptotic", "0", "0")
+        assert float(row["sop"]) == pytest.approx(0.927610230312222, abs=1e-9)
 
 
 class TestExitCodes:
@@ -181,6 +197,23 @@ class TestExitCodes:
         cj = [float(r["sop"]) for r in rows if r["scheme"] == "cj"]
         assert cj and all(sop == 0.0 for sop in cj)
 
+    def test_failed_pass_closes_the_out_file(self, monkeypatch, tmp_path, capsys):
+        opened = []
+
+        def spy_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("simulation failed")
+
+        monkeypatch.setattr(cli, "open", spy_open, raising=False)
+        monkeypatch.setattr(cli, "estimate_sop_many", fail)
+        with pytest.raises(RuntimeError, match="simulation failed"):
+            main(["figure", "2", "--trials", "64", "--out", str(tmp_path / "rows.csv")])
+        assert len(opened) == 1 and opened[0].closed
+        assert (tmp_path / "rows.csv").read_text() == CSV_COLUMNS + "\n"
+
     def test_selection_beyond_64_antennas(self, capsys):
         code, out, _ = run_cli(
             ["point", "--k", "65", "--mode", "select-csi", "--method", "analytic"], capsys
@@ -225,7 +258,21 @@ class TestImports:
                 ("af", "select-csi", "4"), ("af", "select-nocsi", "4"), ("cj", "select-nocsi", "4"),
             )
         ]
-        assert self._scipy_modules_after(*points, ["figure", "2", "--trials", "64"]) == "[]"
+        floor = ["point", "--method", "asymptotic", "--scheme", "cj", "--k", "4"]
+        assert self._scipy_modules_after(*points, floor, ["figure", "2", "--trials", "64"]) == "[]"
+
+    @pytest.mark.parametrize("module", [analytic, specfun], ids=["analytic", "specfun"])
+    def test_closed_form_layer_imports_no_simulator(self, module):
+        # Checked on the source, so an import inside a function counts too.
+        tree = ast.parse(Path(inspect.getfile(module)).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[-1])
+                imported.update(alias.name for alias in node.names)
+        assert not imported & {"montecarlo", "powerallo", "cli"}
 
 
 class TestTracedNames:
@@ -322,6 +369,16 @@ class TestFigureCommand:
         # The settle step reads a searched scheme's full-power estimate from its montecarlo row.
         for preset in FIGURE_PRESETS.values():
             assert set(preset.power_opt) <= set(preset.schemes)
+
+    def test_every_preset_closed_form_evaluates(self):
+        # The figure runner writes a row for every analytic scheme at every
+        # point; none of them may be a Monte-Carlo-only variant.
+        for preset in FIGURE_PRESETS.values():
+            for point in preset.points:
+                gains, params = preset.base.at(preset.axis, point).link(cli.DEFAULT_RATE)
+                for scheme in preset.analytic_schemes:
+                    value = analytic.analytic_sop(gains, replace(params, scheme=scheme))
+                    assert 0.0 <= value <= 1.0
 
     def test_figure_three_dataset(self, tmp_path, capsys):
         out_path = tmp_path / "fig3.csv"

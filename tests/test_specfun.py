@@ -20,7 +20,6 @@ from relaysec import analytic, specfun
 from relaysec.model import LinkGains, Scheme, SchemeId, SelectionMode, SystemParams
 from relaysec.specfun import (
     ConvergenceError,
-    QuadratureSpec,
     bessel_k1,
     exp_scaled_e1,
     integrate_semi_infinite,
@@ -171,32 +170,30 @@ class TestSemiInfiniteQuadrature:
     def test_shifted_exponential_family(self):
         # Closed-form antiderivative on randomized (scale, lower) pairs.
         rng = np.random.default_rng(11)
-        spec = QuadratureSpec()
         for _ in range(100):
             gamma = float(10.0 ** rng.uniform(-2.0, 4.0))
             lower = float(rng.uniform(0.0, 5.0 * gamma))
-            got = integrate_semi_infinite(lambda z: math.exp(-z / gamma), lower, spec)
+            got = integrate_semi_infinite(lambda z: math.exp(-z / gamma), lower)
             expected = gamma * math.exp(-lower / gamma)
-            assert got == pytest.approx(expected, rel=spec.rel_tol * 50)
+            assert got == pytest.approx(expected, rel=specfun.REL_TOL * 50)
 
     def test_focus_points_pass_through(self):
         got = integrate_semi_infinite(lambda z: math.exp(-z), 0.0, focus=[0.3, 2.0, math.inf])
         assert got == pytest.approx(1.0, abs=1e-10)
 
-    def test_convergence_error(self):
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=1)
+    @staticmethod
+    def _tighten(monkeypatch, max_subdivisions):
+        """The tolerance contract at 1e-12 with ``max_subdivisions`` subintervals."""
+        monkeypatch.setattr(specfun, "ABS_TOL", 1e-12)
+        monkeypatch.setattr(specfun, "REL_TOL", 1e-12)
+        monkeypatch.setattr(specfun, "MAX_SUBDIVISIONS", max_subdivisions)
+
+    def test_convergence_error(self, monkeypatch):
+        self._tighten(monkeypatch, 1)
         with pytest.raises(ConvergenceError):
-            integrate_semi_infinite(lambda z: math.exp(-z / 1000.0) * math.sin(z) ** 2, 0.0, spec)
+            integrate_semi_infinite(lambda z: math.exp(-z / 1000.0) * math.sin(z) ** 2, 0.0)
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
-
-    def test_max_subdivisions_is_honoured(self):
+    def test_max_subdivisions_is_honoured(self, monkeypatch):
         # Every bisection evaluates two new halves of 15 nodes each, so N
         # subintervals cost 15 * (2N - 1) evaluations when none converges.
         calls = []
@@ -207,16 +204,16 @@ class TestSemiInfiniteQuadrature:
 
         for n in (1, 2, 7, 40):
             calls.clear()
-            spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=n)
+            self._tighten(monkeypatch, n)
             with pytest.raises(ConvergenceError, match=f"after {n} subdivisions"):
-                integrate_semi_infinite(f, 0.0, spec)
+                integrate_semi_infinite(f, 0.0)
             assert len(calls) == 15 * (2 * n - 1)
 
-    def test_focus_intervals_count_towards_the_limit(self):
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=4)
+    def test_focus_intervals_count_towards_the_limit(self, monkeypatch):
+        self._tighten(monkeypatch, 4)
         with pytest.raises(ConvergenceError, match="after 4 subdivisions"):
             integrate_semi_infinite(
-                lambda z: math.exp(-z / 1000.0) * math.sin(z) ** 2, 0.0, spec, focus=[1.0, 2.0, 3.0]
+                lambda z: math.exp(-z / 1000.0) * math.sin(z) ** 2, 0.0, focus=[1.0, 2.0, 3.0]
             )
 
     def test_non_finite_integrand_raises(self):
@@ -256,14 +253,13 @@ class TestClosedFormIntegrands:
     def test_agrees_with_quadpack(self, scheme, mode, k_range, monkeypatch):
         seen = []
 
-        def recording(f, lower, spec=None, focus=None):
-            value = integrate_semi_infinite(f, lower, spec, focus)
+        def recording(f, lower, focus=None):
+            value = integrate_semi_infinite(f, lower, focus)
             seen.append((f, lower, focus, value))
             return value
 
         monkeypatch.setattr(specfun, "integrate_semi_infinite", recording)
         rng = np.random.default_rng(2024)
-        spec = QuadratureSpec()
         for _ in range(12):
             gab, gar, grb = 10.0 ** rng.uniform(-2.0, 2.0, size=3)
             params = SystemParams(
@@ -274,4 +270,4 @@ class TestClosedFormIntegrands:
         assert len(seen) == 12
         for f, lower, focus, value in seen:
             ref = _quadpack_oracle(f, lower, focus)
-            assert abs(value - ref) <= max(spec.abs_tol, spec.rel_tol * abs(ref)), (lower, focus)
+            assert abs(value - ref) <= max(specfun.ABS_TOL, specfun.REL_TOL * abs(ref)), (lower, focus)
