@@ -39,23 +39,7 @@ from .model import (
 
 
 class UnsupportedAnalytic(ValueError):
-    """Requested a closed form for a variant that is Monte Carlo only."""
-
-
-_LIMIT_SELECTORS = (
-    "dt_high_snr",
-    "af_high_snr",
-    "af_high_snr_printed",
-    "cj_high_snr",
-    "af_strong_second_hop",
-    "cj_strong_second_hop",
-    "af_weak_second_hop",
-    "cj_weak_second_hop",
-    "dt_weak_first_hop",
-    "af_weak_first_hop",
-    "cj_weak_first_hop",
-    "cj_select_nocsi_large_k",
-)
+    """Requested a closed form or limit that does not describe the variant."""
 
 
 def _ei_bracket(mu: float, beta: float) -> float:
@@ -101,11 +85,7 @@ def p_pos_cj(gains: LinkGains, params: SystemParams) -> float:
     return math.exp(-math.sqrt(s / params.rho) / gains.gamma_rb)
 
 
-def sop_cj_single(
-    gains: LinkGains,
-    params: SystemParams,
-    paper_printed_t: bool = False,
-) -> float:
+def sop_cj_single(gains: LinkGains, params: SystemParams) -> float:
     """Secrecy outage probability of cooperative jamming, single-antenna relay.
 
     With x = z / gamma_rb the second-hop gain is a unit exponential, so the
@@ -117,20 +97,19 @@ def sop_cj_single(
         SOP = -expm1(-t/gamma_rb)
               + int_{t/gamma_rb}^inf -expm1(-c / (gamma_ar phi(gamma_rb x))) e^{-x} dx.
 
-    ``paper_printed_t`` switches the integration threshold to the
-    uncorrected root constant; it exists only so the validation suite can
-    demonstrate that the uncorrected threshold breaks the zero-rate
-    complement identity.
+    At zero rate c = 0 and only the first term remains, a function of the
+    threshold alone, so the zero-rate complement 1 - P(positive secrecy)
+    pins t; the validation suite shows there that the paper's printed root
+    constant is wrong.
     """
     coef = derived_coefficients(gains, params)
-    t = threshold_t(gains, params, paper_printed=paper_printed_t)
+    t = coef.t
     c = 2.0 ** (2.0 * params.rate) - 1.0
     gar = gains.gamma_ar
     grb = gains.gamma_rb
     below = -math.expm1(-t / grb)
     # At zero rate the jamming-gain function drops out of the exponent
-    # exactly, so only the threshold term remains (this is what makes a
-    # wrong integration threshold visible as a complement failure).
+    # exactly, so only the threshold term remains.
     if c == 0.0:
         return below
 
@@ -360,20 +339,63 @@ def _cj_full_array_floor(gains: LinkGains, params: SystemParams) -> float:
     return min(1.0, max(0.0, 1.0 - expectation))
 
 
+_EVERY_MODE = frozenset(SelectionMode)
+
+# The variants each asymptotic limit describes: its scheme, and the antenna
+# modes it holds for at every K, or None for a limit that holds at K = 1
+# only, where every mode coincides.
+LIMIT_VARIANTS: dict[str, tuple[Scheme, frozenset[SelectionMode] | None]] = {
+    "dt_high_snr": (Scheme.DT, None),
+    "af_high_snr": (Scheme.AF, None),
+    "cj_high_snr": (Scheme.CJ, frozenset({SelectionMode.FULL_ARRAY})),
+    "cj_select_nocsi_large_k": (Scheme.CJ, frozenset({SelectionMode.SELECT_NOCSI})),
+    "af_strong_second_hop": (Scheme.AF, None),
+    "cj_strong_second_hop": (Scheme.CJ, None),
+    "af_weak_second_hop": (Scheme.AF, None),
+    "cj_weak_second_hop": (Scheme.CJ, _EVERY_MODE),
+    "dt_weak_first_hop": (Scheme.DT, _EVERY_MODE),
+    "af_weak_first_hop": (Scheme.AF, _EVERY_MODE),
+    "cj_weak_first_hop": (Scheme.CJ, _EVERY_MODE),
+}
+
+
+def _describes(which: str, params: SystemParams) -> bool:
+    scheme, modes = LIMIT_VARIANTS[which]
+    covered = params.k_antennas == 1 if modes is None else params.scheme.mode in modes
+    return params.scheme.scheme is scheme and covered
+
+
+def default_limit(params: SystemParams) -> str:
+    """The first of the high-SNR limits and the CJ no-CSI selection floor that
+    describes the variant ``params`` names; ``UnsupportedAnalytic`` if none does."""
+    for which in ("dt_high_snr", "af_high_snr", "cj_high_snr", "cj_select_nocsi_large_k"):
+        if _describes(which, params):
+            return which
+    raise UnsupportedAnalytic(f"no built-in asymptote for {params.scheme} with K={params.k_antennas}")
+
+
 def limits(gains: LinkGains, params: SystemParams, which: str) -> float:
     """Closed-form asymptotic outage values.
 
     Selectors describe the regime: ``*_high_snr`` (rho to infinity),
     ``*_strong_second_hop`` / ``*_weak_second_hop`` (gamma_rb limits),
     ``*_weak_first_hop`` (gamma_ar to zero) and ``cj_select_nocsi_large_k``
-    (antenna-selection floor).  ``cj_high_snr`` holds for every K: zero for
-    one antenna, the full-array outage floor for more.
+    (antenna-selection floor).  ``LIMIT_VARIANTS`` names the variants each
+    one describes.  ``cj_high_snr`` is zero for one antenna and the
+    full-array outage floor for more; ``af_high_snr`` is the actual
+    high-SNR limit of the exact AF outage, not the one the paper prints.
 
-    ``af_high_snr`` is the actual high-SNR limit of the exact AF outage;
-    ``af_high_snr_printed`` keeps the variant that reuses the
-    positive-secrecy beta coefficient inside the bracket, retained only so
-    the validation suite can pin how far it sits from the true limit.
+    Raises ``UnsupportedAnalytic`` for an unknown selector, and for one
+    that does not describe ``params.scheme`` at ``params.k_antennas``.
     """
+    if which not in LIMIT_VARIANTS:
+        raise UnsupportedAnalytic(
+            f"unsupported limit selector {which!r}; known: {', '.join(LIMIT_VARIANTS)}"
+        )
+    if not _describes(which, params):
+        raise UnsupportedAnalytic(
+            f"limit selector {which!r} does not describe {params.scheme} with K={params.k_antennas}"
+        )
     rho = params.rho
     two_r = 2.0 ** params.rate
     two2r = 2.0 ** (2.0 * params.rate)
@@ -382,11 +404,9 @@ def limits(gains: LinkGains, params: SystemParams, which: str) -> float:
 
     if which == "dt_high_snr":
         return 1.0 - gab / (two_r * gar + gab)
-    if which in ("af_high_snr", "af_high_snr_printed"):
-        mu1p = gar / grb
-        coef = derived_coefficients(gains, params)
-        beta = coef.beta1 if which == "af_high_snr_printed" else coef.beta2
-        return 1.0 - gab / (c * gar + gab) * _ei_bracket(mu1p, beta)
+    if which == "af_high_snr":
+        beta2 = derived_coefficients(gains, params).beta2
+        return 1.0 - gab / (c * gar + gab) * _ei_bracket(gar / grb, beta2)
     if which == "cj_high_snr":
         return _cj_full_array_floor(gains, params)
     if which == "af_strong_second_hop":
@@ -407,9 +427,7 @@ def limits(gains: LinkGains, params: SystemParams, which: str) -> float:
         return 1.0 - math.exp(-c / (rho * gab))
     if which == "cj_weak_first_hop":
         return 1.0
-    if which == "cj_select_nocsi_large_k":
-        return 1.0 - math.exp(-threshold_t(gains, params) / grb)
-    raise ValueError(f"unsupported limit selector {which!r}; known: {', '.join(_LIMIT_SELECTORS)}")
+    return 1.0 - math.exp(-threshold_t(gains, params) / grb)  # cj_select_nocsi_large_k
 
 
 def analytic_sop(gains: LinkGains, params: SystemParams) -> float:

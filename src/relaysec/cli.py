@@ -59,19 +59,9 @@ class NumericalError(Exception):
     pass
 
 
-_SCHEMES = {"dt": Scheme.DT, "af": Scheme.AF, "cj": Scheme.CJ}
-_MODES = {
-    "full": SelectionMode.FULL_ARRAY,
-    "select-csi": SelectionMode.SELECT_CSI,
-    "select-nocsi": SelectionMode.SELECT_NOCSI,
-}
-
-
 def _scheme_id(scheme: str, mode: str) -> SchemeId:
     try:
-        return SchemeId(_SCHEMES[scheme], _MODES[mode])
-    except KeyError as exc:
-        raise ConfigError(f"unknown scheme or mode: {exc}") from exc
+        return SchemeId(Scheme(scheme), SelectionMode(mode))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -177,6 +167,7 @@ _CJ_SEL_NOCSI = SchemeId(Scheme.CJ, SelectionMode.SELECT_NOCSI)
 class FigurePreset:
     """Rows along one axis: ``base`` fixes the setting (None where the axis
     sets the value) and each scheme tuple names the rows of one method.
+    An asymptote whose selector is None is its scheme's default limit.
     Every ``power_opt`` scheme is also in ``schemes``: its montecarlo row
     is the full-power baseline the search's winner is settled against."""
 
@@ -185,7 +176,7 @@ class FigurePreset:
     base: Setting
     schemes: tuple[SchemeId, ...]
     analytic_schemes: tuple[SchemeId, ...]
-    asymptotes: tuple[tuple[SchemeId, str], ...] = ()
+    asymptotes: tuple[tuple[SchemeId, str | None], ...] = ()
     power_opt: tuple[SchemeId, ...] = ()
 
 
@@ -265,8 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
     output.add_argument("--rate", type=float, default=DEFAULT_RATE, help="target secrecy rate")
     output.add_argument("--out", type=str, default=None, help="CSV output path (default stdout)")
     link = argparse.ArgumentParser(add_help=False)
-    link.add_argument("--scheme", choices=sorted(_SCHEMES), default="af")
-    link.add_argument("--mode", choices=sorted(_MODES), default="full")
+    link.add_argument("--scheme", choices=sorted(s.value for s in Scheme), default="af")
+    link.add_argument("--mode", choices=sorted(m.value for m in SelectionMode), default="full")
     link.add_argument("--k", type=int, default=1, help="relay antenna count")
     link.add_argument("--rho-db", type=float, default=20.0, help="transmit SNR [dB]")
     link.add_argument("--gab-db", type=float, default=0.0, help="mean gain Alice->Bob [dB]")
@@ -346,11 +337,6 @@ def _args_setting(args) -> Setting:
     return Setting(args.rho_db, args.gab_db, args.gar_db, args.grb_db, args.k)
 
 
-def _gains_params(args) -> tuple[Setting, LinkGains, SystemParams]:
-    setting = _args_setting(args)
-    return (setting, *setting.link(args.rate, _scheme_id(args.scheme, args.mode)))
-
-
 def _mc_config(args, default_trials: int = 1_000_000) -> McConfig:
     trials = args.trials if args.trials is not None else default_trials
     try:
@@ -371,31 +357,24 @@ def _csv_sink(args):
         yield CsvWriter(stream)
 
 
+def _point_text(setting: Setting, params: SystemParams) -> str:
+    return (
+        f"{params.scheme} K={params.k_antennas} rho_db={setting.rho_db:g} "
+        f"gab_db={setting.gab_db:g} gar_db={setting.gar_db:g} grb_db={setting.grb_db:g} "
+        f"rate={params.rate:g}"
+    )
+
+
 @contextmanager
 def _naming_point(setting: Setting, params: SystemParams):
-    """Report a quadrature that misses its tolerance as a NumericalError naming the point."""
+    """Report a variant with no closed form or limit as an UnsupportedCombination,
+    and a quadrature that misses its tolerance as a NumericalError naming the point."""
     try:
         yield
+    except UnsupportedAnalytic as exc:
+        raise UnsupportedCombination(f"{exc} (hint: rerun with --method montecarlo)") from exc
     except ConvergenceError as exc:
-        raise NumericalError(
-            f"{params.scheme} K={params.k_antennas} rho_db={setting.rho_db:g} "
-            f"gab_db={setting.gab_db:g} gar_db={setting.gar_db:g} grb_db={setting.grb_db:g} "
-            f"rate={params.rate:g}: {exc}"
-        ) from exc
-
-
-def _default_limit_selector(scheme: SchemeId) -> str:
-    if scheme.scheme is Scheme.DT and scheme.mode is SelectionMode.FULL_ARRAY:
-        return "dt_high_snr"
-    if scheme.scheme is Scheme.AF and scheme.mode is SelectionMode.FULL_ARRAY:
-        return "af_high_snr"
-    if scheme.scheme is Scheme.CJ and scheme.mode is SelectionMode.FULL_ARRAY:
-        return "cj_high_snr"
-    if scheme.scheme is Scheme.CJ and scheme.mode is SelectionMode.SELECT_NOCSI:
-        return "cj_select_nocsi_large_k"
-    raise UnsupportedCombination(
-        f"no built-in asymptote for {scheme}; use the montecarlo method instead"
-    )
+        raise NumericalError(f"{_point_text(setting, params)}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -403,46 +382,16 @@ def _default_limit_selector(scheme: SchemeId) -> str:
 # ---------------------------------------------------------------------------
 
 def run_point(args) -> int:
-    setting, gains, params = _gains_params(args)
-    mc = _mc_config(args)
-    rows: list[tuple[str, SopEstimate]] = []
-
-    analytic_est: SopEstimate | None = None
-    if args.method in ("analytic", "both"):
-        try:
-            with _naming_point(setting, params):
-                analytic_est = SopEstimate(value=analytic.analytic_sop(gains, params))
-        except UnsupportedAnalytic as exc:
-            raise UnsupportedCombination(
-                f"{exc} (hint: rerun with --method montecarlo)"
-            ) from exc
-        rows.append(("analytic", analytic_est))
-
-    if args.method in ("montecarlo", "both"):
-        mc_est = estimate_sop(gains, params, mc)
-        rows.append(("montecarlo", mc_est))
-        if analytic_est is not None:
-            delta = abs(analytic_est.value - mc_est.value)
-            ratio = delta / mc_est.stderr if mc_est.stderr > 0 else math.inf
-            print(
-                f"analytic={analytic_est.value:.6f} mc={mc_est.value:.6f} "
-                f"|delta|/stderr={ratio:.2f}",
-                file=sys.stderr,
-            )
-
-    if args.method == "asymptotic":
-        selector = args.limit or _default_limit_selector(params.scheme)
-        try:
-            with _naming_point(setting, params):
-                value = analytic.limits(gains, params, selector)
-        except ValueError as exc:
-            raise UnsupportedCombination(str(exc)) from exc
-        rows.append(("asymptotic", SopEstimate(value=value, method="asymptotic")))
-
-    with _csv_sink(args) as writer:
-        for method, est in rows:
-            writer.row(setting, params, method, est)
-    return 0
+    """A one-point preset built from the arguments."""
+    scheme = _scheme_id(args.scheme, args.mode)
+    method = args.method
+    preset = FigurePreset(
+        axis="rho_db", points=(args.rho_db,), base=_args_setting(args),
+        schemes=(scheme,) if method in ("montecarlo", "both") else (),
+        analytic_schemes=(scheme,) if method in ("analytic", "both") else (),
+        asymptotes=((scheme, args.limit),) if method == "asymptotic" else (),
+    )
+    return _run_preset(preset, args, "point", _mc_config(args))
 
 
 def _run_preset(
@@ -468,6 +417,7 @@ def _run_preset(
         for scheme, selector in preset.asymptotes:
             params = replace(base_params, scheme=scheme)
             with _naming_point(setting, params):
+                selector = selector or analytic.default_limit(params)
                 asymptotes.append((params, analytic.limits(gains, params, selector)))
         resolved.append((point, setting, gains, base_params, closed, asymptotes))
 
@@ -491,6 +441,8 @@ def _write_point(writer, preset, setting, gains, base_params, closed, asymptotes
     scores every scheme at full power, for the montecarlo rows, together
     with each search's winner, which is settled against its scheme's
     montecarlo row: that row is its full-power estimate on the same draws.
+    A point with no montecarlo row simulates nothing.  Each scheme with
+    both an analytic and a montecarlo row gets an agreement line on stderr.
     """
     params_list = [replace(base_params, scheme=s) for s in preset.schemes]
     winners = []
@@ -499,11 +451,18 @@ def _write_point(writer, preset, setting, gains, base_params, closed, asymptotes
             params = replace(base_params, scheme=scheme)
             alloc, _ = powerallo.minimize_sop(gains, params, opt_mc)
             winners.append(replace(params, power=alloc))
-    estimates = estimate_sop_many(gains, params_list + winners, mc)
+    estimates = estimate_sop_many(gains, params_list + winners, mc) if params_list else []
     full_power = dict(zip(preset.schemes, estimates))
 
     for params, value in closed:
         writer.row(setting, params, "analytic", SopEstimate(value=value))
+        if (mc_est := full_power.get(params.scheme)) is not None:
+            ratio = abs(value - mc_est.value) / mc_est.stderr if mc_est.stderr > 0 else math.inf
+            print(
+                f"{_point_text(setting, params)}: analytic={value:.6f} mc={mc_est.value:.6f} "
+                f"|delta|/stderr={ratio:.2f}",
+                file=sys.stderr,
+            )
     for params, est in zip(params_list, estimates):
         writer.row(setting, params, "montecarlo", est)
     for params, value in asymptotes:
@@ -549,7 +508,8 @@ def run_sweep(args) -> int:
 
 
 def run_power_opt(args) -> int:
-    setting, gains, params = _gains_params(args)
+    setting = _args_setting(args)
+    gains, params = setting.link(args.rate, _scheme_id(args.scheme, args.mode))
     mc = _mc_config(args)
     with block_scope():  # the full-power row reads the search's blocks
         try:
@@ -589,8 +549,8 @@ def _gains_db(gab_db: float, gar_db: float, grb_db: float) -> LinkGains:
     return LinkGains(db_to_linear(gab_db), db_to_linear(gar_db), db_to_linear(grb_db))
 
 
-def _at(rho_db: float, rate: float = DEFAULT_RATE) -> SystemParams:
-    return SystemParams(rho=db_to_linear(rho_db), rate=rate)
+def _at(rho_db: float, rate: float = DEFAULT_RATE, scheme: SchemeId = _DT) -> SystemParams:
+    return SystemParams(rho=db_to_linear(rho_db), rate=rate, scheme=scheme)
 
 
 def _check_points() -> tuple[tuple[LinkGains, float], ...]:
@@ -634,12 +594,13 @@ def _reduction(form: str, tol: float) -> Check:
         getattr(analytic, f"sop_{form}")(g, p) - getattr(analytic, f"sop_{form[:2]}_single")(g, p)))
 
 
-def _limit(name: str, form: str, gains: LinkGains, rho_db: float, which: str, tol: float) -> Check:
-    """``analytic.<form>`` within ``tol`` of the limit ``which`` at one setting."""
+def _limit(name: str, gains: LinkGains, rho_db: float, which: str, tol: float) -> Check:
+    """The single-antenna closed form of the scheme the limit ``which``
+    describes within ``tol`` of that limit at one setting."""
 
     def run(mc: McConfig) -> tuple[bool, str]:
-        params = _at(rho_db)
-        exact = getattr(analytic, form)(gains, params)
+        params = _at(rho_db, scheme=SchemeId(analytic.LIMIT_VARIANTS[which][0]))
+        exact = analytic.analytic_sop(gains, params)
         gap = abs(exact - analytic.limits(gains, params, which))
         return _within(f"|exact - limit| at {rho_db:g} dB", gap, tol)
 
@@ -656,14 +617,24 @@ def _threshold_root(mc: McConfig) -> tuple[bool, str]:
 
 
 def _printed_cj_threshold(mc: McConfig) -> tuple[bool, str]:
-    params = _at(10.0, rate=0.0)
-    wrong = analytic.sop_cj_single(_FIG1_GAINS, params, paper_printed_t=True)
-    return _beyond("misfit", abs(wrong - (1 - analytic.p_pos_cj(_FIG1_GAINS, params))), 0.01)
+    # At zero rate the CJ outage is -expm1(-t/gamma_rb).  The paper's root
+    # constant, 2 where phi(t) = 0 has 4, gives t = sqrt(s/(2 rho)) there,
+    # with s = gamma_ar + gamma_rb + 1/rho.
+    gains, params = _FIG1_GAINS, _at(10.0, rate=0.0)
+    s = gains.gamma_ar + gains.gamma_rb + 1.0 / params.rho
+    wrong = -math.expm1(-math.sqrt(s / (2.0 * params.rho)) / gains.gamma_rb)
+    return _beyond("misfit", abs(wrong - (1 - analytic.p_pos_cj(gains, params))), 0.01)
 
 
 def _printed_af_limit(mc: McConfig) -> tuple[bool, str]:
-    printed = analytic.limits(_FIG1_GAINS, _at(80.0), "af_high_snr_printed")
-    gap = abs(printed - analytic.limits(_FIG1_GAINS, _at(80.0), "af_high_snr"))
+    # The paper puts beta1, the positive-secrecy coefficient, in place of
+    # beta2 in the bracket of the high-SNR AF limit.
+    gains, params = _FIG1_GAINS, _at(80.0, scheme=_AF)
+    c = 2.0 ** (2.0 * params.rate) - 1.0
+    beta1 = derived_coefficients(gains, params).beta1
+    bracket = analytic._ei_bracket(gains.gamma_ar / gains.gamma_rb, beta1)
+    printed = 1.0 - gains.gamma_ab / (c * gains.gamma_ar + gains.gamma_ab) * bracket
+    gap = abs(printed - analytic.limits(gains, params, "af_high_snr"))
     return _beyond("|printed - limit| at 80 dB", gap, 0.01)
 
 
@@ -677,8 +648,8 @@ def _af_select_matches_mc(mc: McConfig) -> tuple[bool, str]:
 
 
 def _weak_first_hop_order(mc: McConfig) -> tuple[bool, str]:
-    dt, af = (analytic.limits(_WEAK_FIRST_HOP, _at(20.0), f"{scheme}_weak_first_hop")
-              for scheme in ("dt", "af"))
+    dt = analytic.limits(_WEAK_FIRST_HOP, _at(20.0, scheme=_DT), "dt_weak_first_hop")
+    af = analytic.limits(_WEAK_FIRST_HOP, _at(20.0, scheme=_AF), "af_weak_first_hop")
     return dt <= af, f"direct {dt:.4f} <= relaying {af:.4f}"
 
 
@@ -698,17 +669,14 @@ CHECKS: tuple[Check, ...] = (
     _reduction("af_multi", 1e-6),
     Check("antenna-selection AF closed form matches Monte Carlo", _af_select_matches_mc),
     _limit("high-SNR AF limit consistent with exact expression",
-           "sop_af_single", _FIG1_GAINS, 80.0, "af_high_snr", 1e-4),
+           _FIG1_GAINS, 80.0, "af_high_snr", 1e-4),
     Check("paper erratum: printed high-SNR AF limit misses the exact limit", _printed_af_limit),
-    _limit("high-SNR CJ outage vanishes", "sop_cj_single", _FIG1_GAINS, 50.0, "cj_high_snr", 0.02),
-    _limit("high-SNR DT limit", "sop_dt_single", _FIG1_GAINS, 50.0, "dt_high_snr", 0.005),
-    _limit("high-SNR AF limit", "sop_af_single", _FIG1_GAINS, 50.0, "af_high_snr", 0.005),
-    _limit("strong-second-hop CJ limit", "sop_cj_single", _gains_db(5.0, 0.0, 40.0), 15.0,
-           "cj_strong_second_hop", 0.01),
-    _limit("weak-first-hop DT limit", "sop_dt_single", _WEAK_FIRST_HOP, 20.0,
-           "dt_weak_first_hop", 0.005),
-    _limit("weak-first-hop AF limit", "sop_af_single", _WEAK_FIRST_HOP, 20.0,
-           "af_weak_first_hop", 0.005),
+    _limit("high-SNR CJ outage vanishes", _FIG1_GAINS, 50.0, "cj_high_snr", 0.02),
+    _limit("high-SNR DT limit", _FIG1_GAINS, 50.0, "dt_high_snr", 0.005),
+    _limit("high-SNR AF limit", _FIG1_GAINS, 50.0, "af_high_snr", 0.005),
+    _limit("strong-second-hop CJ limit", _gains_db(5.0, 0.0, 40.0), 15.0, "cj_strong_second_hop", 0.01),
+    _limit("weak-first-hop DT limit", _WEAK_FIRST_HOP, 20.0, "dt_weak_first_hop", 0.005),
+    _limit("weak-first-hop AF limit", _WEAK_FIRST_HOP, 20.0, "af_weak_first_hop", 0.005),
     Check("weak-first-hop limits order direct transmission below relaying", _weak_first_hop_order),
 )
 

@@ -118,12 +118,13 @@ class SystemParams:
     def __post_init__(self):
         if not (self.rho > 0 and math.isfinite(self.rho)):
             raise ValueError(f"rho must be strictly positive and finite, got {self.rho}")
-        if self.k_antennas < 1 or int(self.k_antennas) != self.k_antennas:
+        if not (1 <= self.k_antennas < math.inf and int(self.k_antennas) == self.k_antennas):
             raise ValueError(f"k_antennas must be an integer >= 1, got {self.k_antennas}")
         # Sweep points arrive as floats; array shapes and CSV rows need an int.
         object.__setattr__(self, "k_antennas", int(self.k_antennas))
-        if not (self.rate >= 0 and math.isfinite(self.rate)):
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
+        # The closed forms compute 2^{2R}, a finite float only for R < 512.
+        if not 0 <= self.rate < 512:
+            raise ValueError(f"rate must lie in [0, 512), got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -392,22 +393,19 @@ def sample_channel_block(gains: LinkGains, k: int, seed: int, chunk_index: int, 
     return block
 
 
-def threshold_t(gains: LinkGains, params: SystemParams, paper_printed: bool = False) -> float:
+def threshold_t(gains: LinkGains, params: SystemParams) -> float:
     """Positive root of phi(z) = 0, the jamming-gain threshold below which
     cooperative jamming is always in outage.
 
     Solving phi(z) = 0 gives rho*z^2 - (2^{2R}-1)*z - 2^{2R}*(gamma_ar +
-    gamma_rb + 1/rho) = 0, whose discriminant carries 4*rho*2^{2R}*(...).
-    ``paper_printed=True`` substitutes the (incorrect) constant
-    2*rho*2^{2R}*(...) so the discrepancy can be demonstrated; with it the
-    zero-rate outage no longer complements the positive-secrecy probability.
+    gamma_rb + 1/rho) = 0, whose discriminant carries 4*rho*2^{2R}*(...);
+    the paper prints 2 in place of 4.
     """
     rho = params.rho
     two2r = 2.0 ** (2.0 * params.rate)
     c = two2r - 1.0
     s = gains.gamma_ar + gains.gamma_rb + 1.0 / rho
-    factor = 2.0 if paper_printed else 4.0
-    return (c + math.sqrt(c * c + factor * rho * two2r * s)) / (2.0 * rho)
+    return (c + math.sqrt(c * c + 4.0 * rho * two2r * s)) / (2.0 * rho)
 
 
 def derived_coefficients(gains: LinkGains, params: SystemParams) -> DerivedCoefficients:

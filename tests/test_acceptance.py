@@ -166,7 +166,7 @@ class TestCriterion5AntennaGrowth:
         ]
         if not all(b <= a + 1e-12 for a, b in zip(floors, floors[1:])):
             problems.append(f"selection outage not nonincreasing in K: {floors}")
-        p64 = SystemParams(rho=db_to_linear(30.0), rate=0.1, k_antennas=64)
+        p64 = SystemParams(rho=db_to_linear(30.0), rate=0.1, k_antennas=64, scheme=_CJ_SEL_NOCSI)
         floor_gap = abs(
             analytic.sop_cj_select_nocsi(FIG6, p64)
             - analytic.limits(FIG6, p64, "cj_select_nocsi_large_k")

@@ -8,20 +8,46 @@ outage, and light Monte Carlo cross-checks (the full-budget calibration
 lives in the acceptance suite).
 """
 
+import itertools
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ALL_SCHEMES
 from relaysec import LinkGains, McConfig, PowerAllocation, SchemeId, SystemParams, db_to_linear
 from relaysec import analytic
 from relaysec.analytic import UnsupportedAnalytic
 from relaysec.cli import main
 from relaysec.model import Scheme, SelectionMode, derived_coefficients
 from relaysec.montecarlo import estimate_sop
+
+AF = SchemeId(Scheme.AF)
+CJ = SchemeId(Scheme.CJ)
+CJ_SEL_NOCSI = SchemeId(Scheme.CJ, SelectionMode.SELECT_NOCSI)
+EVERY_MODE = frozenset(SelectionMode)
+
+# The variants each asymptotic limit describes: its scheme, and the modes it
+# holds for at every K, or None where it holds at K = 1 only.
+LIMIT_SPEC = {
+    "dt_high_snr": (Scheme.DT, None),
+    "af_high_snr": (Scheme.AF, None),
+    "af_strong_second_hop": (Scheme.AF, None),
+    "cj_strong_second_hop": (Scheme.CJ, None),
+    "af_weak_second_hop": (Scheme.AF, None),
+    "cj_high_snr": (Scheme.CJ, {SelectionMode.FULL_ARRAY}),
+    "cj_select_nocsi_large_k": (Scheme.CJ, {SelectionMode.SELECT_NOCSI}),
+    "dt_weak_first_hop": (Scheme.DT, EVERY_MODE),
+    "af_weak_first_hop": (Scheme.AF, EVERY_MODE),
+    "cj_weak_first_hop": (Scheme.CJ, EVERY_MODE),
+    "cj_weak_second_hop": (Scheme.CJ, EVERY_MODE),
+}
 
 
 def cj_floor_quad_oracle(gains, params):
@@ -243,7 +269,7 @@ class TestAmplifyForwardSingle:
 
     def test_strong_second_hop_limit(self):
         gains = LinkGains(2.0, 1.0, 1e7)
-        params = SystemParams(rho=db_to_linear(15.0), rate=0.1)
+        params = SystemParams(rho=db_to_linear(15.0), rate=0.1, scheme=AF)
         assert analytic.sop_af_single(gains, params) == pytest.approx(
             analytic.limits(gains, params, "af_strong_second_hop"), abs=1e-5
         )
@@ -273,8 +299,11 @@ class TestCooperativeJammingSingle:
             )
 
     def test_uncorrected_threshold_breaks_complement(self, fig1_gains):
+        # At zero rate the outage is -expm1(-t/gamma_rb), and the paper's
+        # root constant gives t = sqrt(s/(2 rho)), s = gamma_ar + gamma_rb + 1/rho.
         p0 = SystemParams(rho=db_to_linear(10.0), rate=0.0)
-        wrong = analytic.sop_cj_single(fig1_gains, p0, paper_printed_t=True)
+        s = fig1_gains.gamma_ar + fig1_gains.gamma_rb + 1.0 / p0.rho
+        wrong = -math.expm1(-math.sqrt(s / (2.0 * p0.rho)) / fig1_gains.gamma_rb)
         assert abs(wrong - (1.0 - analytic.p_pos_cj(fig1_gains, p0))) > 0.01
 
     def test_dead_first_hop_outage(self):
@@ -463,7 +492,7 @@ class TestSelectionCooperativeJamming:
             )
 
     def test_large_k_floor(self, fig6_gains):
-        params = SystemParams(rho=db_to_linear(30.0), rate=0.1, k_antennas=64)
+        params = SystemParams(rho=db_to_linear(30.0), rate=0.1, k_antennas=64, scheme=CJ_SEL_NOCSI)
         floor = analytic.limits(fig6_gains, params, "cj_select_nocsi_large_k")
         assert abs(analytic.sop_cj_select_nocsi(fig6_gains, params) - floor) < 0.01
 
@@ -555,32 +584,37 @@ class TestLimits:
             raise AssertionError("K = 1 needs no integral")
 
         monkeypatch.setattr(analytic.specfun, "integrate_semi_infinite", no_quadrature)
-        assert analytic.limits(fig1_gains, SystemParams(rho=1.0), "cj_high_snr") == 0.0
+        assert analytic.limits(fig1_gains, SystemParams(rho=1.0, scheme=CJ), "cj_high_snr") == 0.0
         extreme = LinkGains(1.0, db_to_linear(40.0), db_to_linear(-40.0))
-        assert analytic.limits(extreme, SystemParams(rho=1.0, rate=4.0), "cj_high_snr") == 0.0
+        params = SystemParams(rho=1.0, rate=4.0, scheme=CJ)
+        assert analytic.limits(extreme, params, "cj_high_snr") == 0.0
 
     def test_af_high_snr_matches_exact(self, fig1_gains):
-        params = SystemParams(rho=db_to_linear(80.0), rate=0.1)
+        params = SystemParams(rho=db_to_linear(80.0), rate=0.1, scheme=AF)
         lim = analytic.limits(fig1_gains, params, "af_high_snr")
         assert analytic.sop_af_single(fig1_gains, params) == pytest.approx(lim, abs=1e-5)
 
     def test_af_high_snr_printed_variant_differs(self, fig1_gains):
-        params = SystemParams(rho=db_to_linear(50.0), rate=0.1)
+        params = SystemParams(rho=db_to_linear(50.0), rate=0.1, scheme=AF)
         lim = analytic.limits(fig1_gains, params, "af_high_snr")
-        printed = analytic.limits(fig1_gains, params, "af_high_snr_printed")
+        # The paper puts beta1 in place of beta2 in the bracket.
+        gab, gar, grb = fig1_gains.gamma_ab, fig1_gains.gamma_ar, fig1_gains.gamma_rb
+        c = 2.0 ** (2.0 * params.rate) - 1.0
+        beta1 = derived_coefficients(fig1_gains, params).beta1
+        printed = 1.0 - gab / (c * gar + gab) * analytic._ei_bracket(gar / grb, beta1)
         assert abs(printed - lim) > 0.01  # the as-printed coefficient is inconsistent
 
     def test_strong_second_hop_bessel(self):
         gains_far = LinkGains(db_to_linear(5.0), 1.0, db_to_linear(40.0))
-        params = SystemParams(rho=db_to_linear(15.0), rate=0.1)
+        params = SystemParams(rho=db_to_linear(15.0), rate=0.1, scheme=CJ)
         lim = analytic.limits(gains_far, params, "cj_strong_second_hop")
         assert abs(analytic.sop_cj_single(gains_far, params) - lim) < 0.01
 
     def test_strong_second_hop_at_zero_rate_is_zero(self, fig1_gains):
         # x = sqrt(4c/(rho gar)) is 0 at zero rate, where x K1(x) -> 1.
-        params = SystemParams(rho=db_to_linear(10.0), rate=0.0)
+        params = SystemParams(rho=db_to_linear(10.0), rate=0.0, scheme=CJ)
         assert analytic.limits(fig1_gains, params, "cj_strong_second_hop") == 0.0
-        near = SystemParams(rho=db_to_linear(10.0), rate=1e-9)
+        near = SystemParams(rho=db_to_linear(10.0), rate=1e-9, scheme=CJ)
         assert analytic.limits(fig1_gains, near, "cj_strong_second_hop") == pytest.approx(0.0, abs=1e-6)
 
     def test_weak_first_hop_ordering(self):
@@ -588,11 +622,11 @@ class TestLimits:
         for rate in (0.05, 0.1, 0.5, 1.0):
             params = SystemParams(rho=db_to_linear(20.0), rate=rate)
             dt = analytic.limits(gains, params, "dt_weak_first_hop")
-            af = analytic.limits(gains, params, "af_weak_first_hop")
+            af = analytic.limits(gains, replace(params, scheme=AF), "af_weak_first_hop")
             assert dt <= af
 
     def test_degenerate_limits(self, fig1_gains):
-        params = SystemParams(rho=10.0, rate=0.1)
+        params = SystemParams(rho=10.0, rate=0.1, scheme=CJ)
         assert analytic.limits(fig1_gains, params, "cj_weak_second_hop") == 1.0
         assert analytic.limits(fig1_gains, params, "cj_weak_first_hop") == 1.0
 
@@ -624,9 +658,36 @@ class TestLimits:
         for gains_db, rate in (((5.0, 0.0, 10.0), 0.1), ((0.0, 20.0, -10.0), 0.0),
                                ((0.0, -20.0, 30.0), 0.0), ((-5.0, 3.0, 1.0), 1.45)):
             gains = LinkGains(*(db_to_linear(v) for v in gains_db))
-            params = SystemParams(rho=db_to_linear(60.0), rate=rate, k_antennas=k)
+            params = SystemParams(rho=db_to_linear(60.0), rate=rate, k_antennas=k, scheme=CJ)
             floor = analytic.limits(gains, params, "cj_high_snr")
             assert floor == pytest.approx(cj_floor_quad_oracle(gains, params), rel=1e-9, abs=0.0)
+
+
+    def test_selectors_are_the_specified_ones(self):
+        assert set(analytic.LIMIT_VARIANTS) == set(LIMIT_SPEC)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        k=st.integers(2, 1024),
+        gains_db=st.tuples(*[st.floats(-40.0, 40.0)] * 3),
+        rho_db=st.floats(-10.0, 60.0),
+        rate=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+    )
+    def test_in_range_or_unsupported_as_specified(self, k, gains_db, rho_db, rate):
+        # Every selector on every variant, at K = 1 and at a drawn K > 1.
+        gains = LinkGains(*(db_to_linear(v) for v in gains_db))
+        for scheme, k_antennas in itertools.product(ALL_SCHEMES, (1, k)):
+            params = SystemParams(
+                rho=db_to_linear(rho_db), rate=rate, k_antennas=k_antennas, scheme=scheme
+            )
+            for which, (limit_scheme, modes) in LIMIT_SPEC.items():
+                in_mode = k_antennas == 1 if modes is None else scheme.mode in modes
+                if scheme.scheme is limit_scheme and in_mode:
+                    value = analytic.limits(gains, params, which)
+                    assert math.isfinite(value) and 0.0 <= value <= 1.0, (which, params)
+                else:
+                    with pytest.raises(UnsupportedAnalytic):
+                        analytic.limits(gains, params, which)
 
 
 class TestDispatch:

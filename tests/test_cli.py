@@ -110,7 +110,7 @@ class TestExitCodes:
         code, _, _ = run_cli(["point", "--scheme", "dt", "--mode", "select-nocsi"], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("points", ["1.5", "0", "1,2.5"])
+    @pytest.mark.parametrize("points", ["1.5", "0", "1,2.5", "1,inf"])
     def test_sweep_rejects_non_integral_antenna_counts(self, points, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
         code, out, err = run_cli(
@@ -138,6 +138,8 @@ class TestExitCodes:
         (["figure", "2", "--trials", "64", "--power-opt-trials", "0"], "--power-opt-trials"),
         (["figure", "1", "--trials", "64", "--skip-power-opt", "--power-opt-trials", "-3"],
          "--power-opt-trials"),
+        (["figure", "1", "--trials", "64", "--rate", "1e6"], "rate"),
+        (["point", "--rate", "1e308", "--method", "analytic"], "rate"),
     ])
     def test_bad_value_names_its_flag(self, argv, flag, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -196,6 +198,35 @@ class TestExitCodes:
         rows = [r for r in csv.DictReader(io.StringIO(out)) if r["method"] == "asymptotic"]
         cj = [float(r["sop"]) for r in rows if r["scheme"] == "cj"]
         assert cj and all(sop == 0.0 for sop in cj)
+
+    @pytest.mark.parametrize("argv", [
+        ["--scheme", "dt", "--k", "4"],
+        ["--scheme", "af", "--k", "4"],
+        ["--scheme", "af", "--k", "4", "--mode", "select-csi", "--limit", "af_high_snr"],
+        ["--scheme", "dt", "--k", "4", "--limit", "cj_high_snr"],
+        ["--scheme", "af", "--limit", "af_high_snr_printed"],
+    ])
+    def test_limit_that_does_not_describe_the_variant_exits_three(self, argv, tmp_path, capsys):
+        out_path = tmp_path / "rows.csv"
+        code, out, err = run_cli(
+            ["point", *argv, "--rho-db", "60", "--method", "asymptotic", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 3
+        assert err.startswith("unsupported combination:") and "montecarlo" in err
+        assert out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("scheme", ["dt", "af"])
+    def test_single_antenna_limit_holds_in_every_mode(self, scheme, capsys):
+        rows = []
+        for mode in ("full", "select-csi"):
+            code, out, err = run_cli(
+                ["point", "--scheme", scheme, "--mode", mode, "--method", "asymptotic"], capsys
+            )
+            assert code == 0, err
+            rows.append(out.splitlines()[1].split(",")[2:])
+        assert rows[0] == rows[1]
 
     def test_failed_pass_closes_the_out_file(self, monkeypatch, tmp_path, capsys):
         opened = []
@@ -371,14 +402,26 @@ class TestFigureCommand:
             assert set(preset.power_opt) <= set(preset.schemes)
 
     def test_every_preset_closed_form_evaluates(self):
-        # The figure runner writes a row for every analytic scheme at every
-        # point; none of them may be a Monte-Carlo-only variant.
+        # The figure runner writes a row for every analytic scheme and every
+        # asymptote at every point; none of them may be a Monte-Carlo-only
+        # variant or a limit that does not describe its scheme.
         for preset in FIGURE_PRESETS.values():
             for point in preset.points:
                 gains, params = preset.base.at(preset.axis, point).link(cli.DEFAULT_RATE)
                 for scheme in preset.analytic_schemes:
                     value = analytic.analytic_sop(gains, replace(params, scheme=scheme))
                     assert 0.0 <= value <= 1.0
+                for scheme, selector in preset.asymptotes:
+                    value = analytic.limits(gains, replace(params, scheme=scheme), selector)
+                    assert 0.0 <= value <= 1.0
+
+    def test_agreement_line_per_point_and_scheme(self, capsys):
+        code, _, err = run_cli(["figure", "2", "--trials", "64"], capsys)
+        assert code == 0
+        lines = [line for line in err.splitlines() if "|delta|/stderr=" in line]
+        preset = FIGURE_PRESETS[2]
+        assert len(lines) == len(preset.points) * len(preset.analytic_schemes)
+        assert lines[0].startswith("dt/full K=1 rho_db=15 gab_db=5 gar_db=0 grb_db=-10 rate=0.1: ")
 
     def test_figure_three_dataset(self, tmp_path, capsys):
         out_path = tmp_path / "fig3.csv"

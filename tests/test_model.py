@@ -387,6 +387,10 @@ class TestDerivedCoefficients:
         assert coef.beta2 >= 1.0
 
     def test_uncorrected_threshold_is_smaller(self):
+        # The paper prints 2 where the discriminant of phi(z) = 0 has 4.
         gains = LinkGains(1.0, 1.0, 3.0)
         params = SystemParams(rho=100.0, rate=0.1)
-        assert threshold_t(gains, params, paper_printed=True) < threshold_t(gains, params)
+        two2r = 2.0 ** (2.0 * params.rate)
+        c, s = two2r - 1.0, gains.gamma_ar + gains.gamma_rb + 1.0 / params.rho
+        printed = (c + math.sqrt(c * c + 2.0 * params.rho * two2r * s)) / (2.0 * params.rho)
+        assert printed < threshold_t(gains, params)

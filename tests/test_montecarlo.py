@@ -428,7 +428,7 @@ class TestSweep:
             capsys,
         )
         base_gains = LinkGains(1.0, db_to_linear(2.0), 1.0)
-        base = SystemParams(rho=db_to_linear(10.0), rate=0.1)
+        base = SystemParams(rho=db_to_linear(10.0), rate=0.1, scheme=SchemeId(Scheme.CJ))
         limit = analytic.limits(base_gains, base, "cj_strong_second_hop")
         assert [(r["gab_db"], r["grb_db"]) for r in rows] == [("35", "35"), ("40", "40")]
         for row in rows:
