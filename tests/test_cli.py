@@ -525,6 +525,26 @@ GOLDEN_RUNS = [
         45, "b5a1443c39f875b6c3d01deb8815b008f963ccf2ed94ec0a0374e1f00cb16faf",
         id="figure-7-two-chunks",
     ),
+    # Two chunks along an antenna axis and along a gain axis, and an antenna
+    # axis out of order: each block is the same whichever blocks of its
+    # chunk were drawn before it.
+    pytest.param(
+        ["figure", "8", "--trials", "131072", "--skip-power-opt"],
+        80, "6fbe744984276bc94e5f85907babd946c4f9e7a5543c94e633efa87829151d43",
+        id="figure-8-two-chunks",
+    ),
+    pytest.param(
+        ["figure", "3", "--trials", "131072"],
+        45, "13a833dab484ebb1fe891289d43c1c96726e02eb4e24dfa9542b4d6c0c7d772d",
+        id="figure-3-two-chunks",
+    ),
+    pytest.param(
+        ["sweep", "--axis", "k_antennas", "--points", "4,2,6,1", "--schemes",
+         "dt,af,cj,dt:select-csi,af:select-csi,af:select-nocsi,cj:select-csi,cj:select-nocsi",
+         "--trials", "70000"],
+        32, "929d3da80905ac11b092759798685222d8528528bf4c17d34edbddbb8f0216a0",
+        id="sweep-k-out-of-order",
+    ),
 ]
 
 
