@@ -138,9 +138,30 @@ def _log_laplace_max(k: int) -> Callable[[float], float]:
 
     The maximum is distributed as sum_i E_i / i (Renyi), so its transform
     is prod_{i=1..K} i / (i + s) = Gamma(K+1) Gamma(1+s) / Gamma(K+1+s).
+    The difference of two lgamma values of size s log s keeps none of its
+    digits by s ~ 1e17 and overflows near 1e306, where a rate nears 512, so
+    from s = 100 on the difference comes from Stirling's series at
+    z = 1 + s, w = z + K instead, with log1p carrying the cancellation:
+    log Gamma(w) - log Gamma(z) = (z - 1/2) log1p(K/z) + K log w - K
+    + (1/w - 1/z)/12 - (1/w^3 - 1/z^3)/360, within 1e-13 of the exact
+    difference there.
     """
     head = math.lgamma(k + 1)
-    return lambda s: head + math.lgamma(1.0 + s) - math.lgamma(k + 1 + s)
+
+    def log_laplace(s: float) -> float:
+        if s < 100.0:
+            return head + math.lgamma(1.0 + s) - math.lgamma(k + 1 + s)
+        if s == math.inf:
+            return -math.inf
+        z = 1.0 + s
+        w = z + k
+        rise = (
+            (z - 0.5) * math.log1p(k / z) + k * math.log(w) - k
+            + (1.0 / w - 1.0 / z) / 12.0 - (1.0 / (w * w * w) - 1.0 / (z * z * z)) / 360.0
+        )
+        return head - rise
+
+    return log_laplace
 
 
 def _log_pdf_sum(k: int) -> Callable[[float], float]:

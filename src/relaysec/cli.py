@@ -13,10 +13,9 @@ closed form whose quadrature missed its tolerance.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
@@ -330,6 +329,8 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
         command, rest = argv[0], list(argv[1:])
         injected = _read_config_file(args.config)
         args = parser.parse_args([command, *injected, *rest])
+    if args.command == "point" and args.limit is not None and args.method != "asymptotic":
+        parser.error("--limit is read only with --method asymptotic")
     return args
 
 
@@ -421,22 +422,19 @@ def _run_preset(
                 asymptotes.append((params, analytic.limits(gains, params, selector)))
         resolved.append((point, setting, gains, base_params, closed, asymptotes))
 
-    with _csv_sink(args) as writer:
-        # Points with the same gains and K read the same fading blocks; a
-        # scope keeps them for the later points.  A lone point keeps nothing.
-        for _, run in itertools.groupby(resolved, key=lambda r: (r[2], r[3].k_antennas)):
-            run = list(run)
-            with block_scope() if len(run) > 1 else nullcontext():
-                for point, setting, gains, base_params, closed, asymptotes in run:
-                    _write_point(writer, preset, setting, gains, base_params, closed, asymptotes, mc, opt_mc)
-                    print(f"{label}: point {point:g} done", file=sys.stderr)
+    # One scope for the run: each chunk's normals are drawn once for every
+    # point, and a block a later pass rereads is kept from its second request.
+    with _csv_sink(args) as writer, block_scope():
+        for point, setting, gains, base_params, closed, asymptotes in resolved:
+            _write_point(writer, preset, setting, gains, base_params, closed, asymptotes, mc, opt_mc)
+            print(f"{label}: point {point:g} done", file=sys.stderr)
     return 0
 
 
 def _write_point(writer, preset, setting, gains, base_params, closed, asymptotes, mc, opt_mc) -> None:
     """The rows of one axis point: analytic, montecarlo, asymptotic, power-opt.
 
-    The power searches run first, in one scope, so the second search
+    The power searches run first, in the run's scope, so the second search
     rereads the first one's blocks.  One pass over the full budget then
     scores every scheme at full power, for the montecarlo rows, together
     with each search's winner, which is settled against its scheme's
@@ -446,18 +444,18 @@ def _write_point(writer, preset, setting, gains, base_params, closed, asymptotes
     """
     params_list = [replace(base_params, scheme=s) for s in preset.schemes]
     winners = []
-    with block_scope():
-        for scheme in preset.power_opt:
-            params = replace(base_params, scheme=scheme)
-            alloc, _ = powerallo.minimize_sop(gains, params, opt_mc)
-            winners.append(replace(params, power=alloc))
+    for scheme in preset.power_opt:
+        params = replace(base_params, scheme=scheme)
+        alloc, _ = powerallo.minimize_sop(gains, params, opt_mc)
+        winners.append(replace(params, power=alloc))
     estimates = estimate_sop_many(gains, params_list + winners, mc) if params_list else []
     full_power = dict(zip(preset.schemes, estimates))
 
     for params, value in closed:
         writer.row(setting, params, "analytic", SopEstimate(value=value))
         if (mc_est := full_power.get(params.scheme)) is not None:
-            ratio = abs(value - mc_est.value) / mc_est.stderr if mc_est.stderr > 0 else math.inf
+            delta = abs(value - mc_est.value)
+            ratio = delta / mc_est.stderr if mc_est.stderr > 0 else math.inf if delta else 0.0
             print(
                 f"{_point_text(setting, params)}: analytic={value:.6f} mc={mc_est.value:.6f} "
                 f"|delta|/stderr={ratio:.2f}",

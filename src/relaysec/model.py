@@ -153,100 +153,177 @@ class SopEstimate:
             raise ValueError("closed-form and asymptotic estimates carry no sampling uncertainty")
 
 
+# Bytes per row tile: a block's features and margins are computed a row
+# tile at a time, so no (n, K) array of a chunk is built in full and every
+# temporary stays under glibc's 128 KiB mmap threshold.
+TILE_BYTES = 64 << 10
+
+
+def row_tiles(n: int, row_bytes: int = 8) -> Iterator[slice]:
+    """Consecutive row ranges of at most TILE_BYTES, at ``row_bytes`` a row."""
+    step = max(1, TILE_BYTES // row_bytes)
+    return (slice(start, min(n, start + step)) for start in range(0, n, step))
+
+
+# Each derived feature from the tile values it reads.  g_ar and g_rb are
+# (rows, K) and live only within a tile; the others are n-vectors.
+_FORMULAS: dict[str, Callable[[Callable[[str], np.ndarray]], np.ndarray]] = {
+    "g_ab": lambda get: np.abs(get("h_ab")) ** 2,
+    "g_ar": lambda get: np.abs(get("h_ar")) ** 2,
+    "g_rb": lambda get: np.abs(get("h_rb")) ** 2,
+    "sum_a": lambda get: get("g_ar").sum(axis=1),
+    "sum_b": lambda get: get("g_rb").sum(axis=1),
+    "argmax_ar": lambda get: np.argmax(get("g_ar"), axis=1),
+    "argmax_rb": lambda get: np.argmax(get("g_rb"), axis=1),
+    "argmax_ratio": lambda get: np.argmax(get("g_ar") / get("g_rb"), axis=1),
+    "cross": lambda get: np.abs(np.einsum("ij,ij->i", np.conj(get("h_rb")), get("h_ar"))) ** 2,
+}
+_PICKS = ("argmax_ar", "argmax_rb", "argmax_ratio", "tx_pick")
+
+HopRows = Callable[[str, int, int], np.ndarray]  # ("h_ar" | "h_rb", start, stop) -> rows
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelBlock:
     """A vectorized batch of fading realizations plus per-trial antenna picks.
 
-    ``tx_pick`` holds one uniform antenna index per trial, consumed by the
-    AF no-CSI transmit selection; it is drawn unconditionally so the
-    random-number layout is identical across schemes (common random numbers).
+    A block holds only n-vectors.  ``h_ab`` is the direct link, and
+    ``tx_pick`` one uniform antenna index per trial, consumed by the AF
+    no-CSI transmit selection; it is drawn unconditionally so the
+    random-number layout is identical across schemes (common random
+    numbers).  The relay's (n, K) coefficients ``h_ar`` and ``h_rb`` are not
+    held: ``hop_rows`` yields any row range of them, from the chunk's normal
+    stream for a sampled block (see ``sample_channel_block``).  The
+    ``h_ar`` and ``h_rb`` properties assemble them in full for oracles and
+    tests; the kernel never does.
 
-    The derived features every scheme reads (squared gains, their sums,
-    antenna picks, the gathered gains and the MRC cross term) are computed
-    on first use and kept for the block's lifetime, so the schemes of one
-    chunk share a single computation.  A block kept by a ``block_scope``
-    store is shared further, by every later pass over the same chunk in
-    that scope, and its features count toward the store's byte bound: a
-    feature that no longer fits is computed again on each use instead of
-    kept.  A plain per-instance memo, not ``functools.cached_property``,
-    keeps chunk threads from contending for a class-wide lock.  The drawn
-    and the cached arrays are read-only: a scheme that wrote into one
-    would corrupt the next caller's margins.
+    The features the schemes read (the squared direct gain, per-trial sums,
+    antenna picks, gathered gains and the MRC cross term, each an
+    n-vector) are computed by ``features`` in row tiles, only those asked
+    for, all missing ones in one pass, and kept for the block's lifetime,
+    so the schemes of one chunk share a single computation.  A block kept
+    by a ``block_scope`` store is shared further, by every later pass over
+    the same chunk in that scope, and its features count toward the
+    store's byte bound: a feature that no longer fits is computed again on
+    each use instead of kept.  A plain per-instance memo, not
+    ``functools.cached_property``, keeps chunk threads from contending for
+    a class-wide lock.  The held and the computed arrays are read-only: a
+    scheme that wrote into one would corrupt the next caller's margins.
     """
 
-    h_ab: np.ndarray    # (n,) complex
-    h_ar: np.ndarray    # (n, k) complex
-    h_rb: np.ndarray    # (n, k) complex
+    h_ab: np.ndarray     # (n,) complex
     tx_pick: np.ndarray  # (n,) int
+    k: int
+    hop_rows: HopRows
     _memo: dict = field(default_factory=dict, init=False, repr=False)
     _store: _BlockStore | None = field(default=None, init=False, repr=False)
 
+    @classmethod
+    def from_arrays(cls, h_ab, h_ar, h_rb, tx_pick) -> ChannelBlock:
+        """A block of given coefficients: ``h_ar`` and ``h_rb`` are (n, K)."""
+        hops = {"h_ar": np.asarray(h_ar), "h_rb": np.asarray(h_rb)}
+        return cls(
+            h_ab=np.asarray(h_ab), tx_pick=np.asarray(tx_pick), k=hops["h_ar"].shape[1],
+            hop_rows=lambda name, start, stop: hops[name][start:stop],
+        )
+
     @property
     def nbytes(self) -> int:
-        """Bytes of the drawn arrays; computed features not included."""
-        return self.h_ab.nbytes + self.h_ar.nbytes + self.h_rb.nbytes + self.tx_pick.nbytes
+        """Bytes of the held n-vectors; computed features not included."""
+        return self.h_ab.nbytes + self.tx_pick.nbytes
 
-    def _cached(self, key, compute: Callable[[], np.ndarray]) -> np.ndarray:
-        value = self._memo.get(key)
-        if value is None:
-            value = compute()
+    @property
+    def h_ar(self) -> np.ndarray:
+        return self._hops_in_full("h_ar")
+
+    @property
+    def h_rb(self) -> np.ndarray:
+        return self._hops_in_full("h_rb")
+
+    def _hops_in_full(self, name: str) -> np.ndarray:
+        rows = self.hop_rows(name, 0, self.h_ab.shape[0])
+        rows.flags.writeable = False
+        return rows
+
+    def features(self, *names) -> tuple[np.ndarray, ...]:
+        """The named features, in order.  A name is a key of ``_FORMULAS``
+        that yields an n-vector, or a (gain, pick) pair: each trial's
+        ``gain`` ("g_ar" or "g_rb") on the antenna ``pick`` names (an
+        ``argmax_*`` feature or "tx_pick")."""
+        memo = self._memo
+        missing = [name for name in names if name not in memo]
+        if not missing:
+            return tuple([memo[name] for name in names])
+        n = self.h_ab.shape[0]
+        computed = {
+            name: np.empty(n, dtype=np.intp if name in _PICKS else np.float64)
+            for name in dict.fromkeys(missing)
+        }
+        for rows in row_tiles(n, 16 * self.k):
+            tile: dict = {}
+            for name, value in computed.items():
+                value[rows] = self._tile(name, rows, tile)
+        for name, value in computed.items():
             value.flags.writeable = False
             if self._store is None or self._store.admit(value.nbytes):
-                self._memo[key] = value
+                memo[name] = value
+        values = {**memo, **computed}
+        return tuple([values[name] for name in names])
+
+    def _tile(self, name, rows: slice, tile: dict) -> np.ndarray:
+        """Feature ``name`` on ``rows``, through the tile's cache ``tile``."""
+        value = tile.get(name)
+        if value is None:
+            if name in self._memo:
+                value = self._memo[name][rows]
+            elif name in ("h_ab", "tx_pick"):
+                value = getattr(self, name)[rows]
+            elif name in ("h_ar", "h_rb"):
+                value = self.hop_rows(name, rows.start, rows.stop)
+            elif isinstance(name, tuple):
+                gain, pick = (self._tile(part, rows, tile) for part in name)
+                value = gain[np.arange(gain.shape[0]), pick]
+            else:
+                value = _FORMULAS[name](lambda dep: self._tile(dep, rows, tile))
+            tile[name] = value
         return value
 
     @property
     def g_ab(self) -> np.ndarray:
-        return self._cached("g_ab", lambda: np.abs(self.h_ab) ** 2)
-
-    @property
-    def g_ar(self) -> np.ndarray:
-        return self._cached("g_ar", lambda: np.abs(self.h_ar) ** 2)
-
-    @property
-    def g_rb(self) -> np.ndarray:
-        return self._cached("g_rb", lambda: np.abs(self.h_rb) ** 2)
+        return self.features("g_ab")[0]
 
     @property
     def sum_a(self) -> np.ndarray:
-        return self._cached("sum_a", lambda: self.g_ar.sum(axis=1))
+        return self.features("sum_a")[0]
 
     @property
     def sum_b(self) -> np.ndarray:
-        return self._cached("sum_b", lambda: self.g_rb.sum(axis=1))
+        return self.features("sum_b")[0]
 
     @property
     def argmax_ar(self) -> np.ndarray:
         """Strongest first-hop antenna."""
-        return self._cached("argmax_ar", lambda: np.argmax(self.g_ar, axis=1))
+        return self.features("argmax_ar")[0]
 
     @property
     def argmax_rb(self) -> np.ndarray:
         """Strongest second-hop antenna."""
-        return self._cached("argmax_rb", lambda: np.argmax(self.g_rb, axis=1))
+        return self.features("argmax_rb")[0]
 
     @property
     def argmax_ratio(self) -> np.ndarray:
         """Antenna with the largest first-hop to second-hop gain ratio."""
-        return self._cached("argmax_ratio", lambda: np.argmax(self.g_ar / self.g_rb, axis=1))
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self._cached("rows", lambda: np.arange(self.h_ab.shape[0]))
+        return self.features("argmax_ratio")[0]
 
     @property
     def cross(self) -> np.ndarray:
         """|h_rb^H h_ar|^2, the MRC cross term of signal and jamming."""
-        return self._cached(
-            "cross", lambda: np.abs(np.einsum("ij,ij->i", np.conj(self.h_rb), self.h_ar)) ** 2
-        )
+        return self.features("cross")[0]
 
     def gathered(self, gain: str, pick: str) -> np.ndarray:
         """Each trial's ``gain`` (``"g_ar"`` or ``"g_rb"``) on the antenna
         named by ``pick`` (an ``argmax_*`` feature or ``"tx_pick"``)."""
-        return self._cached(
-            (gain, pick), lambda: getattr(self, gain)[self.rows, getattr(self, pick)]
-        )
+        return self.features((gain, pick))[0]
 
 
 @dataclass(frozen=True)
@@ -265,12 +342,6 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def _complex_gaussian(rng: np.random.Generator, shape, mean_square: float) -> np.ndarray:
-    scale = math.sqrt(mean_square / 2.0)
-    z = rng.standard_normal(shape + (2,))
-    return scale * z.view(np.complex128)[..., 0]
-
-
 def block_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """Counter-based generator for one chunk of trials.
 
@@ -282,36 +353,147 @@ def block_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# Bytes a block scope may keep, drawn arrays and computed features together.
-# A K = 1 chunk of 65,536 trials with the full-array features takes about
-# 6.5 MiB, so a default figure-1 run keeps all 17 of its blocks (103 MiB);
-# a K = 6 chunk with the selection features takes about 23 MiB.
+class _Stream:
+    """The unit normals ``block_rng(seed, chunk_index)`` yields for a chunk
+    of n trials, drawn antenna by antenna.
+
+    The block of K antennas reads the first 2n + 4nK of them (see
+    ``sample_channel_block``), so one stream serves every K up to the
+    largest drawn.  It is held as segments, the first 6n normals (K = 1)
+    and then 4n for each further antenna, with the generator state after
+    each segment, from which the block of that K draws ``tx_pick``.
+    Drawing in segments gives the same normals and end state as one call.
+    """
+
+    def __init__(self, seed: int, chunk_index: int, n: int):
+        self.key = (seed, chunk_index, n)
+        self.n = n
+        self.reserved = 0  # bytes a store has counted for this stream
+        self._rng = block_rng(seed, chunk_index)
+        self._segments: list[np.ndarray] = []
+        self._states: list[dict] = []
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def nbytes(n: int, k: int) -> int:
+        """Bytes of a stream grown to k antennas."""
+        return 8 * (2 * n + 4 * n * k)
+
+    def grow(self, k: int) -> None:
+        with self._lock:
+            while len(self._segments) < k:
+                segment = self._rng.standard_normal(4 * self.n if self._segments else 6 * self.n)
+                segment.flags.writeable = False
+                self._segments.append(segment)
+                self._states.append(self._rng.bit_generator.state)
+
+    def normals(self, start: int, stop: int) -> np.ndarray:
+        """Normals [start, stop) of the stream: a view within one segment."""
+        n, pieces = self.n, []
+        while start < stop:
+            index = max(0, (start - 2 * n) // (4 * n))
+            first = 2 * n + 4 * n * index if index else 0
+            segment = self._segments[index]
+            end = min(stop, first + segment.size)
+            pieces.append(segment[start - first:end - first])
+            start = end
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+    def block(self, gains: LinkGains, k: int) -> ChannelBlock:
+        """The block of ``gains`` and k antennas: scaled slices of the stream."""
+        self.grow(k)
+        n = self.n
+        rng = np.random.Generator(np.random.Philox(0))
+        rng.bit_generator.state = self._states[k - 1]
+        tx_pick = rng.integers(0, k, size=n)
+        h_ab = _complex(gains.gamma_ab, self.normals(0, 2 * n), (n,))
+        first = {"h_ar": 2 * n, "h_rb": 2 * n + 2 * n * k}
+        mean_square = {"h_ar": gains.gamma_ar, "h_rb": gains.gamma_rb}
+
+        def hop_rows(name: str, start: int, stop: int) -> np.ndarray:
+            z = self.normals(first[name] + 2 * k * start, first[name] + 2 * k * stop)
+            return _complex(mean_square[name], z, (stop - start, k))
+
+        for array in (h_ab, tx_pick):
+            array.flags.writeable = False
+        return ChannelBlock(h_ab=h_ab, tx_pick=tx_pick, k=k, hop_rows=hop_rows)
+
+
+def _complex(mean_square: float, normals: np.ndarray, shape: tuple) -> np.ndarray:
+    """Circular Gaussian coefficients of ``shape``, each from two consecutive normals."""
+    scale = math.sqrt(mean_square / 2.0)
+    return scale * normals.reshape(shape + (2,)).view(np.complex128)[..., 0]
+
+
+# Bytes a block scope may keep: normal streams and kept blocks with their
+# features together.  A chunk of 65,536 trials takes 3 MiB of normals at
+# K = 1 and 21 MiB at K = 10; a kept K = 1 block with the full-array
+# features takes about 3.5 MiB more.
 BLOCK_STORE_BYTES = 256 << 20
 
 
 class _BlockStore:
-    """The blocks drawn inside one ``block_scope``, up to a byte bound.
+    """The normal streams and blocks one ``block_scope`` keeps, up to a byte bound.
 
-    Admission is first come, first kept: once a block does not fit, it is
-    handed out unkept, so the leading chunks of a sequential scan stay and
-    still hit on the next pass.  Bookkeeping runs under a lock because the
-    chunk threads of ``workers > 1`` draw and compute features at once.
+    A stream is kept from its first draw, and grown while the growth fits;
+    one that cannot grow is dropped with its blocks, and later requests for
+    it draw a fresh, unkept stream.  A block is kept from its second
+    request on, when a later pass is known to reread it.  Admission is
+    first come, first kept, so the leading chunks of a sequential scan stay
+    and still hit on the next pass.  Bookkeeping runs under a lock because
+    the chunk threads of ``workers > 1`` draw and compute features at once.
     """
 
     def __init__(self, limit: int):
         self.limit = limit
         self.nbytes = 0
+        self.streams: dict[tuple, _Stream] = {}
         self.blocks: dict[tuple, ChannelBlock] = {}
+        self._requested: set[tuple] = set()
+        self._dropped: set[tuple] = set()
         self._open = True
         self._lock = threading.Lock()
 
-    def get(self, key: tuple) -> ChannelBlock | None:
+    def get(self, key: tuple) -> tuple[ChannelBlock | None, bool]:
+        """The block kept for ``key``, and whether ``key`` was asked for before."""
         with self._lock:
-            return self.blocks.get(key)
+            repeated = key in self._requested
+            self._requested.add(key)
+            return self.blocks.get(key), repeated
 
-    def keep(self, key: tuple, block: ChannelBlock) -> None:
+    def stream(self, seed: int, chunk_index: int, n: int, k: int) -> _Stream:
+        """The kept stream of the chunk with room counted for k antennas,
+        or a fresh, unkept one where that does not fit."""
+        key = (seed, chunk_index, n)
         with self._lock:
-            if self._open and key not in self.blocks and self.nbytes + block.nbytes <= self.limit:
+            stream = self.streams.get(key)
+            growth = _Stream.nbytes(n, k) - (stream.reserved if stream else 0)
+            if self.nbytes + max(0, growth) > self.limit:
+                if stream is not None:
+                    self._drop(stream)
+            elif stream is not None or (self._open and key not in self._dropped):
+                if stream is None:
+                    stream = self.streams[key] = _Stream(seed, chunk_index, n)
+                if growth > 0:
+                    self.nbytes += growth
+                    stream.reserved += growth
+                return stream
+        return _Stream(seed, chunk_index, n)
+
+    def _drop(self, stream: _Stream) -> None:
+        del self.streams[stream.key]
+        self._dropped.add(stream.key)
+        self.nbytes -= stream.reserved
+        for key in [key for key in self.blocks if key[2:] == stream.key]:
+            block = self.blocks.pop(key)
+            self.nbytes -= block.nbytes + sum(value.nbytes for value in block._memo.values())
+            object.__setattr__(block, "_store", None)
+
+    def keep(self, key: tuple, block: ChannelBlock, stream: _Stream) -> None:
+        """Keep ``block``, drawn from ``stream``, if the stream is kept and it fits."""
+        with self._lock:
+            if (self._open and key not in self.blocks and self.streams.get(stream.key) is stream
+                    and self.nbytes + block.nbytes <= self.limit):
                 self.blocks[key] = block
                 self.nbytes += block.nbytes
                 object.__setattr__(block, "_store", self)
@@ -330,6 +512,7 @@ class _BlockStore:
         with self._lock:
             self._open = False
             self.blocks.clear()
+            self.streams.clear()
 
 
 _store: _BlockStore | None = None
@@ -337,15 +520,21 @@ _store: _BlockStore | None = None
 
 @contextmanager
 def block_scope() -> Iterator[None]:
-    """Keep every block ``sample_channel_block`` draws until the scope exits.
+    """Keep the normal streams and the reread blocks ``sample_channel_block``
+    draws until the scope exits.
 
-    Open one where a later pass reads the same chunks again: the points of
-    a figure axis that leaves the gains and K alone, or the candidates of a
-    power search.  Inside an open scope this is a no-op, so a search run
-    from a figure point shares the figure's store.  The store is bounded
-    by ``BLOCK_STORE_BYTES`` and dropped, with every block it keeps, when
-    the outermost scope exits.  Scopes are process-wide, so the chunk
-    threads of ``workers > 1`` share the store of the scope that runs them.
+    Open one around a run whose passes read the same chunks again.  Every
+    chunk's normals are then drawn once, whatever the gains and antenna
+    counts of the blocks built from them, and a block asked for a second
+    time is kept, with the features computed on it, for every later pass:
+    the points of an axis that leaves the gains and K alone, or the
+    candidates of a power search.  ``BLOCK_STORE_BYTES`` bounds the bytes
+    kept, the streams' normals and the kept blocks' n-vectors and features
+    together.  Inside an open scope this is a no-op, so a search run from a
+    figure point shares the figure's store.  The store is dropped, with
+    everything it keeps, when the outermost scope exits.  Scopes are
+    process-wide, so the chunk threads of ``workers > 1`` share the store
+    of the scope that runs them.
     """
     global _store
     if _store is not None:
@@ -362,34 +551,32 @@ def block_scope() -> Iterator[None]:
 def sample_channel_block(gains: LinkGains, k: int, seed: int, chunk_index: int, n: int) -> ChannelBlock:
     """Vectorized fading draws for trials [chunk_index*chunk, ...) of a run.
 
-    The draw layout (order and count of underlying uniforms) is fixed for
-    a given (k, n), so the same (seed, chunk_index) yields bit-identical
-    channels regardless of which schemes consume them.
+    The block is built from the unit normals S of ``block_rng(seed,
+    chunk_index)``: h_ab from S[0:2n], h_ar from the next 2nK as n rows of
+    K, h_rb from the next 2nK, each pair of normals scaled by
+    sqrt(gamma/2) into one coefficient, and ``tx_pick`` from the generator
+    right after them.  A block is thus a pure function of the arguments,
+    the same whichever schemes consume it, and the blocks of one chunk
+    nest: every K and every gains read a prefix of the same stream.
 
-    A block is a pure function of the arguments.  Inside a ``block_scope``
-    the scope's store keeps each block drawn, keyed by the whole argument
-    tuple, while it fits the store's byte bound, and returns it, with the
-    features already computed on it, to every later call with the same
-    arguments.  Outside a scope nothing is kept: the block lives as long
-    as its caller holds it.  Chunk threads that miss on the same key at
-    once each draw it, which costs a redraw, never a wrong block.
+    Inside a ``block_scope`` the store keeps the stream of each (seed,
+    chunk_index, n), grown to the largest K asked for, and keeps a block
+    (keyed by the whole argument tuple) from its second request on; see
+    ``block_scope`` for the bound.  Outside a scope nothing is kept: the
+    block lives, with its stream, as long as its caller holds it.  Chunk
+    threads that miss on the same key at once each build it, which costs
+    a rebuild, never a wrong block.
     """
-    key = (gains, k, seed, chunk_index, n)
     store = _store
-    if store is not None:
-        block = store.get(key)
-        if block is not None:
-            return block
-    rng = block_rng(seed, chunk_index)
-    h_ab = _complex_gaussian(rng, (n,), gains.gamma_ab)
-    h_ar = _complex_gaussian(rng, (n, k), gains.gamma_ar)
-    h_rb = _complex_gaussian(rng, (n, k), gains.gamma_rb)
-    tx_pick = rng.integers(0, k, size=n)
-    for array in (h_ab, h_ar, h_rb, tx_pick):
-        array.flags.writeable = False
-    block = ChannelBlock(h_ab=h_ab, h_ar=h_ar, h_rb=h_rb, tx_pick=tx_pick)
-    if store is not None:
-        store.keep(key, block)
+    if store is None:
+        return _Stream(seed, chunk_index, n).block(gains, k)
+    key = (gains, k, seed, chunk_index, n)
+    block, repeated = store.get(key)
+    if block is None:
+        stream = store.stream(seed, chunk_index, n, k)
+        block = stream.block(gains, k)
+        if repeated:
+            store.keep(key, block, stream)
     return block
 
 

@@ -23,9 +23,11 @@ from .model import (
     ChannelBlock,
     LinkGains,
     Scheme,
+    SchemeId,
     SelectionMode,
     SopEstimate,
     SystemParams,
+    row_tiles,
     sample_channel_block,
 )
 
@@ -57,29 +59,54 @@ def rate_margins_block(block: ChannelBlock, gains: LinkGains, params: SystemPara
     Two-phase schemes (AF, CJ) carry the 1/2 pre-log; direct transmission
     does not.  Node power fractions scale the respective transmit powers,
     with the relay's statistical normalization tracking the actual
-    received power (signal, jamming, noise).
+    received power (signal, jamming, noise).  The formulas run on row
+    tiles of the block's features, so their temporaries stay small.
     """
+    if block.k != params.k_antennas:
+        raise ValueError(f"block has {block.k} antennas, params expect {params.k_antennas}")
+    features = block.features(*_reads(params.scheme))
+    margins = np.empty(block.h_ab.shape[0])
+    for rows in row_tiles(margins.shape[0]):
+        i_b, i_r = _rates(gains, params, *[feature[rows] for feature in features])
+        np.subtract(i_b, i_r, out=margins[rows])
+    return margins
+
+
+def _reads(scheme: SchemeId) -> tuple:
+    """The block features the margins of ``scheme`` read, in the order ``_rates`` takes them."""
+    if scheme.mode is SelectionMode.FULL_ARRAY:
+        if scheme.scheme is Scheme.CJ:
+            return ("sum_a", "sum_b", "cross")
+        return ("g_ab", "sum_a", "sum_b") if scheme.scheme is Scheme.AF else ("g_ab", "sum_a")
+    csi = scheme.mode is SelectionMode.SELECT_CSI
+    if scheme.scheme is Scheme.DT:
+        return ("g_ab", ("g_ar", "argmax_ar"))
+    if scheme.scheme is Scheme.AF:
+        return ("g_ab", ("g_ar", "argmax_ar"), ("g_rb", "argmax_rb" if csi else "tx_pick"))
+    # CJ: without CSI the relay transmits on its receive antenna, the law
+    # the closed form describes.
+    m_star, n_star = ("argmax_ratio", "argmax_rb") if csi else ("argmax_ar", "argmax_ar")
+    return (("g_ar", m_star), ("g_rb", n_star), ("g_rb", m_star))
+
+
+def _rates(gains: LinkGains, params: SystemParams, *features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(I_B, I_R) from the features ``_reads`` names, for one row tile."""
     k = params.k_antennas
     rho = params.rho
     a = params.power.frac_alice
     r = params.power.frac_relay
     j = params.power.frac_bob_jam
     scheme, mode = params.scheme.scheme, params.scheme.mode
-    if block.h_ar.shape[1] != k:
-        raise ValueError(f"block has {block.h_ar.shape[1]} antennas, params expect {k}")
 
     if scheme is Scheme.DT:
-        if mode is SelectionMode.FULL_ARRAY:
-            relay_gain = block.sum_a
-        else:
-            relay_gain = block.gathered("g_ar", "argmax_ar")
-        i_b = np.log2(1.0 + a * rho * block.g_ab)
+        g_ab, relay_gain = features
+        i_b = np.log2(1.0 + a * rho * g_ab)
         i_r = np.log2(1.0 + a * rho * relay_gain)
-        return i_b - i_r
+        return i_b, i_r
 
     if scheme is Scheme.AF:
         if mode is SelectionMode.FULL_ARRAY:
-            sum_a, sum_b = block.sum_a, block.sum_b
+            g_ab, sum_a, sum_b = features
             if r > 0.0:
                 den = sum_b + (a / r) * k * gains.gamma_ar + k / (r * rho)
                 relay_snr = a * rho * sum_b * sum_a / den
@@ -87,39 +114,29 @@ def rate_margins_block(block: ChannelBlock, gains: LinkGains, params: SystemPara
                 relay_snr = np.zeros_like(sum_a)
             eav_gain = sum_a
         else:
-            best_a = block.gathered("g_ar", "argmax_ar")
-            n_star = "argmax_rb" if mode is SelectionMode.SELECT_CSI else "tx_pick"
-            hop2 = block.gathered("g_rb", n_star)
+            g_ab, best_a, hop2 = features
             if r > 0.0:
                 den = hop2 + (a / r) * gains.gamma_ar + 1.0 / (r * rho)
                 relay_snr = a * rho * hop2 * best_a / den
             else:
                 relay_snr = np.zeros_like(best_a)
             eav_gain = best_a
-        i_b = 0.5 * np.log2(1.0 + a * rho * block.g_ab + relay_snr)
+        i_b = 0.5 * np.log2(1.0 + a * rho * g_ab + relay_snr)
         i_r = 0.5 * np.log2(1.0 + a * rho * eav_gain)
-        return i_b - i_r
+        return i_b, i_r
 
     # Cooperative jamming: the destination forfeits the direct link and jams
     # during the first phase, then cancels its own interference.
     if mode is SelectionMode.FULL_ARRAY:
-        sum_a, sum_b = block.sum_a, block.sum_b
+        sum_a, sum_b, cross = features
         if r > 0.0:
             den = sum_b + (a / r) * k * gains.gamma_ar + (j / r) * k * gains.gamma_rb + k / (r * rho)
             bob_snr = a * rho * sum_b * sum_a / den
         else:
             bob_snr = np.zeros_like(sum_a)
-        sinr = a * rho * sum_a - (a * rho) * (j * rho) * block.cross / (1.0 + j * rho * sum_b)
+        sinr = a * rho * sum_a - (a * rho) * (j * rho) * cross / (1.0 + j * rho * sum_b)
     else:
-        if mode is SelectionMode.SELECT_CSI:
-            m_star, n_star = "argmax_ratio", "argmax_rb"
-        else:
-            # Without CSI the relay transmits on its receive antenna, the
-            # law the closed form describes.
-            m_star = n_star = "argmax_ar"
-        best_a = block.gathered("g_ar", m_star)
-        hop2 = block.gathered("g_rb", n_star)
-        jam = block.gathered("g_rb", m_star)
+        best_a, hop2, jam = features
         if r > 0.0:
             den = hop2 + (a / r) * gains.gamma_ar + (j / r) * gains.gamma_rb + 1.0 / (r * rho)
             bob_snr = a * rho * hop2 * best_a / den
@@ -128,7 +145,7 @@ def rate_margins_block(block: ChannelBlock, gains: LinkGains, params: SystemPara
         sinr = a * best_a / (j * jam + 1.0 / rho)
     i_b = 0.5 * np.log2(1.0 + bob_snr)
     i_r = 0.5 * np.log2(1.0 + sinr)
-    return i_b - i_r
+    return i_b, i_r
 
 
 def _map_chunks(run_chunk: Callable[[int, int], object], mc: McConfig) -> list:
@@ -156,8 +173,12 @@ def _count_many(
     if any(p.k_antennas != k for p in params_list):
         raise ValueError("shared-draw evaluation requires a common antenna count")
 
+    # Every feature any of the schemes reads, computed in one pass of row tiles.
+    reads = tuple(dict.fromkeys(name for params in params_list for name in _reads(params.scheme)))
+
     def run_chunk(idx: int, n: int) -> list[int]:
         block = sample_channel_block(gains, k, mc.seed, idx, n)
+        block.features(*reads)
         counts = []
         for params in params_list:
             margins = rate_margins_block(block, gains, params)

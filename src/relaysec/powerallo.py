@@ -8,11 +8,11 @@ minimization: coarse grid, then coordinate-wise golden-section refinement.
 
 The fading is drawn once per chunk for the whole search: the search runs
 inside a ``model.block_scope`` (its own, or the caller's when one is open),
-whose store keeps every block of the budget, with its computed features,
-up to ``model.BLOCK_STORE_BYTES``.  The grid stage scores all of its
-candidates in one ``estimate_sop_many`` pass over the chunks; the
-golden-section stage scores each probe with ``estimate_sop`` on the kept
-blocks.  Both stages fill one cache of estimates, keyed by the rounded
+whose store keeps each chunk's normals and, from their second request on,
+the blocks of the budget with their computed features, up to
+``model.BLOCK_STORE_BYTES``.  The grid stage scores all of its candidates
+in one ``estimate_sop_many`` pass over the chunks; the golden-section
+stage scores each probe with ``estimate_sop`` on the kept blocks.  Both stages fill one cache of estimates, keyed by the rounded
 fractions, so a probe that lands on a grid point is not scored again.
 """
 

@@ -41,7 +41,7 @@ def fig8_gains():
 
 
 def _one_trial_block(h_ab, h_ar, h_rb, tx_pick=0) -> ChannelBlock:
-    return ChannelBlock(
+    return ChannelBlock.from_arrays(
         h_ab=np.array([h_ab], dtype=complex),
         h_ar=np.array([h_ar], dtype=complex),
         h_rb=np.array([h_rb], dtype=complex),

@@ -571,6 +571,27 @@ class TestRegressionPoints:
             af_select_sum_oracle(gains, params, csi=True), abs=1e-8
         )
 
+    @pytest.mark.parametrize("k", [1, 2, 6, 64, 1024])
+    def test_selection_transform_keeps_its_digits_for_large_arguments(self, k):
+        # lgamma(1 + s) - lgamma(K + 1 + s) kept no digit by s ~ 1e17, where
+        # it read 0 (a transform of K!), and overflowed near s ~ 1e306.
+        log_laplace = analytic._log_laplace_max(k)
+        for s in (1e-3, 0.5, 99.9, 100.0, 1e4, 1e10, 1e17, 1e100, 1e306, 1.7e308):
+            with mpmath.workdps(30):
+                exact = mpmath.loggamma(k + 1) - mpmath.fsum(
+                    mpmath.log(s) + mpmath.log1p(mpmath.mpf(i) / s) for i in range(1, k + 1)
+                )
+            assert log_laplace(s) == pytest.approx(float(exact), rel=1e-13, abs=1e-11), s
+        assert log_laplace(math.inf) == -math.inf
+
+    def test_dt_select_where_lgamma_lost_its_digits(self):
+        # The transform's argument is 1e17 and the direct link leaves
+        # e^{-5} of the outage in play; the lgamma difference gave 0.99334.
+        gains, params = self._point(2, (-107.0, 60.0, 5.0), 100.0, 1.0)
+        assert analytic.sop_dt_select(gains, params) == pytest.approx(
+            dt_select_sum_oracle(gains, params), abs=1e-12
+        )
+
     def test_af_select_nocsi_k58(self):
         gains, params = self._point(58, (16.38, 14.36, -30.81), 55.72, 3.754)
         assert analytic.sop_af_select_nocsi(gains, params) == pytest.approx(

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, CSV schema, exit codes, validation."""
 
 import ast
+import contextlib
 import csv
 import hashlib
 import inspect
@@ -12,6 +13,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relaysec import analytic, cli, model, montecarlo, powerallo, specfun
 from relaysec.cli import CSV_COLUMNS, FIGURE_PRESETS, main
@@ -147,13 +150,19 @@ class TestExitCodes:
         assert err.startswith("config error:") and flag in err
         assert out == ""
 
-    @pytest.mark.parametrize("argv", [["figure", "1", "--k", "6"], ["validate", "--k", "0"]])
+    @pytest.mark.parametrize("argv", [
+        ["figure", "1", "--k", "6"],
+        ["validate", "--k", "0"],
+        *(["point", "--scheme", "af", "--method", method, "--limit", "cj_high_snr"]
+          for method in ("analytic", "montecarlo", "both")),
+    ])
     def test_unread_flag_is_rejected(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"k = {argv[-1]}\n")
+        cfg.write_text(f"{argv[-2][2:]} = {argv[-1]}\n")
         with pytest.raises(SystemExit) as exc:
             main([*argv[:-2], "--config", str(cfg)])
         assert exc.value.code == 2
@@ -245,12 +254,78 @@ class TestExitCodes:
         assert len(opened) == 1 and opened[0].closed
         assert (tmp_path / "rows.csv").read_text() == CSV_COLUMNS + "\n"
 
+    @pytest.mark.parametrize("scheme,mode", [
+        ("af", "select-csi"), ("af", "select-nocsi"), ("dt", "select-csi"),
+    ])
+    def test_selection_at_the_largest_rates(self, scheme, mode, capsys):
+        # The selection transform's argument nears the float range here; its
+        # lgamma form overflowed into a traceback.
+        for rate in ("511", "511.99"):
+            code, out, err = run_cli(
+                ["point", "--scheme", scheme, "--mode", mode, "--k", "4", "--rate", rate,
+                 "--method", "analytic"], capsys,
+            )
+            assert code == 0, err
+            assert float(out.splitlines()[1].split(",")[9]) == 1.0
+
     def test_selection_beyond_64_antennas(self, capsys):
         code, out, _ = run_cli(
             ["point", "--k", "65", "--mode", "select-csi", "--method", "analytic"], capsys
         )
         assert code == 0
         assert 0.0 <= float(out.strip().splitlines()[1].split(",")[9]) <= 1.0
+
+
+def _numbers(values):
+    """A flag's value: a drawn one, or one time in four a value outside every domain."""
+    extreme = st.sampled_from(("0", "-1", "-1e308", "nan", "inf", "-inf", "1e308"))
+    return st.one_of(values.map(str), values.map(str), values.map(str), extreme)
+
+
+_POINT_FLAGS = {
+    "--scheme": st.sampled_from(("dt", "af", "cj")),
+    "--mode": st.sampled_from(("full", "select-csi", "select-nocsi")),
+    "--method": st.sampled_from(("analytic", "montecarlo", "asymptotic", "both")),
+    "--k": _numbers(st.integers(1, 16)),
+    "--rate": _numbers(st.one_of(st.floats(0.0, 511.99), st.sampled_from((511.0, 511.99)))),
+    "--seed": _numbers(st.integers(-(2**70), 2**70)),
+    "--workers": _numbers(st.integers(1, 2)),
+    **{flag: _numbers(st.floats(-80.0, 80.0))
+       for flag in ("--rho-db", "--gab-db", "--gar-db", "--grb-db")},
+}
+
+
+class TestPointArgvGate:
+    """Every argv of ``point`` ends in an exit code of the contract, 0 for
+    rows, 2 for a bad input, 3 for an unsupported variant and 4 for a
+    missed quadrature tolerance, and never in a traceback."""
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    # Every run names its trials: the default budget of 10^6 would take
+    # seconds.  A --limit goes with --method asymptotic, the one method that
+    # reads it, so that most runs get past the parser.
+    @given(st.one_of(
+        st.fixed_dictionaries({"--trials": _numbers(st.integers(1, 300))}, optional=_POINT_FLAGS),
+        st.fixed_dictionaries(
+            {"--trials": _numbers(st.integers(1, 300)), "--method": st.just("asymptotic")},
+            optional={
+                **{flag: value for flag, value in _POINT_FLAGS.items() if flag != "--method"},
+                "--limit": st.sampled_from((*analytic.LIMIT_VARIANTS, "no_such_limit")),
+            },
+        ),
+    ))
+    @example({"--trials": "1", "--scheme": "af", "--mode": "select-csi", "--k": "4",
+              "--rate": "511", "--method": "analytic"})
+    @example({"--trials": "1", "--scheme": "af", "--mode": "select-nocsi", "--k": "4",
+              "--rate": "511", "--method": "analytic"})
+    def test_every_argv_exits_by_the_contract(self, flags):
+        argv = ["point", *(part for flag, value in flags.items() for part in (flag, value))]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own exit for a malformed flag
+                code = exc.code
+        assert code in (0, 2, 3, 4), argv
 
 
 class TestImports:
@@ -415,6 +490,17 @@ class TestFigureCommand:
                     value = analytic.limits(gains, replace(params, scheme=scheme), selector)
                     assert 0.0 <= value <= 1.0
 
+    @pytest.mark.parametrize("argv,ratio", [
+        # Certain outage: delta and stderr are both zero.
+        (["--rate", "100", "--trials", "1000"], "0.00"),
+        # A frequency of 1 against a closed form below 1: no stderr to scale by.
+        (["--rate", "1", "--trials", "4"], "inf"),
+    ])
+    def test_agreement_ratio_when_stderr_is_zero(self, argv, ratio, capsys):
+        code, _, err = run_cli(["point", "--scheme", "af", "--method", "both", *argv], capsys)
+        assert code == 0, err
+        assert err.split("|delta|/stderr=")[1].split()[0] == ratio
+
     def test_agreement_line_per_point_and_scheme(self, capsys):
         code, _, err = run_cli(["figure", "2", "--trials", "64"], capsys)
         assert code == 0
@@ -562,14 +648,15 @@ class TestGoldenDigest:
 
 
 class TestDrawReuse:
-    """Where a figure rereads fading blocks it draws each one once; where it
-    cannot reread them it keeps none."""
+    """A figure draws each chunk's normals once, and keeps a block only
+    where a later pass rereads it."""
 
     @staticmethod
     def _spy(monkeypatch):
         """Record each draw (the store's state at that moment), each distinct
-        block requested, and a weak reference to each block handed out."""
-        draws, requested, handed = [], set(), []
+        block requested, and, at each request, how many of the blocks handed
+        out before are still alive."""
+        draws, requested, alive, handed = [], set(), [], []
         block_rng, sample = model.block_rng, montecarlo.sample_channel_block
 
         def spy_rng(seed, chunk_index):
@@ -578,16 +665,17 @@ class TestDrawReuse:
 
         def spy_sample(gains, k, seed, chunk_index, n):
             requested.add((gains, k, seed, chunk_index, n))
+            alive.append(sum(ref() is not None for ref in handed))
             block = sample(gains, k, seed, chunk_index, n)
             handed.append(weakref.ref(block))
             return block
 
         monkeypatch.setattr(model, "block_rng", spy_rng)
         monkeypatch.setattr(montecarlo, "sample_channel_block", spy_sample)
-        return draws, requested
+        return draws, requested, alive
 
     def test_figure_one_draws_each_block_once(self, monkeypatch, capsys):
-        draws, requested = self._spy(monkeypatch)
+        draws, requested, _ = self._spy(monkeypatch)
         code, _, err = run_cli(["figure", "1", "--trials", "131072", "--power-opt-trials", "70000"], capsys)
         assert code == 0, err
         # Two chunks for the rows, two for the search; chunk 0 is common to both.
@@ -596,15 +684,27 @@ class TestDrawReuse:
         assert all(scoped for scoped, _ in draws)
 
     def test_figure_eight_keeps_no_block(self, monkeypatch, capsys):
-        draws, requested = self._spy(monkeypatch)
+        draws, requested, alive = self._spy(monkeypatch)
         code, _, err = run_cli(["figure", "8", "--skip-power-opt", "--trials", "131072"], capsys)
         assert code == 0, err
-        # K changes at every point: one draw per (K, chunk), none kept.
-        assert len(draws) == len(requested) == 20
-        assert draws == [(False, 0)] * 20
+        # Each chunk's normals are drawn once, at K = 1, and serve every K.
+        assert len(requested) == 20
+        assert draws == [(True, 0)] * 2
+        # K changes at every point, so no block is asked for twice and none
+        # is kept: no block is alive when the next one is asked for.
+        assert alive == [0] * 20
 
     def test_workers_do_not_change_the_csv(self, tmp_path, capsys):
-        argv = ["figure", "1", "--trials", "262144", "--power-opt-trials", "70000"]
+        self._assert_workers_agree(["figure", "1", "--trials", "262144", "--power-opt-trials", "70000"],
+                                   tmp_path, capsys)
+
+    def test_workers_do_not_change_figure_eight(self, tmp_path, capsys):
+        # Four chunk threads grow four streams of normals at once.
+        self._assert_workers_agree(["figure", "8", "--trials", "200000", "--skip-power-opt"],
+                                   tmp_path, capsys)
+
+    @staticmethod
+    def _assert_workers_agree(argv, tmp_path, capsys):
         outputs = []
         for workers in ("1", "4"):
             out = tmp_path / f"workers-{workers}.csv"

@@ -13,6 +13,7 @@ import scipy.stats
 
 from relaysec import model
 from relaysec.model import (
+    ChannelBlock,
     LinkGains,
     PowerAllocation,
     Scheme,
@@ -140,7 +141,11 @@ class TestSampling:
 
     def test_same_arguments_return_the_held_block(self):
         with model.block_scope():
+            first = sample_channel_block(**self._KEY)
+            # A block is kept from its second request on, when a later pass
+            # is known to reread it.
             block = sample_channel_block(**self._KEY)
+            assert block is not first
             assert sample_channel_block(**self._KEY) is block
         # The store went with the scope, so the next call draws anew.
         assert sample_channel_block(**self._KEY) is not block
@@ -154,10 +159,11 @@ class TestSampling:
     ])
     def test_any_changed_argument_draws_anew(self, field, value):
         with model.block_scope():
-            held = sample_channel_block(**self._KEY)
-            other = sample_channel_block(**{**self._KEY, field: value})
+            for _ in range(2):
+                held = sample_channel_block(**self._KEY)
+                other = sample_channel_block(**{**self._KEY, field: value})
             assert other is not held
-            # A scope keeps every block it draws, not only the last one.
+            # A scope keeps every block asked for twice, not only the last one.
             assert sample_channel_block(**self._KEY) is held
             assert sample_channel_block(**{**self._KEY, field: value}) is other
 
@@ -179,13 +185,17 @@ class TestSampling:
 
     def test_scope_drops_its_blocks_on_exit(self):
         with model.block_scope():
+            store = model._store
+            sample_channel_block(**self._KEY)
             held = weakref.ref(sample_channel_block(**self._KEY))
-            assert held() is not None
+            assert held() is not None and store.streams
         assert held() is None
         assert model._store is None
+        assert not store.streams and not store.blocks
 
     def test_nested_scope_shares_the_outer_store(self):
         with model.block_scope():
+            sample_channel_block(**self._KEY)
             block = sample_channel_block(**self._KEY)
             with model.block_scope():
                 assert sample_channel_block(**self._KEY) is block
@@ -201,21 +211,23 @@ class TestSampling:
             block = sample_channel_block(gains, k, 1, idx, n)
             fresh.append([rate_margins_block(block, gains, p) for p in params])
             sizes.append((block.nbytes, sum(v.nbytes for v in block._memo.values())))
-        (draws, features), = set(sizes)
-        # Room for two blocks with their features, a third block's draws and
-        # half of its features.
-        bound = 2 * (draws + features) + draws + features // 2
+        (held, features), = set(sizes)
+        stream = model._Stream.nbytes(n, k)
+        # Room for every chunk's normals, two blocks with their features, a
+        # third block's n-vectors and half of its features.
+        bound = 6 * stream + 2 * (held + features) + held + features // 2
         monkeypatch.setattr(model, "BLOCK_STORE_BYTES", bound)
         with model.block_scope():
             store = model._store
-            for _ in range(2):
+            for _ in range(3):
                 for idx in range(6):
                     block = sample_channel_block(gains, k, 1, idx, n)
                     for p, want in zip(params, fresh[idx]):
                         assert np.array_equal(rate_margins_block(block, gains, p), want)
                     assert store.nbytes <= bound
             kept = store.blocks.values()
-            assert store.nbytes == sum(
+            assert len(store.streams) == 6
+            assert store.nbytes == 6 * stream + sum(
                 b.nbytes + sum(v.nbytes for v in b._memo.values()) for b in kept
             )
             # First come, first kept: the leading chunks stay, later ones are
@@ -225,6 +237,84 @@ class TestSampling:
             assert len(third._memo) < len(first._memo)
             assert sample_channel_block(gains, k, 1, 0, n) is sample_channel_block(gains, k, 1, 0, n)
             assert sample_channel_block(gains, k, 1, 5, n) is not sample_channel_block(gains, k, 1, 5, n)
+
+
+class TestNormalStreams:
+    """Every block of a chunk is built from one stream of unit normals."""
+
+    @staticmethod
+    def _count_draws(monkeypatch) -> list:
+        draws, block_rng = [], model.block_rng
+
+        def spy(seed, chunk_index):
+            draws.append((seed, chunk_index))
+            return block_rng(seed, chunk_index)
+
+        monkeypatch.setattr(model, "block_rng", spy)
+        return draws
+
+    @staticmethod
+    def _assert_same_draws(block, want):
+        for name in ("h_ab", "h_ar", "h_rb", "tx_pick"):
+            assert np.array_equal(getattr(block, name), getattr(want, name)), name
+        for name in ("g_ab", "sum_a", "sum_b", "cross", "argmax_ar", "argmax_rb", "argmax_ratio"):
+            assert np.array_equal(getattr(block, name), getattr(want, name)), name
+        for pick in ("argmax_ar", "argmax_rb", "argmax_ratio", "tx_pick"):
+            for gain in ("g_ar", "g_rb"):
+                assert np.array_equal(block.gathered(gain, pick), want.gathered(gain, pick))
+
+    def test_blocks_of_one_scope_equal_unscoped_draws(self, monkeypatch):
+        # n is not a multiple of the tile rows at any K, so tiles straddle
+        # the stream's segments.
+        n, seed = 1000, 11
+        gains = (LinkGains(1.0, 2.0, 3.0), LinkGains(0.2, 5.0, 0.7))
+        want = {
+            (g, k, idx): sample_channel_block(g, k, seed, idx, n)
+            for g in gains for k in (1, 2, 3, 5) for idx in (0, 1)
+        }
+        draws = self._count_draws(monkeypatch)
+        with model.block_scope():
+            for _ in range(2):
+                for k in (3, 1, 5, 2):
+                    for g in gains:
+                        for idx in (0, 1):
+                            self._assert_same_draws(sample_channel_block(g, k, seed, idx, n), want[g, k, idx])
+        # One draw per chunk, grown to the largest K, for both gains.
+        assert draws == [(seed, 0), (seed, 1)]
+
+    def test_segments_equal_one_call(self):
+        n, k = 50, 4
+        stream = model._Stream(3, 2, n)
+        stream.grow(k)
+        rng = model.block_rng(3, 2)
+        normals = rng.standard_normal(2 * n + 4 * n * k)
+        for start, stop in ((0, 2 * n), (0, 6 * n), (5 * n + 2, 11 * n), (7, 2 * n + 4 * n * k)):
+            assert np.array_equal(stream.normals(start, stop), normals[start:stop])
+        # The state after the last segment is the one-call end state.
+        restored = np.random.Generator(np.random.Philox(0))
+        restored.bit_generator.state = stream._states[-1]
+        assert np.array_equal(restored.random(64), rng.random(64))
+
+    def test_stream_that_cannot_grow_within_the_bound_is_dropped(self, monkeypatch):
+        gains, n, seed = LinkGains(1.0, 2.0, 3.0), 64, 3
+        want = {k: sample_channel_block(gains, k, seed, 0, n) for k in (2, 3)}
+        monkeypatch.setattr(model, "BLOCK_STORE_BYTES", model._Stream.nbytes(n, 3) - 1)
+        draws = self._count_draws(monkeypatch)
+        with model.block_scope():
+            store = model._store
+            for _ in range(2):
+                kept = sample_channel_block(gains, 2, seed, 0, n)
+            assert list(store.blocks.values()) == [kept] and len(draws) == 1
+            # Three antennas do not fit: the stream goes, with its blocks.
+            grown = sample_channel_block(gains, 3, seed, 0, n)
+            assert not store.streams and not store.blocks and store.nbytes == 0
+            assert kept._store is None
+            # Later requests draw a fresh stream each and keep nothing.
+            again = [sample_channel_block(gains, 2, seed, 0, n) for _ in range(2)]
+            assert again[0] is not again[1] and not store.streams and store.nbytes == 0
+            assert len(draws) == 4
+        for block, k in ((grown, 3), (kept, 2), *((block, 2) for block in again)):
+            self._assert_same_draws(block, want[k])
 
 
 class TestAntennaSelection:
@@ -283,7 +373,7 @@ class TestAntennaSelection:
         gains = LinkGains(1.0, 0.7, 1.9)
         scaled_gains = LinkGains(c * c * 1.0, c * c * 0.7, c * c * 1.9)
         block = sample_channel_block(gains, 5, seed=9, chunk_index=0, n=25)
-        scaled = replace(block, h_ab=c * block.h_ab, h_ar=c * block.h_ar, h_rb=c * block.h_rb)
+        scaled = ChannelBlock.from_arrays(c * block.h_ab, c * block.h_ar, c * block.h_rb, block.tx_pick)
         for scheme in all_schemes:
             params = SystemParams(rho=20.0, k_antennas=5, scheme=scheme)
             np.testing.assert_allclose(

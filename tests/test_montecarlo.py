@@ -191,14 +191,15 @@ class TestSharedFeatures:
     def test_cached_features_are_read_only(self):
         block = sample_channel_block(LinkGains(1.0, 1.0, 1.0), 3, seed=1, chunk_index=0, n=8)
         features = (
-            block.g_ab, block.g_ar, block.g_rb, block.sum_a, block.sum_b, block.argmax_ar,
-            block.argmax_rb, block.argmax_ratio, block.rows, block.cross,
+            block.g_ab, block.sum_a, block.sum_b, block.argmax_ar,
+            block.argmax_rb, block.argmax_ratio, block.cross,
             block.gathered("g_ar", "argmax_ar"), block.gathered("g_rb", "tx_pick"),
         )
         for feature in features:
+            assert feature.shape == (8,)
             with pytest.raises(ValueError, match="read-only"):
                 feature[0] = 0
-        assert block.g_ar is block.g_ar
+        assert block.sum_a is block.sum_a
         assert block.gathered("g_rb", "argmax_ratio") is block.gathered("g_rb", "argmax_ratio")
 
     def test_all_pairs_independent_of_workers(self, all_schemes, fig8_gains):
