@@ -166,7 +166,11 @@ def row_tiles(n: int, row_bytes: int = 8) -> Iterator[slice]:
 
 
 # Each derived feature from the tile values it reads.  g_ar and g_rb are
-# (rows, K) and live only within a tile; the others are n-vectors.
+# (rows, K) and live only within a tile; the others are n-vectors: the
+# squared gains' per-trial sums, the strongest first-hop antenna, the
+# strongest second-hop antenna, the antenna with the largest first-hop to
+# second-hop gain ratio, and |h_rb^H h_ar|^2, the MRC cross term of signal
+# and jamming.
 _FORMULAS: dict[str, Callable[[Callable[[str], np.ndarray]], np.ndarray]] = {
     "g_ab": lambda get: np.abs(get("h_ab")) ** 2,
     "g_ar": lambda get: np.abs(get("h_ar")) ** 2,
@@ -287,43 +291,6 @@ class ChannelBlock:
                 value = _FORMULAS[name](lambda dep: self._tile(dep, rows, tile))
             tile[name] = value
         return value
-
-    @property
-    def g_ab(self) -> np.ndarray:
-        return self.features("g_ab")[0]
-
-    @property
-    def sum_a(self) -> np.ndarray:
-        return self.features("sum_a")[0]
-
-    @property
-    def sum_b(self) -> np.ndarray:
-        return self.features("sum_b")[0]
-
-    @property
-    def argmax_ar(self) -> np.ndarray:
-        """Strongest first-hop antenna."""
-        return self.features("argmax_ar")[0]
-
-    @property
-    def argmax_rb(self) -> np.ndarray:
-        """Strongest second-hop antenna."""
-        return self.features("argmax_rb")[0]
-
-    @property
-    def argmax_ratio(self) -> np.ndarray:
-        """Antenna with the largest first-hop to second-hop gain ratio."""
-        return self.features("argmax_ratio")[0]
-
-    @property
-    def cross(self) -> np.ndarray:
-        """|h_rb^H h_ar|^2, the MRC cross term of signal and jamming."""
-        return self.features("cross")[0]
-
-    def gathered(self, gain: str, pick: str) -> np.ndarray:
-        """Each trial's ``gain`` (``"g_ar"`` or ``"g_rb"``) on the antenna
-        named by ``pick`` (an ``argmax_*`` feature or ``"tx_pick"``)."""
-        return self.features((gain, pick))[0]
 
 
 @dataclass(frozen=True)

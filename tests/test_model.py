@@ -177,7 +177,7 @@ class TestSampling:
         # Outside a scope nothing holds a block but its caller: it is gone,
         # features and all, as soon as the caller drops it.
         block = sample_channel_block(**self._KEY)
-        block.sum_a, block.cross
+        block.features("sum_a", "cross")
         held = weakref.ref(block)
         del block
         assert held() is None
@@ -253,15 +253,19 @@ class TestNormalStreams:
         monkeypatch.setattr(model, "block_rng", spy)
         return draws
 
-    @staticmethod
-    def _assert_same_draws(block, want):
+    _FEATURES = (
+        "g_ab", "sum_a", "sum_b", "cross", "argmax_ar", "argmax_rb", "argmax_ratio",
+        *((gain, pick) for gain in ("g_ar", "g_rb")
+          for pick in ("argmax_ar", "argmax_rb", "argmax_ratio", "tx_pick")),
+    )
+
+    @classmethod
+    def _assert_same_draws(cls, block, want):
         for name in ("h_ab", "h_ar", "h_rb", "tx_pick"):
             assert np.array_equal(getattr(block, name), getattr(want, name)), name
-        for name in ("g_ab", "sum_a", "sum_b", "cross", "argmax_ar", "argmax_rb", "argmax_ratio"):
-            assert np.array_equal(getattr(block, name), getattr(want, name)), name
-        for pick in ("argmax_ar", "argmax_rb", "argmax_ratio", "tx_pick"):
-            for gain in ("g_ar", "g_rb"):
-                assert np.array_equal(block.gathered(gain, pick), want.gathered(gain, pick))
+        for name, got, expected in zip(cls._FEATURES, block.features(*cls._FEATURES),
+                                       want.features(*cls._FEATURES)):
+            assert np.array_equal(got, expected), name
 
     def test_blocks_of_one_scope_equal_unscoped_draws(self, monkeypatch):
         # n is not a multiple of the tile rows at any K, so tiles straddle

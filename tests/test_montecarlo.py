@@ -190,17 +190,17 @@ class TestSharedFeatures:
 
     def test_cached_features_are_read_only(self):
         block = sample_channel_block(LinkGains(1.0, 1.0, 1.0), 3, seed=1, chunk_index=0, n=8)
-        features = (
-            block.g_ab, block.sum_a, block.sum_b, block.argmax_ar,
-            block.argmax_rb, block.argmax_ratio, block.cross,
-            block.gathered("g_ar", "argmax_ar"), block.gathered("g_rb", "tx_pick"),
+        features = block.features(
+            "g_ab", "sum_a", "sum_b", "argmax_ar", "argmax_rb", "argmax_ratio", "cross",
+            ("g_ar", "argmax_ar"), ("g_rb", "tx_pick"),
         )
         for feature in features:
             assert feature.shape == (8,)
             with pytest.raises(ValueError, match="read-only"):
                 feature[0] = 0
-        assert block.sum_a is block.sum_a
-        assert block.gathered("g_rb", "argmax_ratio") is block.gathered("g_rb", "argmax_ratio")
+        assert block.features("sum_a")[0] is block.features("sum_a")[0]
+        pair = ("g_rb", "argmax_ratio")
+        assert block.features(pair)[0] is block.features(pair)[0]
 
     def test_all_pairs_independent_of_workers(self, all_schemes, fig8_gains):
         params = [SystemParams(rho=db_to_linear(15.0), k_antennas=3, scheme=s) for s in all_schemes]
