@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
@@ -424,7 +424,9 @@ def _run_preset(
 
     # One scope for the run: each chunk's normals are drawn once for every
     # point, and a block a later pass rereads is kept from its second request.
-    with _csv_sink(args) as writer, block_scope():
+    # A lone point with no power search rereads nothing, so it keeps nothing.
+    rereads = len(resolved) > 1 or bool(preset.power_opt)
+    with _csv_sink(args) as writer, block_scope() if rereads else nullcontext():
         for point, setting, gains, base_params, closed, asymptotes in resolved:
             _write_point(writer, preset, setting, gains, base_params, closed, asymptotes, mc, opt_mc)
             print(f"{label}: point {point:g} done", file=sys.stderr)

@@ -153,16 +153,16 @@ class SopEstimate:
             raise ValueError("closed-form and asymptotic estimates carry no sampling uncertainty")
 
 
-# Bytes per row tile: a block's features and margins are computed a row
-# tile at a time, so no (n, K) array of a chunk is built in full and every
-# temporary stays under glibc's 128 KiB mmap threshold.
-TILE_BYTES = 64 << 10
+# Bytes of (rows, K) complex coefficients per tile of feature computation:
+# a block's features are computed a row tile at a time, so no (n, K) array
+# of a chunk is built in full.  At K = 10, tiles of 64 KiB (409 rows) paid
+# numpy's per-call cost so often that they were 15% slower on figure 8.
+FEATURE_TILE_BYTES = 256 << 10
 
 
-def row_tiles(n: int, row_bytes: int = 8) -> Iterator[slice]:
-    """Consecutive row ranges of at most TILE_BYTES, at ``row_bytes`` a row."""
-    step = max(1, TILE_BYTES // row_bytes)
-    return (slice(start, min(n, start + step)) for start in range(0, n, step))
+def row_tiles(n: int, rows: int) -> Iterator[slice]:
+    """Consecutive ranges of at most ``rows`` of n rows."""
+    return (slice(start, min(n, start + rows)) for start in range(0, n, rows))
 
 
 # Each derived feature from the tile values it reads.  g_ar and g_rb are
@@ -263,7 +263,7 @@ class ChannelBlock:
             name: np.empty(n, dtype=np.intp if name in _PICKS else np.float64)
             for name in dict.fromkeys(missing)
         }
-        for rows in row_tiles(n, 16 * self.k):
+        for rows in row_tiles(n, max(1, FEATURE_TILE_BYTES // (16 * self.k))):
             tile: dict = {}
             for name, value in computed.items():
                 value[rows] = self._tile(name, rows, tile)

@@ -694,6 +694,18 @@ class TestDrawReuse:
         # is kept: no block is alive when the next one is asked for.
         assert alive == [0] * 20
 
+    @pytest.mark.parametrize("argv", [
+        ["point", "--scheme", "af", "--mode", "select-csi", "--k", "10", "--method", "montecarlo"],
+        ["sweep", "--axis", "rho_db", "--points", "10", "--schemes", "dt,af,cj"],
+    ])
+    def test_lone_point_keeps_nothing(self, argv, monkeypatch, capsys):
+        draws, requested, alive = self._spy(monkeypatch)
+        code, _, err = run_cli([*argv, "--trials", "131072"], capsys)
+        assert code == 0, err
+        # Nothing rereads the chunks, so no scope holds their normals.
+        assert len(requested) == 2
+        assert draws == [(False, 0)] * 2 and alive == [0, 0]
+
     def test_workers_do_not_change_the_csv(self, tmp_path, capsys):
         self._assert_workers_agree(["figure", "1", "--trials", "262144", "--power-opt-trials", "70000"],
                                    tmp_path, capsys)

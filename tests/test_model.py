@@ -270,7 +270,7 @@ class TestNormalStreams:
     def test_blocks_of_one_scope_equal_unscoped_draws(self, monkeypatch):
         # n is not a multiple of the tile rows at any K, so tiles straddle
         # the stream's segments.
-        n, seed = 1000, 11
+        n, seed = 20000, 11
         gains = (LinkGains(1.0, 2.0, 3.0), LinkGains(0.2, 5.0, 0.7))
         want = {
             (g, k, idx): sample_channel_block(g, k, seed, idx, n)
