@@ -424,9 +424,11 @@ class _BlockStore:
     def get(self, key: tuple) -> tuple[ChannelBlock | None, bool]:
         """The block kept for ``key``, and whether ``key`` was asked for before."""
         with self._lock:
-            repeated = key in self._requested
-            self._requested.add(key)
-            return self.blocks.get(key), repeated
+            block = self.blocks.get(key)
+            repeated = block is not None or key in self._requested
+            if not repeated:
+                self._requested.add(key)
+            return block, repeated
 
     def stream(self, seed: int, chunk_index: int, n: int, k: int) -> _Stream:
         """The kept stream of the chunk with room counted for k antennas,

@@ -181,12 +181,15 @@ def _count_many(
     if any(p.k_antennas != k for p in params_list):
         raise ValueError("shared-draw evaluation requires a common antenna count")
 
-    # Every feature any of the schemes reads, computed in one pass of row tiles.
-    reads = tuple(dict.fromkeys(name for params in params_list for name in _reads(params.scheme)))
+    # Several schemes compute every feature they read in one pass of row
+    # tiles; a lone scheme computes its own in rate_margins_block.
+    shared = ()
+    if len(params_list) > 1:
+        shared = dict.fromkeys(name for params in params_list for name in _reads(params.scheme))
 
     def run_chunk(idx: int, n: int) -> list[int]:
         block = sample_channel_block(gains, k, mc.seed, idx, n)
-        block.features(*reads)
+        block.features(*shared)
         counts = []
         for params in params_list:
             margins = rate_margins_block(block, gains, params)
