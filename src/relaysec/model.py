@@ -156,7 +156,8 @@ class SopEstimate:
 # Bytes of (rows, K) complex coefficients per tile of feature computation:
 # a block's features are computed a row tile at a time, so no (n, K) array
 # of a chunk is built in full.  At K = 10, tiles of 64 KiB (409 rows) paid
-# numpy's per-call cost so often that they were 15% slower on figure 8.
+# numpy's per-call cost so often that `figure 8 --trials 131072` ran about
+# 13% longer.
 FEATURE_TILE_BYTES = 256 << 10
 
 
