@@ -185,8 +185,6 @@ _FORMULAS: dict[str, Callable[[Callable[[str], np.ndarray]], np.ndarray]] = {
 }
 _PICKS = ("argmax_ar", "argmax_rb", "argmax_ratio", "tx_pick")
 
-HopRows = Callable[[str, int, int], np.ndarray]  # ("h_ar" | "h_rb", start, stop) -> rows
-
 
 @dataclass(frozen=True, eq=False)
 class ChannelBlock:
@@ -219,7 +217,7 @@ class ChannelBlock:
     h_ab: np.ndarray     # (n,) complex
     tx_pick: np.ndarray  # (n,) int
     k: int
-    hop_rows: HopRows
+    hop_rows: Callable[[str, int, int], np.ndarray]  # ("h_ar" | "h_rb", start, stop) -> rows
     _memo: dict = field(default_factory=dict, init=False, repr=False)
     _store: _BlockStore | None = field(default=None, init=False, repr=False)
 
