@@ -118,8 +118,9 @@ class SystemParams:
     def __post_init__(self):
         if not (self.rho > 0 and math.isfinite(self.rho)):
             raise ValueError(f"rho must be strictly positive and finite, got {self.rho}")
-        if not (1 <= self.k_antennas < math.inf and int(self.k_antennas) == self.k_antennas):
-            raise ValueError(f"k_antennas must be an integer >= 1, got {self.k_antennas}")
+        # No form is checked beyond K = 1024, and each antenna costs 4n normals a chunk.
+        if not (1 <= self.k_antennas <= 1024 and int(self.k_antennas) == self.k_antennas):
+            raise ValueError(f"k_antennas must be an integer in [1, 1024], got {self.k_antennas}")
         # Sweep points arrive as floats; array shapes and CSV rows need an int.
         object.__setattr__(self, "k_antennas", int(self.k_antennas))
         # The closed forms compute 2^{2R}, a finite float only for R < 512.
@@ -205,10 +206,10 @@ class ChannelBlock:
     n-vector) are computed by ``features`` in row tiles, only those asked
     for, all missing ones in one pass, and kept for the block's lifetime,
     so the schemes of one chunk share a single computation.  A block kept
-    by a ``block_scope`` store is shared further, by every later pass over
-    the same chunk in that scope, and its features count toward the
-    store's byte bound: a feature that no longer fits is computed again on
-    each use instead of kept.  A plain per-instance memo, not
+    by its chunk's stream in a ``block_scope`` is shared further, by later
+    passes that ask for the same gains and K, and its features count
+    toward the store's byte bound through ``_store``: a feature that no
+    longer fits is computed again on each use.  A plain per-instance memo, not
     ``functools.cached_property``, keeps chunk threads from contending for
     a class-wide lock.  The held and the computed arrays are read-only: a
     scheme that wrote into one would corrupt the next caller's margins.
@@ -335,6 +336,8 @@ class _Stream:
         self.key = (seed, chunk_index, n)
         self.n = n
         self.reserved = 0  # bytes a store has counted for this stream
+        self.asked: tuple | None = None  # the (gains, K) of the last block asked of a kept stream
+        self.kept: ChannelBlock | None = None  # that block, once asked for twice in a row
         self._rng = block_rng(seed, chunk_index)
         self._segments: list[np.ndarray] = []
         self._states: list[dict] = []
@@ -399,78 +402,76 @@ BLOCK_STORE_BYTES = 256 << 20
 
 
 class _BlockStore:
-    """The normal streams and blocks one ``block_scope`` keeps, up to a byte bound.
+    """The normal streams one ``block_scope`` keeps, up to a byte bound.
 
     A stream is kept from its first draw, and grown while the growth fits;
-    one that cannot grow is dropped with its blocks, and later requests for
-    it draw a fresh, unkept stream.  A block is kept from its second
-    request on, when a later pass is known to reread it.  Admission is
-    first come, first kept, so the leading chunks of a sequential scan stay
-    and still hit on the next pass.  Bookkeeping runs under a lock because
-    the chunk threads of ``workers > 1`` draw and compute features at once.
+    one that cannot grow is dropped with its block, and later requests for
+    it draw a fresh, unkept stream.  A stream keeps one block: that of a
+    (gains, K) asked of it twice in a row, when a later pass is known to
+    reread it, until another is asked for.  Admission is first come, first
+    kept, so the leading chunks of a sequential scan stay and still hit on
+    the next pass.  Bookkeeping runs under a lock because the chunk threads
+    of ``workers > 1`` draw and compute features at once.
     """
 
     def __init__(self, limit: int):
         self.limit = limit
         self.nbytes = 0
         self.streams: dict[tuple, _Stream] = {}
-        self.blocks: dict[tuple, ChannelBlock] = {}
-        self._requested: set[tuple] = set()
         self._dropped: set[tuple] = set()
-        self._open = True
         self._lock = threading.Lock()
 
-    def get(self, key: tuple) -> tuple[ChannelBlock | None, bool]:
-        """The block kept for ``key``, and whether ``key`` was asked for before."""
-        with self._lock:
-            block = self.blocks.get(key)
-            repeated = block is not None or key in self._requested
-            if not repeated:
-                self._requested.add(key)
-            return block, repeated
-
-    def stream(self, seed: int, chunk_index: int, n: int, k: int) -> _Stream:
-        """The kept stream of the chunk with room counted for k antennas,
-        or a fresh, unkept one where that does not fit."""
-        key = (seed, chunk_index, n)
+    def block(self, gains: LinkGains, k: int, seed: int, chunk_index: int, n: int) -> ChannelBlock:
+        """The block of ``gains`` and k antennas for the chunk: the kept one,
+        or one built from the chunk's kept stream, or from a fresh, unkept
+        stream where the chunk's stream does not fit."""
+        key, asked = (seed, chunk_index, n), (gains, k)
         with self._lock:
             stream = self.streams.get(key)
+            if stream is not None and stream.asked == asked and stream.kept is not None:
+                return stream.kept
             growth = _Stream.nbytes(n, k) - (stream.reserved if stream else 0)
             if self.nbytes + max(0, growth) > self.limit:
                 if stream is not None:
                     self._drop(stream)
-            elif stream is not None or (self._open and key not in self._dropped):
-                if stream is None:
-                    stream = self.streams[key] = _Stream(seed, chunk_index, n)
-                if growth > 0:
-                    self.nbytes += growth
-                    stream.reserved += growth
-                return stream
-        return _Stream(seed, chunk_index, n)
+                stream = None
+            elif stream is None and key not in self._dropped:
+                stream = self.streams[key] = _Stream(seed, chunk_index, n)
+            if stream is not None:
+                self.nbytes += max(0, growth)
+                stream.reserved += max(0, growth)
+                repeated = stream.asked == asked
+                if not repeated:
+                    self._release(stream)
+                    stream.asked = asked
+        if stream is None:
+            return _Stream(seed, chunk_index, n).block(gains, k)
+        block = stream.block(gains, k)
+        if repeated:
+            with self._lock:
+                if (self.streams.get(key) is stream and stream.asked == asked
+                        and stream.kept is None and self.nbytes + block.nbytes <= self.limit):
+                    stream.kept = block
+                    self.nbytes += block.nbytes
+                    object.__setattr__(block, "_store", self)
+        return block
+
+    def _release(self, stream: _Stream) -> None:
+        """Let go of the stream's kept block and of the bytes counted for it."""
+        block, stream.kept = stream.kept, None
+        if block is not None:
+            self.nbytes -= block.nbytes + sum(value.nbytes for value in block._memo.values())
+            object.__setattr__(block, "_store", None)
 
     def _drop(self, stream: _Stream) -> None:
         del self.streams[stream.key]
         self._dropped.add(stream.key)
         self.nbytes -= stream.reserved
-        for key in [key for key in self.blocks if key[2:] == stream.key]:
-            block = self.blocks.pop(key)
-            self.nbytes -= block.nbytes + sum(value.nbytes for value in block._memo.values())
-            object.__setattr__(block, "_store", None)
-
-    def keep(self, key: tuple, block: ChannelBlock, stream: _Stream) -> None:
-        """Keep ``block``, drawn from ``stream``, if the stream is kept and it fits."""
-        with self._lock:
-            if (self._open and key not in self.blocks and self.streams.get(stream.key) is stream
-                    and self.nbytes + block.nbytes <= self.limit):
-                self.blocks[key] = block
-                self.nbytes += block.nbytes
-                object.__setattr__(block, "_store", self)
+        self._release(stream)
 
     def admit(self, nbytes: int) -> bool:
         """Count a feature computed on a kept block; False if it does not fit."""
         with self._lock:
-            if not self._open:
-                return True  # the scope is over; the block is its holder's alone
             if self.nbytes + nbytes > self.limit:
                 return False
             self.nbytes += nbytes
@@ -478,8 +479,8 @@ class _BlockStore:
 
     def close(self) -> None:
         with self._lock:
-            self._open = False
-            self.blocks.clear()
+            for stream in self.streams.values():
+                self._release(stream)
             self.streams.clear()
 
 
@@ -488,13 +489,14 @@ _store: _BlockStore | None = None
 
 @contextmanager
 def block_scope() -> Iterator[None]:
-    """Keep the normal streams and the reread blocks ``sample_channel_block``
-    draws until the scope exits.
+    """Keep the normal stream of each chunk ``sample_channel_block`` draws,
+    with at most one block, until the scope exits.
 
     Open one around a run whose passes read the same chunks again.  Every
     chunk's normals are then drawn once, whatever the gains and antenna
-    counts of the blocks built from them, and a block asked for a second
-    time is kept, with the features computed on it, for every later pass:
+    counts of the blocks built from them, and a stream asked for the same
+    (gains, K) twice in a row keeps that block, with the features computed
+    on it, for every later pass until another (gains, K) is asked of it:
     the points of an axis that leaves the gains and K alone, or the
     candidates of a power search.  ``BLOCK_STORE_BYTES`` bounds the bytes
     kept, the streams' normals and the kept blocks' n-vectors and features
@@ -528,24 +530,17 @@ def sample_channel_block(gains: LinkGains, k: int, seed: int, chunk_index: int, 
     nest: every K and every gains read a prefix of the same stream.
 
     Inside a ``block_scope`` the store keeps the stream of each (seed,
-    chunk_index, n), grown to the largest K asked for, and keeps a block
-    (keyed by the whole argument tuple) from its second request on; see
+    chunk_index, n), grown to the largest K asked for, and the stream keeps
+    the block of a (gains, K) asked of it twice in a row; see
     ``block_scope`` for the bound.  Outside a scope nothing is kept: the
     block lives, with its stream, as long as its caller holds it.  Chunk
-    threads that miss on the same key at once each build it, which costs
-    a rebuild, never a wrong block.
+    threads that ask one stream for a block at once may each build it,
+    which costs a rebuild, never a wrong block.
     """
     store = _store
     if store is None:
         return _Stream(seed, chunk_index, n).block(gains, k)
-    key = (gains, k, seed, chunk_index, n)
-    block, repeated = store.get(key)
-    if block is None:
-        stream = store.stream(seed, chunk_index, n, k)
-        block = stream.block(gains, k)
-        if repeated:
-            store.keep(key, block, stream)
-    return block
+    return store.block(gains, k, seed, chunk_index, n)
 
 
 def threshold_t(gains: LinkGains, params: SystemParams) -> float:
@@ -570,7 +565,8 @@ def derived_coefficients(gains: LinkGains, params: SystemParams) -> DerivedCoeff
     c = two2r - 1.0
     mu1 = (gains.gamma_ar + 1.0 / rho) / gains.gamma_rb
     beta1 = 1.0 + gains.gamma_ar / gains.gamma_ab
-    beta2 = (two2r * gains.gamma_ar + gains.gamma_ab) / (c * gains.gamma_ar + gains.gamma_ab)
+    # (2^{2R} gamma_ar + gamma_ab) / (c gamma_ar + gamma_ab), 1 where c overflows.
+    beta2 = 1.0 + gains.gamma_ar / (c * gains.gamma_ar + gains.gamma_ab)
     s = gains.gamma_ar + gains.gamma_rb + 1.0 / rho
 
     def phi(z: float) -> float:

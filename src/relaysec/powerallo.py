@@ -8,12 +8,13 @@ minimization: coarse grid, then coordinate-wise golden-section refinement.
 
 The fading is drawn once per chunk for the whole search: the search runs
 inside a ``model.block_scope`` (its own, or the caller's when one is open),
-whose store keeps each chunk's normals and, from their second request on,
-the blocks of the budget with their computed features, up to
+where each chunk's stream of normals keeps the one block every candidate
+reads, with its features, from the second pass on, up to
 ``model.BLOCK_STORE_BYTES``.  The grid stage scores all of its candidates
-in one ``estimate_sop_many`` pass over the chunks; the golden-section
-stage scores each probe with ``estimate_sop`` on the kept blocks.  Both stages fill one cache of estimates, keyed by the rounded
-fractions, so a probe that lands on a grid point is not scored again.
+in one ``estimate_sop_many`` pass over the chunks; the golden-section stage
+scores each probe with ``estimate_sop`` on the kept blocks.  Both stages
+fill one cache of estimates, keyed by the rounded fractions, so a probe
+that lands on a grid point is not scored again.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ def minimize_sop(
 def _search(
     gains: LinkGains, params: SystemParams, mc: McConfig, grid_step: float, constraint: str
 ) -> tuple[PowerAllocation, SopEstimate]:
-    if not 0.0 < grid_step <= 0.5:
-        raise ValueError(f"grid_step must lie in (0, 0.5], got {grid_step}")
+    # A step below the floor would take the grid past 20 points per axis.
+    if not FRACTION_FLOOR <= grid_step <= 0.5:
+        raise ValueError(f"grid_step must lie in [{FRACTION_FLOOR}, 0.5], got {grid_step}")
     if constraint not in ("per-node", "total"):
         raise ValueError(f"constraint must be 'per-node' or 'total', got {constraint!r}")
 

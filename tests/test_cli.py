@@ -143,6 +143,11 @@ class TestExitCodes:
          "--power-opt-trials"),
         (["figure", "1", "--trials", "64", "--rate", "1e6"], "rate"),
         (["point", "--rate", "1e308", "--method", "analytic"], "rate"),
+        (["point", "--k", "1000000000", "--method", "montecarlo", "--trials", "10"], "k_antennas"),
+        (["sweep", "--axis", "k_antennas", "--points", "1e12", "--trials", "10"], "k_antennas"),
+        (["sweep", "--axis", "k_antennas", "--points", "1e308", "--trials", "10"], "k_antennas"),
+        (["power-opt", "--trials", "64", "--grid-step", "1e-300"], "--grid-step"),
+        (["power-opt", "--trials", "64", "--grid-step", "0.001"], "--grid-step"),
     ])
     def test_bad_value_names_its_flag(self, argv, flag, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -286,7 +291,7 @@ _POINT_FLAGS = {
     "--scheme": st.sampled_from(("dt", "af", "cj")),
     "--mode": st.sampled_from(("full", "select-csi", "select-nocsi")),
     "--method": st.sampled_from(("analytic", "montecarlo", "asymptotic", "both")),
-    "--k": _numbers(st.integers(1, 16)),
+    "--k": _numbers(st.one_of(st.integers(1, 16), st.just(10**9))),
     "--rate": _numbers(st.one_of(st.floats(0.0, 511.99), st.sampled_from((511.0, 511.99)))),
     "--seed": _numbers(st.integers(-(2**70), 2**70)),
     "--workers": _numbers(st.integers(1, 2)),
@@ -318,14 +323,61 @@ class TestPointArgvGate:
               "--rate": "511", "--method": "analytic"})
     @example({"--trials": "1", "--scheme": "af", "--mode": "select-nocsi", "--k": "4",
               "--rate": "511", "--method": "analytic"})
+    @example({"--trials": "1", "--rate": "511.0", "--gar-db": "7.0"})
     def test_every_argv_exits_by_the_contract(self, flags):
         argv = ["point", *(part for flag, value in flags.items() for part in (flag, value))]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's own exit for a malformed flag
-                code = exc.code
-        assert code in (0, 2, 3, 4), argv
+        assert _exit_code(argv) in (0, 2, 3, 4), argv
+
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse's own exit for a malformed flag
+            return exc.code
+
+
+# The link and run flags of ``point`` without its --method, and every run
+# names at most 300 trials.
+_LINK_FLAGS = {flag: value for flag, value in _POINT_FLAGS.items() if flag != "--method"}
+_TRIALS = {"--trials": _numbers(st.integers(1, 300))}
+
+
+def _axis_points(axis: str):
+    """A --points list of one to three values on ``axis``."""
+    value = st.integers(1, 16) if axis == "k_antennas" else st.floats(-80.0, 80.0)
+    return st.lists(_numbers(value), min_size=1, max_size=3).map(",".join)
+
+
+class TestSweepAndPowerOptArgvGate:
+    """The argv gate of ``point``, for ``sweep`` and ``power-opt``.  Values
+    are attached with ``=``, so that a negative one reads as a value."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(cli.SWEEP_AXES)).flatmap(lambda axis: st.fixed_dictionaries(
+        {**_TRIALS, "--axis": st.just(axis), "--points": _axis_points(axis)},
+        optional={**_LINK_FLAGS, "--schemes": st.lists(st.sampled_from(
+            ("dt", "af", "cj", "dt:select-csi", "af:select-nocsi", "cj:select-csi", "dt:select-nocsi")
+        ), min_size=1, max_size=3).map(",".join)},
+    )))
+    @example({"--trials": "10", "--axis": "k_antennas", "--points": "1e12"})
+    @example({"--trials": "10", "--axis": "k_antennas", "--points": "4,1e308"})
+    def test_every_sweep_argv_exits_by_the_contract(self, flags):
+        argv = ["sweep", *(f"{flag}={value}" for flag, value in flags.items())]
+        assert _exit_code(argv) in (0, 2, 3, 4), argv
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.fixed_dictionaries(_TRIALS, optional={
+        **_LINK_FLAGS,
+        "--grid-step": _numbers(st.floats(0.05, 0.5)),
+        "--constraint": st.sampled_from(("per-node", "total")),
+    }))
+    @example({"--trials": "10", "--scheme": "cj", "--grid-step": "1e-300"})
+    @example({"--trials": "10", "--scheme": "cj", "--grid-step": "0.001"})
+    @example({"--trials": "10", "--scheme": "cj", "--grid-step": "1e308"})
+    def test_every_power_opt_argv_exits_by_the_contract(self, flags):
+        argv = ["power-opt", *(f"{flag}={value}" for flag, value in flags.items())]
+        assert _exit_code(argv) in (0, 2, 3, 4), argv
 
 
 class TestImports:
@@ -676,12 +728,44 @@ class TestDrawReuse:
 
     def test_figure_one_draws_each_block_once(self, monkeypatch, capsys):
         draws, requested, _ = self._spy(monkeypatch)
+        builds, build = [], model._Stream.block
+
+        def spy_build(stream, gains, k):
+            builds.append(stream.key[1:])
+            return build(stream, gains, k)
+
+        monkeypatch.setattr(model._Stream, "block", spy_build)
         code, _, err = run_cli(["figure", "1", "--trials", "131072", "--power-opt-trials", "70000"], capsys)
         assert code == 0, err
         # Two chunks for the rows, two for the search; chunk 0 is common to both.
-        assert sorted(key[3:] for key in requested) == [(0, 65536), (1, 4464), (1, 65536)]
+        chunks = [(0, 65536), (1, 4464), (1, 65536)]
+        assert sorted(key[3:] for key in requested) == chunks
         assert len(draws) == len(requested)
         assert all(scoped for scoped, _ in draws)
+        # Each stream is asked for one block throughout: the first request
+        # builds it, the second builds it again and keeps it, and every later
+        # one reads the kept block.
+        assert sorted(builds) == sorted(2 * chunks)
+
+    def test_store_counts_the_bytes_it_holds(self, capsys):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch chunk threads often, to expose a lost update
+        try:
+            with model.block_scope():  # the figure's scope joins this one
+                store = model._store
+                code, _, err = run_cli(["figure", "7", "--trials", "200000", "--skip-power-opt",
+                                        "--workers", "4"], capsys)
+                streams = list(store.streams.values())
+                kept = [stream.kept for stream in streams if stream.kept is not None]
+                held = store.nbytes
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0, err
+        assert len(kept) == len(streams) == 4
+        normals = sum(segment.nbytes for stream in streams for segment in stream._segments)
+        assert held == normals + sum(
+            block.nbytes + sum(value.nbytes for value in block._memo.values()) for block in kept
+        )
 
     def test_figure_eight_keeps_no_block(self, monkeypatch, capsys):
         draws, requested, alive = self._spy(monkeypatch)

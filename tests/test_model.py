@@ -55,6 +55,11 @@ class TestTypes:
             SystemParams(rho=1.0, k_antennas=0)
         with pytest.raises(ValueError):
             SystemParams(rho=1.0, rate=-0.1)
+        # A simulated chunk draws 4n normals per antenna, so an unbounded K
+        # would exhaust memory.
+        assert SystemParams(rho=1.0, k_antennas=1024).k_antennas == 1024
+        with pytest.raises(ValueError, match="k_antennas"):
+            SystemParams(rho=1.0, k_antennas=1025)
 
     def test_dt_without_csi_rejected(self):
         with pytest.raises(ValueError):
@@ -158,14 +163,32 @@ class TestSampling:
         ("n", 65),
     ])
     def test_any_changed_argument_draws_anew(self, field, value):
+        changed = {**self._KEY, field: value}
         with model.block_scope():
-            for _ in range(2):
-                held = sample_channel_block(**self._KEY)
-                other = sample_channel_block(**{**self._KEY, field: value})
+            held = [sample_channel_block(**self._KEY) for _ in range(2)][-1]
+            other = [sample_channel_block(**changed) for _ in range(2)][-1]
             assert other is not held
-            # A scope keeps every block asked for twice, not only the last one.
-            assert sample_channel_block(**self._KEY) is held
-            assert sample_channel_block(**{**self._KEY, field: value}) is other
+            assert sample_channel_block(**changed) is other
+            # Gains and K pick another block of the same chunk's stream, which
+            # keeps only one; a seed, chunk or size of its own has its own stream.
+            assert (sample_channel_block(**self._KEY) is held) is (field not in ("gains", "k"))
+
+    def test_stream_keeps_one_block(self):
+        other = {**self._KEY, "gains": LinkGains(1.0, 2.0, 4.0)}
+        with model.block_scope():
+            store = model._store
+            first = [sample_channel_block(**self._KEY) for _ in range(2)][-1]
+            first.features("sum_a", "cross")
+            stream, = store.streams.values()
+            assert stream.kept is first and first._store is store
+            assert store.nbytes == stream.reserved + first.nbytes + 2 * 8 * self._KEY["n"]
+            # Another (gains, K) asked for twice in a row takes the stream's
+            # one place, and the first block's bytes leave the count.
+            second = [sample_channel_block(**other) for _ in range(2)][-1]
+            assert stream.kept is second and first._store is None
+            assert store.nbytes == stream.reserved + second.nbytes
+            assert sample_channel_block(**other) is second
+            assert sample_channel_block(**self._KEY) is not first
 
     def test_drawn_arrays_are_read_only(self):
         block = sample_channel_block(**self._KEY)
@@ -188,10 +211,13 @@ class TestSampling:
             store = model._store
             sample_channel_block(**self._KEY)
             held = weakref.ref(sample_channel_block(**self._KEY))
-            assert held() is not None and store.streams
+            stream, = store.streams.values()
+            assert stream.kept is held()
+        # The kept block refers to its stream, so the store must let go of it
+        # for the pair to be freed without the cycle collector.
         assert held() is None
         assert model._store is None
-        assert not store.streams and not store.blocks
+        assert not store.streams and stream.kept is None
 
     def test_nested_scope_shares_the_outer_store(self):
         with model.block_scope():
@@ -225,15 +251,15 @@ class TestSampling:
                     for p, want in zip(params, fresh[idx]):
                         assert np.array_equal(rate_margins_block(block, gains, p), want)
                     assert store.nbytes <= bound
-            kept = store.blocks.values()
+            kept = {key[1]: s.kept for key, s in store.streams.items() if s.kept is not None}
             assert len(store.streams) == 6
             assert store.nbytes == 6 * stream + sum(
-                b.nbytes + sum(v.nbytes for v in b._memo.values()) for b in kept
+                b.nbytes + sum(v.nbytes for v in b._memo.values()) for b in kept.values()
             )
             # First come, first kept: the leading chunks stay, later ones are
             # not kept, and the third block keeps only the features that fit.
-            assert [key[3] for key in store.blocks] == [0, 1, 2]
-            first, _, third = kept
+            assert list(kept) == [0, 1, 2]
+            first, _, third = kept.values()
             assert len(third._memo) < len(first._memo)
             assert sample_channel_block(gains, k, 1, 0, n) is sample_channel_block(gains, k, 1, 0, n)
             assert sample_channel_block(gains, k, 1, 5, n) is not sample_channel_block(gains, k, 1, 5, n)
@@ -308,10 +334,10 @@ class TestNormalStreams:
             store = model._store
             for _ in range(2):
                 kept = sample_channel_block(gains, 2, seed, 0, n)
-            assert list(store.blocks.values()) == [kept] and len(draws) == 1
-            # Three antennas do not fit: the stream goes, with its blocks.
+            assert store.streams[seed, 0, n].kept is kept and len(draws) == 1
+            # Three antennas do not fit: the stream goes, with its block.
             grown = sample_channel_block(gains, 3, seed, 0, n)
-            assert not store.streams and not store.blocks and store.nbytes == 0
+            assert not store.streams and store.nbytes == 0
             assert kept._store is None
             # Later requests draw a fresh stream each and keep nothing.
             again = [sample_channel_block(gains, 2, seed, 0, n) for _ in range(2)]
@@ -479,6 +505,15 @@ class TestDerivedCoefficients:
         params = SystemParams(rho=10.0, rate=0.4, k_antennas=5)
         coef = derived_coefficients(gains, params)
         assert coef.beta2 >= 1.0
+
+    def test_beta2_where_its_products_overflow(self):
+        gains = LinkGains(1.0, 5.0, 3.0)
+        params = SystemParams(rho=10.0, rate=0.4)
+        two2r = 2.0 ** 0.8
+        ratio = (two2r * 5.0 + 1.0) / ((two2r - 1.0) * 5.0 + 1.0)
+        assert derived_coefficients(gains, params).beta2 == pytest.approx(ratio, rel=1e-15)
+        # At R = 511, 2^{2R} * gamma_ar overflows; the ratio tends to 1.
+        assert derived_coefficients(gains, replace(params, rate=511.0)).beta2 == 1.0
 
     def test_uncorrected_threshold_is_smaller(self):
         # The paper prints 2 where the discriminant of phi(z) = 0 has 4.
