@@ -19,6 +19,8 @@ from relaysec.model import (
     sample_channel_block,
 )
 from relaysec.montecarlo import (
+    _rates,
+    _reads,
     estimate_sop,
     estimate_sop_many,
     rate_margins_block,
@@ -307,6 +309,28 @@ class TestPowerFractions:
         jammed = SystemParams(rho=db_to_linear(20.0), rate=0.1, scheme=SchemeId(Scheme.CJ))
         # With no jamming the relay decodes cleanly and outage is much worse.
         assert estimate_sop(fig1_gains, params, mc).value > estimate_sop(fig1_gains, jammed, mc).value
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_silent_relay_forwards_nothing(self, scheme, k, fig1_gains):
+        # frac_relay = 0 is valid input: AF keeps only the direct link, CJ
+        # leaves Bob nothing, and DT never reads the relay's power.
+        a, rho = 0.7, db_to_linear(20.0)
+        params = SystemParams(rho=rho, k_antennas=k, scheme=scheme, power=PowerAllocation(a, 0.0, 0.6))
+        block = sample_channel_block(fig1_gains, k, seed=5, chunk_index=0, n=512)
+        margins = rate_margins_block(block, fig1_gains, params)
+        assert np.all(np.isfinite(margins))
+        full = scheme.mode is SelectionMode.FULL_ARRAY
+        g_ab, eav = block.features("g_ab", "sum_a" if full else ("g_ar", "argmax_ar"))
+        if scheme.scheme is Scheme.DT:
+            powered = replace(params, power=PowerAllocation(a, 1.0, 0.6))
+            np.testing.assert_array_equal(margins, rate_margins_block(block, fig1_gains, powered))
+        elif scheme.scheme is Scheme.AF:
+            expected = 0.5 * np.log2(1.0 + a * rho * g_ab) - 0.5 * np.log2(1.0 + a * rho * eav)
+            np.testing.assert_allclose(margins, expected, rtol=1e-14, atol=1e-14)
+        else:
+            i_b, i_r = _rates(fig1_gains, params, *block.features(*_reads(scheme)))
+            np.testing.assert_array_equal(i_b, 0.0)
+            np.testing.assert_array_equal(margins, -i_r)
 
 
 class TestAgainstDegenerateGeometry:
