@@ -302,8 +302,12 @@ def _read_config_file(path: str) -> list[str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} is unreadable: {exc}") from exc
     args: list[str] = []
-    for lineno, raw in enumerate(p.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -354,7 +358,11 @@ def _csv_sink(args):
     if not args.out:
         yield CsvWriter(sys.stdout)
         return
-    with open(args.out, "w", newline="") as stream:
+    try:
+        stream = open(args.out, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {args.out}: {exc.strerror}") from exc
+    with stream:
         yield CsvWriter(stream)
 
 
@@ -511,13 +519,14 @@ def run_power_opt(args) -> int:
     setting = _args_setting(args)
     gains, params = setting.link(args.rate, _scheme_id(args.scheme, args.mode))
     mc = _mc_config(args)
+    try:
+        powerallo.check_search(args.grid_step, args.constraint)
+    except ValueError as exc:
+        raise ConfigError(f"--grid-step: {exc}") from exc
     with block_scope():  # the full-power row reads the search's blocks
-        try:
-            allocation, est = powerallo.minimize_sop(
-                gains, params, mc, grid_step=args.grid_step, constraint=args.constraint
-            )
-        except ValueError as exc:
-            raise ConfigError(f"--grid-step: {exc}") from exc
+        allocation, est = powerallo.minimize_sop(
+            gains, params, mc, grid_step=args.grid_step, constraint=args.constraint
+        )
         full = estimate_sop(gains, params, mc)
     with _csv_sink(args) as writer:
         writer.row(setting, params, "montecarlo", full)

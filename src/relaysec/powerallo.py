@@ -61,14 +61,19 @@ def minimize_sop(
         return _search(gains, params, mc, grid_step, constraint)
 
 
-def _search(
-    gains: LinkGains, params: SystemParams, mc: McConfig, grid_step: float, constraint: str
-) -> tuple[PowerAllocation, SopEstimate]:
+def check_search(grid_step: float, constraint: str) -> None:
+    """Raise ValueError unless ``minimize_sop`` accepts these arguments."""
     # A step below the floor would take the grid past 20 points per axis.
     if not FRACTION_FLOOR <= grid_step <= 0.5:
         raise ValueError(f"grid_step must lie in [{FRACTION_FLOOR}, 0.5], got {grid_step}")
     if constraint not in ("per-node", "total"):
         raise ValueError(f"constraint must be 'per-node' or 'total', got {constraint!r}")
+
+
+def _search(
+    gains: LinkGains, params: SystemParams, mc: McConfig, grid_step: float, constraint: str
+) -> tuple[PowerAllocation, SopEstimate]:
+    check_search(grid_step, constraint)
 
     coords = _ACTIVE_COORDS[params.scheme.scheme]
     n_active = len(coords)

@@ -155,6 +155,37 @@ class TestExitCodes:
         assert err.startswith("config error:") and flag in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", [
+        ["point", "--method", "analytic"],
+        ["sweep", "--axis", "rho_db", "--points", "0,10", "--trials", "64"],
+        ["figure", "2", "--trials", "64", "--power-opt-trials", "64"],
+        ["power-opt", "--trials", "64"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("bad", ["missing-dir", "existing-dir", "non-utf8-config"])
+    def test_unusable_file_names_it(self, command, bad, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"trials = 10\xff\n")
+        extra, named = {
+            "missing-dir": (["--out", str(tmp_path / "missing" / "x.csv")], "--out"),
+            "existing-dir": (["--out", str(out_dir)], "--out"),
+            "non-utf8-config": (["--config", str(cfg), "--out", str(out_dir / "x.csv")], str(cfg)),
+        }[bad]
+        code, out, err = run_cli([*command, *extra], capsys)
+        assert code == 2
+        assert err.startswith("config error:") and named in err
+        assert out == ""
+        assert not (tmp_path / "missing").exists() and not any(out_dir.iterdir())
+
+    def test_failure_inside_the_search_is_not_blamed_on_the_grid_step(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(powerallo, "estimate_sop_many", fail)
+        with pytest.raises(ValueError, match="planted"):
+            main(["power-opt", "--trials", "64"])
+
     @pytest.mark.parametrize("argv", [
         ["figure", "1", "--k", "6"],
         ["validate", "--k", "0"],
@@ -378,6 +409,45 @@ class TestSweepAndPowerOptArgvGate:
     def test_every_power_opt_argv_exits_by_the_contract(self, flags):
         argv = ["power-opt", *(f"{flag}={value}" for flag, value in flags.items())]
         assert _exit_code(argv) in (0, 2, 3, 4), argv
+
+
+class TestFigureArgvGate:
+    """The argv gate of ``point``, for ``figure``, with its files: ``--out``
+    is a fresh file, a file in a missing directory or an existing
+    directory, and ``--config`` a valid or a non-UTF-8 file.  A run that
+    does not exit 0 leaves no CSV behind."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("figure-gate")
+        (root / "valid.cfg").write_text("seed = 7\n")
+        (root / "non-utf8.cfg").write_bytes(b"trials = 10\xff\n")
+        return root
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.fixed_dictionaries(
+        {**_TRIALS, "figure_id": st.sampled_from(sorted(FIGURE_PRESETS))},
+        optional={
+            "--power-opt-trials": _numbers(st.integers(1, 300)),
+            "--skip-power-opt": st.none(),
+            "--rate": _numbers(st.one_of(st.floats(0.0, 511.99), st.sampled_from((0.0, 511.99)))),
+            "--seed": _POINT_FLAGS["--seed"],
+            "--workers": _POINT_FLAGS["--workers"],
+            "--out": st.sampled_from(("fresh.csv", "missing/rows.csv", ".")),
+            "--config": st.sampled_from(("valid.cfg", "non-utf8.cfg")),
+        },
+    ))
+    @example({"--trials": "10", "figure_id": 1, "--out": "missing/rows.csv"})
+    def test_every_figure_argv_exits_by_the_contract(self, files, flags):
+        (files / "fresh.csv").unlink(missing_ok=True)
+        argv = ["figure", str(flags["figure_id"])]
+        for flag, value in flags.items():
+            if flag != "figure_id":
+                value = str(files / value) if flag in ("--out", "--config") else value
+                argv.append(flag if value is None else f"{flag}={value}")
+        code = _exit_code(argv)
+        assert code in (0, 2, 3, 4), argv
+        assert code == 0 or not (files / "fresh.csv").exists(), argv
 
 
 class TestImports:
