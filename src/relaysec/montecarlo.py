@@ -87,79 +87,73 @@ def rate_margins_block(block: ChannelBlock, gains: LinkGains, params: SystemPara
 
 
 def _reads(scheme: SchemeId) -> tuple:
-    """The block features the margins of ``scheme`` read, in the order ``_rates`` takes them."""
+    """The block features the margins of ``scheme`` read, in the order
+    ``_rates`` takes them: direct gain, first hop, second hop, jamming.
+
+    The full array reads per-trial sums and the MRC cross term; selection
+    reads each hop's gain on one antenna per trial.  The relay receives on
+    its strongest first hop (a CJ relay with CSI: on its largest first- to
+    second-hop ratio) and forwards on its strongest second hop with CSI, on
+    a uniform pick without.  A CJ relay without CSI transmits on its
+    receive antenna, the law the closed form describes.
+    """
     if scheme.mode is SelectionMode.FULL_ARRAY:
+        hop1, hop2, jam = "sum_a", "sum_b", "cross"
+    else:
+        csi = scheme.mode is SelectionMode.SELECT_CSI
         if scheme.scheme is Scheme.CJ:
-            return ("sum_a", "sum_b", "cross")
-        return ("g_ab", "sum_a", "sum_b") if scheme.scheme is Scheme.AF else ("g_ab", "sum_a")
-    csi = scheme.mode is SelectionMode.SELECT_CSI
+            rx, tx = ("argmax_ratio", "argmax_rb") if csi else ("argmax_ar", "argmax_ar")
+        else:
+            rx, tx = "argmax_ar", "argmax_rb" if csi else "tx_pick"
+        hop1, hop2, jam = ("g_ar", rx), ("g_rb", tx), ("g_rb", rx)
     if scheme.scheme is Scheme.DT:
-        return ("g_ab", ("g_ar", "argmax_ar"))
-    if scheme.scheme is Scheme.AF:
-        return ("g_ab", ("g_ar", "argmax_ar"), ("g_rb", "argmax_rb" if csi else "tx_pick"))
-    # CJ: without CSI the relay transmits on its receive antenna, the law
-    # the closed form describes.
-    m_star, n_star = ("argmax_ratio", "argmax_rb") if csi else ("argmax_ar", "argmax_ar")
-    return (("g_ar", m_star), ("g_rb", n_star), ("g_rb", m_star))
+        return ("g_ab", hop1)
+    return ("g_ab", hop1, hop2) if scheme.scheme is Scheme.AF else (hop1, hop2, jam)
 
 
 def _rates(gains: LinkGains, params: SystemParams, *features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(I_B, I_R) from the features ``_reads`` names, for one row tile."""
-    k = params.k_antennas
+    """(I_B, I_R) from the features ``_reads`` names, for one row tile.
+
+    One expression per scheme serves the full array and selection: the
+    relay normalizes its forwarded power over m antennas, m = K for the
+    full array and m = 1 under selection.  Only CJ's eavesdropping SINR
+    has two laws: MMSE against the jamming on the array, and one
+    antenna's SINR under selection.  A relay without power forwards
+    nothing.
+    """
     rho = params.rho
     a = params.power.frac_alice
     r = params.power.frac_relay
     j = params.power.frac_bob_jam
-    scheme, mode = params.scheme.scheme, params.scheme.mode
+    full = params.scheme.mode is SelectionMode.FULL_ARRAY
+    m = params.k_antennas if full else 1
 
-    if scheme is Scheme.DT:
-        g_ab, relay_gain = features
-        i_b = np.log2(1.0 + a * rho * g_ab)
-        i_r = np.log2(1.0 + a * rho * relay_gain)
-        return i_b, i_r
+    if params.scheme.scheme is Scheme.DT:
+        g_ab, hop1 = features
+        return np.log2(1.0 + a * rho * g_ab), np.log2(1.0 + a * rho * hop1)
 
-    if scheme is Scheme.AF:
-        if mode is SelectionMode.FULL_ARRAY:
-            g_ab, sum_a, sum_b = features
-            if r > 0.0:
-                den = sum_b + (a / r) * k * gains.gamma_ar + k / (r * rho)
-                relay_snr = a * rho * sum_b * sum_a / den
-            else:
-                relay_snr = np.zeros_like(sum_a)
-            eav_gain = sum_a
+    if params.scheme.scheme is Scheme.AF:
+        g_ab, hop1, hop2 = features
+        if r > 0.0:
+            den = hop2 + (a / r) * m * gains.gamma_ar + m / (r * rho)
+            relay_snr = a * rho * hop2 * hop1 / den
         else:
-            g_ab, best_a, hop2 = features
-            if r > 0.0:
-                den = hop2 + (a / r) * gains.gamma_ar + 1.0 / (r * rho)
-                relay_snr = a * rho * hop2 * best_a / den
-            else:
-                relay_snr = np.zeros_like(best_a)
-            eav_gain = best_a
-        i_b = 0.5 * np.log2(1.0 + a * rho * g_ab + relay_snr)
-        i_r = 0.5 * np.log2(1.0 + a * rho * eav_gain)
-        return i_b, i_r
+            relay_snr = np.zeros_like(hop1)
+        return 0.5 * np.log2(1.0 + a * rho * g_ab + relay_snr), 0.5 * np.log2(1.0 + a * rho * hop1)
 
     # Cooperative jamming: the destination forfeits the direct link and jams
     # during the first phase, then cancels its own interference.
-    if mode is SelectionMode.FULL_ARRAY:
-        sum_a, sum_b, cross = features
-        if r > 0.0:
-            den = sum_b + (a / r) * k * gains.gamma_ar + (j / r) * k * gains.gamma_rb + k / (r * rho)
-            bob_snr = a * rho * sum_b * sum_a / den
-        else:
-            bob_snr = np.zeros_like(sum_a)
-        sinr = a * rho * sum_a - (a * rho) * (j * rho) * cross / (1.0 + j * rho * sum_b)
+    hop1, hop2, jam = features
+    if r > 0.0:
+        den = hop2 + (a / r) * m * gains.gamma_ar + (j / r) * m * gains.gamma_rb + m / (r * rho)
+        bob_snr = a * rho * hop2 * hop1 / den
     else:
-        best_a, hop2, jam = features
-        if r > 0.0:
-            den = hop2 + (a / r) * gains.gamma_ar + (j / r) * gains.gamma_rb + 1.0 / (r * rho)
-            bob_snr = a * rho * hop2 * best_a / den
-        else:
-            bob_snr = np.zeros_like(best_a)
-        sinr = a * best_a / (j * jam + 1.0 / rho)
-    i_b = 0.5 * np.log2(1.0 + bob_snr)
-    i_r = 0.5 * np.log2(1.0 + sinr)
-    return i_b, i_r
+        bob_snr = np.zeros_like(hop1)
+    if full:
+        sinr = a * rho * hop1 - (a * rho) * (j * rho) * jam / (1.0 + j * rho * hop2)
+    else:
+        sinr = a * hop1 / (j * jam + 1.0 / rho)
+    return 0.5 * np.log2(1.0 + bob_snr), 0.5 * np.log2(1.0 + sinr)
 
 
 def _map_chunks(run_chunk: Callable[[int, int], object], mc: McConfig) -> list:
