@@ -7,16 +7,18 @@ column prefix ``scheme,mode,K,rho_db,gab_db,gar_db,grb_db,rate,method,
 sop,stderr,trials`` followed by the Wilson 95% bounds for Monte Carlo
 rows.  Exit codes: 0 success, 1 a failed ``validate`` check, 2
 configuration error, 3 unsupported (scheme, method) combination, 4 a
-closed form whose quadrature missed its tolerance.
+closed form whose quadrature missed its tolerance, 141 a closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
@@ -25,6 +27,7 @@ import numpy as np
 from . import analytic, powerallo
 from .analytic import UnsupportedAnalytic
 from .model import (
+    FULL_POWER,
     LinkGains,
     Scheme,
     SchemeId,
@@ -132,7 +135,7 @@ class Setting:
         """This setting moved to ``point`` along ``axis``."""
         return replace(self, **dict.fromkeys(SWEEP_AXES[axis], point))
 
-    def link(self, rate: float, scheme: SchemeId = SchemeId(Scheme.DT)) -> tuple[LinkGains, SystemParams]:
+    def link(self, rate: float) -> tuple[LinkGains, SystemParams]:
         """Linear-scale model inputs; a value outside the model's domain is a ConfigError."""
         linear = {}
         for name in ("rho_db", "gab_db", "gar_db", "grb_db"):
@@ -142,7 +145,7 @@ class Setting:
                 raise ConfigError(f"{name} = {getattr(self, name):g} is out of range") from None
         try:
             gains = LinkGains(linear["gab_db"], linear["gar_db"], linear["grb_db"])
-            params = SystemParams(rho=linear["rho_db"], k_antennas=self.k, rate=rate, scheme=scheme)
+            params = SystemParams(rho=linear["rho_db"], k_antennas=self.k, rate=rate)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return gains, params
@@ -167,8 +170,8 @@ class FigurePreset:
     """Rows along one axis: ``base`` fixes the setting (None where the axis
     sets the value) and each scheme tuple names the rows of one method.
     An asymptote whose selector is None is its scheme's default limit.
-    Every ``power_opt`` scheme is also in ``schemes``: its montecarlo row
-    is the full-power baseline the search's winner is settled against."""
+    Every ``power_opt`` scheme is also in ``schemes``: its montecarlo row is
+    the baseline a winner searched on a smaller budget is settled against."""
 
     axis: str
     points: tuple[float, ...]
@@ -403,16 +406,14 @@ def run_point(args) -> int:
     return _run_preset(preset, args, "point", _mc_config(args))
 
 
-def _run_preset(
-    preset: FigurePreset, args, label: str, mc: McConfig, opt_mc: McConfig | None = None
-) -> int:
+def _run_preset(preset: FigurePreset, args, label: str, mc: McConfig, search=None) -> int:
     """Write the rows of every axis point of ``preset``.
 
-    ``opt_mc`` is the trial budget of the power search, needed when the
-    preset has power-opt curves.  Every point is resolved, and its
-    analytic and asymptotic values computed, before the CSV header is
-    written, so neither a bad point nor a numerical error leaves a
-    partial CSV behind.
+    ``search(gains, params)``, the power search with its budget bound, is
+    needed when the preset has power-opt curves.  Every point is resolved,
+    and its analytic and asymptotic values computed, before the CSV header
+    is written, and the header before anything is simulated: a bad point,
+    a numerical error or an unusable ``--out`` costs no simulation.
     """
     resolved = []
     for point in preset.points:
@@ -436,28 +437,30 @@ def _run_preset(
     rereads = len(resolved) > 1 or bool(preset.power_opt)
     with _csv_sink(args) as writer, block_scope() if rereads else nullcontext():
         for point, setting, gains, base_params, closed, asymptotes in resolved:
-            _write_point(writer, preset, setting, gains, base_params, closed, asymptotes, mc, opt_mc)
+            _write_point(writer, preset, setting, gains, base_params, closed, asymptotes, mc, search)
             print(f"{label}: point {point:g} done", file=sys.stderr)
     return 0
 
 
-def _write_point(writer, preset, setting, gains, base_params, closed, asymptotes, mc, opt_mc) -> None:
+def _write_point(writer, preset, setting, gains, base_params, closed, asymptotes, mc, search) -> None:
     """The rows of one axis point: analytic, montecarlo, asymptotic, power-opt.
 
     The power searches run first, in the run's scope, so the second search
     rereads the first one's blocks.  One pass over the full budget then
     scores every scheme at full power, for the montecarlo rows, together
-    with each search's winner, which is settled against its scheme's
-    montecarlo row: that row is its full-power estimate on the same draws.
-    A point with no montecarlo row simulates nothing.  Each scheme with
-    both an analytic and a montecarlo row gets an agreement line on stderr.
+    with each search's winner.  Only a winner searched on a smaller budget
+    is settled against its scheme's montecarlo row, its full-power estimate
+    on the same draws: a full-budget search has weighed full power wherever
+    its constraint allows.  A point with no montecarlo row simulates nothing.
+    Each power-opt row, and each analytic row with a montecarlo row, gets a
+    line on stderr: its allocation, and the agreement.
     """
     params_list = [replace(base_params, scheme=s) for s in preset.schemes]
-    winners = []
+    winners, budgets = [], []
     for scheme in preset.power_opt:
-        params = replace(base_params, scheme=scheme)
-        alloc, _ = powerallo.minimize_sop(gains, params, opt_mc)
-        winners.append(replace(params, power=alloc))
+        alloc, searched = search(gains, replace(base_params, scheme=scheme))
+        winners.append(replace(base_params, scheme=scheme, power=alloc))
+        budgets.append(searched.trials)
     estimates = estimate_sop_many(gains, params_list + winners, mc) if params_list else []
     full_power = dict(zip(preset.schemes, estimates))
 
@@ -475,9 +478,18 @@ def _write_point(writer, preset, setting, gains, base_params, closed, asymptotes
         writer.row(setting, params, "montecarlo", est)
     for params, value in asymptotes:
         writer.row(setting, params, "asymptotic", SopEstimate(value=value, method="asymptotic"))
-    for params, est in zip(winners, estimates[len(params_list):]):
-        best = min(full_power[params.scheme], est, key=lambda e: e.value)
-        writer.row(setting, params, "power-opt", best)
+    for params, est, budget in zip(winners, estimates[len(params_list):], budgets):
+        full = full_power[params.scheme]
+        if budget < mc.trials and full.value < est.value:
+            params, est = replace(params, power=FULL_POWER), full
+        writer.row(setting, params, "power-opt", est)
+        power = params.power
+        print(
+            f"{_point_text(setting, params)}: best allocation: alice={power.frac_alice:.3f} "
+            f"relay={power.frac_relay:.3f} jam={power.frac_bob_jam:.3f} "
+            f"sop={est.value:.6f} (full power {full.value:.6f})",
+            file=sys.stderr,
+        )
 
 
 def run_figure(args) -> int:
@@ -485,15 +497,14 @@ def run_figure(args) -> int:
     if args.skip_power_opt:
         preset = replace(preset, power_opt=())
     mc = _mc_config(args)
-    # Search on a reduced trial budget, then settle the winner against full
-    # power on the same budget as the plain Monte Carlo rows so the
-    # power-opt row is never above its montecarlo companion.  The budget is
-    # checked even when no search runs, so a bad flag never passes silently.
+    # The search budget is checked even when no search runs, so a bad flag
+    # never passes silently.
     try:
         opt_mc = replace(mc, trials=min(args.power_opt_trials, mc.trials))
     except ValueError as exc:
         raise ConfigError(f"--power-opt-{exc}") from exc
-    return _run_preset(preset, args, f"figure {args.figure_id}", mc, opt_mc)
+    search = partial(powerallo.minimize_sop, mc=opt_mc)
+    return _run_preset(preset, args, f"figure {args.figure_id}", mc, search)
 
 
 def run_sweep(args) -> int:
@@ -516,28 +527,19 @@ def run_sweep(args) -> int:
 
 
 def run_power_opt(args) -> int:
-    setting = _args_setting(args)
-    gains, params = setting.link(args.rate, _scheme_id(args.scheme, args.mode))
+    """A one-point preset whose one scheme is searched on the run's own budget."""
+    scheme = _scheme_id(args.scheme, args.mode)
     mc = _mc_config(args)
     try:
         powerallo.check_search(args.grid_step, args.constraint)
     except ValueError as exc:
         raise ConfigError(f"--grid-step: {exc}") from exc
-    with block_scope():  # the full-power row reads the search's blocks
-        allocation, est = powerallo.minimize_sop(
-            gains, params, mc, grid_step=args.grid_step, constraint=args.constraint
-        )
-        full = estimate_sop(gains, params, mc)
-    with _csv_sink(args) as writer:
-        writer.row(setting, params, "montecarlo", full)
-        writer.row(setting, params, "power-opt", est)
-    print(
-        f"best allocation: alice={allocation.frac_alice:.3f} "
-        f"relay={allocation.frac_relay:.3f} jam={allocation.frac_bob_jam:.3f} "
-        f"sop={est.value:.6f} (full power {full.value:.6f})",
-        file=sys.stderr,
+    preset = FigurePreset(
+        axis="rho_db", points=(args.rho_db,), base=_args_setting(args),
+        schemes=(scheme,), analytic_schemes=(), power_opt=(scheme,),
     )
-    return 0
+    search = partial(powerallo.minimize_sop, mc=mc, grid_step=args.grid_step, constraint=args.constraint)
+    return _run_preset(preset, args, "power-opt", mc, search)
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +720,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at interpreter exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -728,6 +732,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:  # stdout's reader left, as `head` does: exit quietly, as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from .model import (
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial budget, random seed, chunking, and worker count for one run."""
+    """Trial budget (at most 2^20 chunks), seed, chunking and workers (at most 64) of one run."""
 
     trials: int = 1_000_000
     seed: int = 20260810
@@ -42,12 +42,12 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not 1 <= self.trials <= (1 << 20) * self.chunk_size:
+            raise ValueError(f"trials must lie in [1, {(1 << 20) * self.chunk_size}], got {self.trials}")
+        if not 1 <= self.workers <= 64:
+            raise ValueError(f"workers must lie in [1, 64], got {self.workers}")
 
 
 # Rows per tile of the margin formulas: their n-vector temporaries take

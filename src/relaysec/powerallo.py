@@ -7,7 +7,8 @@ numbers across candidates), so the search is an ordinary derivative-free
 minimization: coarse grid, then coordinate-wise golden-section refinement.
 
 The fading is drawn once per chunk for the whole search: the search runs
-inside a ``model.block_scope`` (its own, or the caller's when one is open),
+inside a ``model.block_scope``, its own or the caller's when one is open
+(every CLI search joins its run's scope, so the run's rows reread its draws),
 where each chunk's stream of normals keeps the one block every candidate
 reads, with its features, from the second pass on, up to
 ``model.BLOCK_STORE_BYTES``.  The grid stage scores all of its candidates
@@ -99,11 +100,8 @@ def _search(
         return estimate(values).value
 
     axis = [round(v, 6) for v in _grid_axis(grid_step)]
+    # The axis ends at 1.0, so full power is a per-node candidate.
     candidates = [v for v in itertools.product(axis, repeat=n_active) if feasible(v)]
-    if budget is None:
-        full = (1.0,) * n_active
-        if full not in candidates:
-            candidates.append(full)
 
     # Grid stage: one pass over the chunks scores every candidate.
     cache.update(zip(candidates, estimate_sop_many(gains, [at_power(v) for v in candidates], mc)))

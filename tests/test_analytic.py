@@ -25,7 +25,7 @@ from relaysec import LinkGains, McConfig, PowerAllocation, SchemeId, SystemParam
 from relaysec import analytic
 from relaysec.analytic import UnsupportedAnalytic
 from relaysec.cli import main
-from relaysec.model import Scheme, SelectionMode, derived_coefficients
+from relaysec.model import FULL_POWER, Scheme, SelectionMode, derived_coefficients
 from relaysec.montecarlo import estimate_sop
 
 AF = SchemeId(Scheme.AF)
@@ -712,6 +712,35 @@ class TestLimits:
 
 
 class TestDispatch:
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(
+        k=st.integers(2, 1024),
+        gains_db=st.tuples(*[st.floats(-40.0, 40.0)] * 3),
+        rho_db=st.floats(-10.0, 60.0),
+        rate=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+        split=st.tuples(*[st.floats(0.0, 1.0)] * 3).map(lambda fracs: PowerAllocation(*fracs)),
+    )
+    def test_in_range_or_unsupported_as_specified(self, k, gains_db, rho_db, rate, split):
+        # Every variant, at K = 1 and at a drawn K > 1, at full power and at a
+        # drawn split: the domain of the limits gate.
+        gains = LinkGains(*(db_to_linear(v) for v in gains_db))
+        for scheme, k_antennas in itertools.product(ALL_SCHEMES, (1, k)):
+            params = SystemParams(
+                rho=db_to_linear(rho_db), rate=rate, k_antennas=k_antennas, scheme=scheme
+            )
+            # CJ has no closed form on the full array or under selection with CSI.
+            monte_carlo_only = k_antennas > 1 and scheme in (
+                SchemeId(Scheme.CJ), SchemeId(Scheme.CJ, SelectionMode.SELECT_CSI)
+            )
+            for power in (FULL_POWER, split):
+                at_power = replace(params, power=power)
+                if monte_carlo_only or power != FULL_POWER:
+                    with pytest.raises(UnsupportedAnalytic):
+                        analytic.analytic_sop(gains, at_power)
+                else:
+                    value = analytic.analytic_sop(gains, at_power)
+                    assert math.isfinite(value) and 0.0 <= value <= 1.0, at_power
+
     def test_analytic_dispatch_matches_direct_calls(self, fig7_gains):
         params = SystemParams(
             rho=db_to_linear(10.0), rate=0.1, k_antennas=4,

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import inspect
 import io
+import os
 import subprocess
 import sys
 import weakref
@@ -148,6 +149,8 @@ class TestExitCodes:
         (["sweep", "--axis", "k_antennas", "--points", "1e308", "--trials", "10"], "k_antennas"),
         (["power-opt", "--trials", "64", "--grid-step", "1e-300"], "--grid-step"),
         (["power-opt", "--trials", "64", "--grid-step", "0.001"], "--grid-step"),
+        (["point", "--method", "analytic", "--trials", "68719476737"], "--trials"),
+        (["point", "--method", "analytic", "--workers", "65"], "--workers"),
     ])
     def test_bad_value_names_its_flag(self, argv, flag, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -177,6 +180,38 @@ class TestExitCodes:
         assert err.startswith("config error:") and named in err
         assert out == ""
         assert not (tmp_path / "missing").exists() and not any(out_dir.iterdir())
+
+    def test_power_opt_checks_out_before_searching(self, monkeypatch, tmp_path, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("searched before --out was opened")
+
+        monkeypatch.setattr(powerallo, "minimize_sop", fail)
+        code, out, err = run_cli(
+            ["power-opt", "--scheme", "cj", "--out", str(tmp_path / "missing" / "x.csv")], capsys
+        )
+        assert code == 2
+        assert err.startswith("config error:") and "--out" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_like_sigpipe(self, unbuffered):
+        # Unbuffered, the header arrives first and the pipe closes before
+        # the first row; buffered, the pipe closes before the final flush.
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "relaysec.cli", "sweep", "--axis", "rho_db",
+             "--points", "0,5,10,15,20,25,30,35,40", "--schemes", "dt,af,cj", "--trials", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        if unbuffered:
+            assert proc.stdout.readline().decode().rstrip("\n") == CSV_COLUMNS
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read().decode()
+        assert code == 141, err
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_failure_inside_the_search_is_not_blamed_on_the_grid_step(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -517,11 +552,37 @@ class TestTracedNames:
             "sop_dt_single", "sop_af_single", "sop_cj_single", "sop_dt_multi", "sop_dt_select",
             "sop_af_multi", "sop_af_select_csi", "sop_af_select_nocsi", "sop_cj_select_nocsi",
         )),
+        # The tracer also patches every alias of these that a module imports.
+        (cli, "estimate_sop"),
+        (cli, "estimate_sop_many"),
+        (powerallo, "estimate_sop"),
+        (montecarlo, "sample_channel_block"),
     ])
     def test_plain_function(self, module, name):
         fn = getattr(module, name)
         assert inspect.isfunction(fn)
         assert not hasattr(fn, "__wrapped__")
+
+
+class TestStdoutIsCsv:
+    """Progress, agreement and allocation lines go to stderr: stdout holds
+    the header and 14-field rows of the four methods only."""
+
+    @pytest.mark.parametrize("argv", [
+        ["point", "--method", "both", "--trials", "256"],
+        ["sweep", "--axis", "rho_db", "--points", "0,10", "--schemes", "dt,af,cj", "--trials", "256"],
+        ["figure", "1", "--trials", "256", "--power-opt-trials", "128"],
+        ["power-opt", "--trials", "256"],
+    ], ids=lambda argv: argv[0])
+    def test_only_csv_rows(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        header, *rows = out.splitlines()
+        assert header == CSV_COLUMNS and rows
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == 14, row
+            assert fields[8] in ("analytic", "montecarlo", "asymptotic", "power-opt"), row
 
 
 class TestConfigFile:
@@ -588,6 +649,22 @@ class TestPowerOptCommand:
         assert float(rows[1]["sop"]) <= float(rows[0]["sop"]) + 1e-12
         assert "best allocation" in err
 
+    def test_total_budget_row_is_the_searched_estimate(self, capsys):
+        # A search on the row budget is not settled against full power, which
+        # the total constraint forbids; here full power has the lower outage.
+        argv = ["--scheme", "af", "--rho-db", "5", "--trials", "4096"]
+        code, out, err = run_cli(["power-opt", *argv, "--constraint", "total"], capsys)
+        assert code == 0, err
+        full, opt = csv.DictReader(io.StringIO(out))
+        setting = cli.Setting(5.0, 0.0, 0.0, 5.0, 1)
+        gains, params = setting.link(cli.DEFAULT_RATE)
+        params = replace(params, scheme=model.SchemeId(model.Scheme.AF))
+        _, searched = powerallo.minimize_sop(
+            gains, params, montecarlo.McConfig(trials=4096), constraint="total"
+        )
+        assert (opt["method"], opt["sop"]) == ("power-opt", f"{searched.value:.10g}")
+        assert float(full["sop"]) < searched.value
+
 
 class TestFigureCommand:
     def test_presets_cover_all_eight(self):
@@ -630,6 +707,15 @@ class TestFigureCommand:
         preset = FIGURE_PRESETS[2]
         assert len(lines) == len(preset.points) * len(preset.analytic_schemes)
         assert lines[0].startswith("dt/full K=1 rho_db=15 gab_db=5 gar_db=0 grb_db=-10 rate=0.1: ")
+
+    def test_allocation_line_per_search(self, capsys):
+        code, _, err = run_cli(["figure", "1", "--trials", "256", "--power-opt-trials", "128"], capsys)
+        assert code == 0, err
+        lines = [line for line in err.splitlines() if ": best allocation: " in line]
+        preset = FIGURE_PRESETS[1]
+        assert len(lines) == len(preset.points) * len(preset.power_opt) == 18
+        assert lines[0].startswith("af/full K=1 rho_db=0 gab_db=0 gar_db=0 grb_db=5 rate=0.1: ")
+        assert lines[-1].startswith("cj/full K=1 rho_db=40 gab_db=0 gar_db=0 grb_db=5 rate=0.1: ")
 
     def test_figure_three_dataset(self, tmp_path, capsys):
         out_path = tmp_path / "fig3.csv"
@@ -847,6 +933,13 @@ class TestDrawReuse:
         # K changes at every point, so no block is asked for twice and none
         # is kept: no block is alive when the next one is asked for.
         assert alive == [0] * 20
+
+    def test_power_opt_draws_each_chunk_once(self, monkeypatch, capsys):
+        draws, _, _ = self._spy(monkeypatch)
+        code, _, err = run_cli(["power-opt", "--scheme", "cj", "--trials", "131072"], capsys)
+        assert code == 0, err
+        # The search and the rows after it read the same two chunks.
+        assert draws == [(True, 0)] * 2
 
     @pytest.mark.parametrize("argv", [
         ["point", "--scheme", "af", "--mode", "select-csi", "--k", "10", "--method", "montecarlo"],

@@ -285,6 +285,15 @@ class TestEstimates:
             McConfig(chunk_size=0)
         with pytest.raises(ValueError):
             McConfig(workers=0)
+        # At most 2^20 chunks, listed before any is drawn, and 64 worker threads.
+        assert McConfig(trials=1 << 36, workers=64).trials == 1 << 36
+        assert McConfig(trials=1 << 30, chunk_size=1 << 10).chunk_size == 1 << 10
+        with pytest.raises(ValueError, match="^trials"):
+            McConfig(trials=(1 << 36) + 1)
+        with pytest.raises(ValueError, match="^trials"):
+            McConfig(trials=(1 << 20) + 1, chunk_size=1)
+        with pytest.raises(ValueError, match="^workers"):
+            McConfig(workers=65)
 
 
 class TestPowerFractions:

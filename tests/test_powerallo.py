@@ -3,12 +3,13 @@
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from relaysec import McConfig, SchemeId, SystemParams, db_to_linear
 from relaysec.model import Scheme
 from relaysec.montecarlo import estimate_sop
-from relaysec.powerallo import FRACTION_FLOOR, minimize_sop
+from relaysec.powerallo import FRACTION_FLOOR, _grid_axis, minimize_sop
 
 MC = McConfig(trials=40_000, seed=2024)
 
@@ -71,6 +72,13 @@ class TestMinimizeSop:
         # Only Alice's fraction is searched; the others stay at full power.
         assert alloc.frac_relay == 1.0
         assert alloc.frac_bob_jam == 1.0
+
+    def test_grid_axis_ends_at_full_power(self):
+        # So full power is always a candidate of the per-node grid.
+        for step in np.linspace(FRACTION_FLOOR, 0.5, 451):
+            axis = _grid_axis(step)
+            assert axis[0] == FRACTION_FLOOR and axis[-1] == 1.0, step
+            assert all(v < 1.0 for v in axis[:-1]), step
 
     def test_argument_validation(self, fig1_gains):
         with pytest.raises(ValueError):
