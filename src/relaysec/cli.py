@@ -7,7 +7,7 @@ column prefix ``scheme,mode,K,rho_db,gab_db,gar_db,grb_db,rate,method,
 sop,stderr,trials`` followed by the Wilson 95% bounds for Monte Carlo
 rows.  Exit codes: 0 success, 1 a failed ``validate`` check, 2
 configuration error, 3 unsupported (scheme, method) combination, 4 a
-closed form whose quadrature missed its tolerance, 141 a closed stdout.
+quadrature that missed its tolerance, 141 a closed stdout.
 """
 
 from __future__ import annotations
@@ -50,14 +50,6 @@ DEFAULT_RATE = 0.1  # bits per channel use, the normalized target used throughou
 
 
 class ConfigError(Exception):
-    pass
-
-
-class UnsupportedCombination(Exception):
-    pass
-
-
-class NumericalError(Exception):
     pass
 
 
@@ -302,11 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> list[str]:
     """Config file lines 'key = value' become '--key value' pseudo-arguments."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        text = p.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is unreadable: {exc}") from exc
     args: list[str] = []
@@ -318,10 +307,9 @@ def _read_config_file(path: str) -> list[str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                args.append(flag)
-        else:
+        if value.lower() == "true":
+            args.append(flag)
+        elif value.lower() != "false":
             args.extend([flag, value])
     return args
 
@@ -378,15 +366,12 @@ def _point_text(setting: Setting, params: SystemParams) -> str:
 
 
 @contextmanager
-def _naming_point(setting: Setting, params: SystemParams):
-    """Report a variant with no closed form or limit as an UnsupportedCombination,
-    and a quadrature that misses its tolerance as a NumericalError naming the point."""
+def _naming(what: str):
+    """Put ``what``, the point or check evaluated, in front of a quadrature's ConvergenceError."""
     try:
         yield
-    except UnsupportedAnalytic as exc:
-        raise UnsupportedCombination(f"{exc} (hint: rerun with --method montecarlo)") from exc
     except ConvergenceError as exc:
-        raise NumericalError(f"{_point_text(setting, params)}: {exc}") from exc
+        raise ConvergenceError(f"{what}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +407,11 @@ def _run_preset(preset: FigurePreset, args, label: str, mc: McConfig, search=Non
         closed, asymptotes = [], []
         for scheme in preset.analytic_schemes:
             params = replace(base_params, scheme=scheme)
-            with _naming_point(setting, params):
+            with _naming(_point_text(setting, params)):
                 closed.append((params, analytic.analytic_sop(gains, params)))
         for scheme, selector in preset.asymptotes:
             params = replace(base_params, scheme=scheme)
-            with _naming_point(setting, params):
+            with _naming(_point_text(setting, params)):
                 selector = selector or analytic.default_limit(params)
                 asymptotes.append((params, analytic.limits(gains, params, selector)))
         resolved.append((point, setting, gains, base_params, closed, asymptotes))
@@ -560,8 +545,8 @@ def _gains_db(gab_db: float, gar_db: float, grb_db: float) -> LinkGains:
     return LinkGains(db_to_linear(gab_db), db_to_linear(gar_db), db_to_linear(grb_db))
 
 
-def _at(rho_db: float, rate: float = DEFAULT_RATE, scheme: SchemeId = _DT) -> SystemParams:
-    return SystemParams(rho=db_to_linear(rho_db), rate=rate, scheme=scheme)
+def _at(rho_db: float, rate: float = DEFAULT_RATE, scheme: SchemeId = _DT, k: int = 1) -> SystemParams:
+    return SystemParams(rho=db_to_linear(rho_db), k_antennas=k, rate=rate, scheme=scheme)
 
 
 def _check_points() -> tuple[tuple[LinkGains, float], ...]:
@@ -651,7 +636,7 @@ def _printed_af_limit(mc: McConfig) -> tuple[bool, str]:
 
 def _af_select_matches_mc(mc: McConfig) -> tuple[bool, str]:
     gains = _gains_db(5.0, 0.0, 5.0)
-    params = replace(_at(10.0), k_antennas=3, scheme=_AF_SEL)
+    params = _at(10.0, scheme=_AF_SEL, k=3)
     sim = estimate_sop(gains, params, mc)
     delta = abs(analytic.sop_af_select_csi(gains, params) - sim.value)
     tol = max(4.0 * sim.stderr, 0.005)
@@ -662,6 +647,18 @@ def _weak_first_hop_order(mc: McConfig) -> tuple[bool, str]:
     dt = analytic.limits(_WEAK_FIRST_HOP, _at(20.0, scheme=_DT), "dt_weak_first_hop")
     af = analytic.limits(_WEAK_FIRST_HOP, _at(20.0, scheme=_AF), "af_weak_first_hop")
     return dt <= af, f"direct {dt:.4f} <= relaying {af:.4f}"
+
+
+def _diversity(mc: McConfig) -> tuple[bool, str]:
+    # Minus the slope of log10 SOP per decade of rho, from 40 to 60 dB, is the diversity order.
+    def slope(scheme: SchemeId, k: int) -> float:
+        low, high = (analytic.analytic_sop(_FIG1_GAINS, _at(r, scheme=scheme, k=k)) for r in (40.0, 60.0))
+        return math.log10(high / low) / 2.0
+
+    cj = max(abs(slope(_CJ_SEL_NOCSI, k) + 0.5) for k in (1, 2, 4, 8))
+    floor = max(abs(slope(s, k)) for s in (_DT, _DT_SEL, _AF, _AF_SEL, _AF_SEL_NOCSI) for k in (1, 2, 4))
+    return cj <= 0.02 and floor <= 0.01, (
+        f"worst |CJ slope + 1/2| = {cj:.3e} (tol 0.02); worst |DT, AF slope| = {floor:.3e} (tol 0.01)")
 
 
 CHECKS: tuple[Check, ...] = (
@@ -689,6 +686,7 @@ CHECKS: tuple[Check, ...] = (
     _limit("weak-first-hop DT limit", _WEAK_FIRST_HOP, 20.0, "dt_weak_first_hop", 0.005),
     _limit("weak-first-hop AF limit", _WEAK_FIRST_HOP, 20.0, "af_weak_first_hop", 0.005),
     Check("weak-first-hop limits order direct transmission below relaying", _weak_first_hop_order),
+    Check("antenna-selection CJ has diversity order 1/2; DT and AF floor", _diversity),
 )
 
 
@@ -696,7 +694,8 @@ def run_validate(args) -> int:
     mc = _mc_config(args, default_trials=200_000)
     failures = 0
     for check in CHECKS:
-        ok, detail = check.run(mc)
+        with _naming(check.name):
+            ok, detail = check.run(mc)
         failures += not ok
         print(f"{'PASS' if ok else 'FAIL'} {check.name}: {detail}")
     print(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
@@ -726,10 +725,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except UnsupportedCombination as exc:
-        print(f"unsupported combination: {exc}", file=sys.stderr)
+    except UnsupportedAnalytic as exc:
+        print(f"unsupported combination: {exc} (hint: rerun with --method montecarlo)", file=sys.stderr)
         return 3
-    except NumericalError as exc:
+    except ConvergenceError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
     except BrokenPipeError:  # stdout's reader left, as `head` does: exit quietly, as SIGPIPE would

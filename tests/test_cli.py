@@ -93,9 +93,35 @@ class TestExitCodes:
         assert code == 3
         assert "montecarlo" in err.lower()
 
+    def test_unsupported_analytic_line_names_the_fallback(self, capsys):
+        code, out, err = run_cli(
+            ["point", "--scheme", "cj", "--k", "4", "--method", "analytic"], capsys
+        )
+        assert code == 3
+        assert err == (
+            "unsupported combination: no closed form exists for cj/full with K=4; "
+            "use the Monte Carlo estimator (hint: rerun with --method montecarlo)\n"
+        )
+        assert out == ""
+
     def test_config_file_missing(self, capsys):
         code, _, err = run_cli(["point", "--config", "/does/not/exist"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["existing-dir", "missing"])
+    def test_unreadable_config_has_one_message(self, kind, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        if kind == "existing-dir":
+            cfg.mkdir()
+        out_path = tmp_path / "rows.csv"
+        code, out, err = run_cli(
+            ["point", "--method", "analytic", "--config", str(cfg), "--out", str(out_path)], capsys
+        )
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith(f"config error: config file {cfg} is unreadable: ")
+        assert out == ""
+        assert not out_path.exists()
 
     def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -615,6 +641,20 @@ class TestValidate:
         assert code == 1
         assert "FAIL always fails: forced" in out
         assert f"{n - 1}/{n} checks passed" in out
+
+    def test_numerical_error_exits_four(self, monkeypatch, capsys):
+        def fail(mc):
+            raise specfun.ConvergenceError("tolerance not met")
+
+        before, after = cli.CHECKS[:2], cli.CHECKS[2:]
+        monkeypatch.setattr(cli, "CHECKS", (*before, cli.Check("planted quadrature", fail), *after))
+        code, out, err = run_cli(["validate", "--trials", "4096"], capsys)
+        assert code == 4
+        assert err.splitlines()[-1] == "numerical error: planted quadrature: tolerance not met"
+        assert "Traceback" not in err
+        lines = out.splitlines()
+        assert len(lines) == len(before)
+        assert all(line.startswith(f"PASS {check.name}: ") for line, check in zip(lines, before))
 
 
 class TestSweepCommand:
