@@ -296,7 +296,9 @@ def _read_config_file(path: str) -> list[str]:
     """Config file lines 'key = value' become '--key value' pseudo-arguments."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        raise ConfigError(f"config file {path} is unreadable: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is unreadable: {exc}") from exc
     args: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -565,6 +567,9 @@ def _check_points() -> tuple[tuple[LinkGains, float], ...]:
 
 
 _FIG1_GAINS = _gains_db(0.0, 0.0, 5.0)
+_FIG6_GAINS = _gains_db(5.0, 0.0, 10.0)
+_FIG7_GAINS = _gains_db(5.0, 0.0, 5.0)
+_FIG8_GAINS = _gains_db(0.0, 0.0, 2.0)
 _WEAK_FIRST_HOP = _gains_db(0.0, -40.0, 5.0)
 
 
@@ -634,13 +639,32 @@ def _printed_af_limit(mc: McConfig) -> tuple[bool, str]:
     return _beyond("|printed - limit| at 80 dB", gap, 0.01)
 
 
-def _af_select_matches_mc(mc: McConfig) -> tuple[bool, str]:
-    gains = _gains_db(5.0, 0.0, 5.0)
-    params = _at(10.0, scheme=_AF_SEL, k=3)
-    sim = estimate_sop(gains, params, mc)
-    delta = abs(analytic.sop_af_select_csi(gains, params) - sim.value)
-    tol = max(4.0 * sim.stderr, 0.005)
-    return delta <= tol, f"|closed - mc| = {delta:.4f} (tol {tol:.4f}, trials {sim.trials})"
+# (gains, rho_db, K, schemes) of the calibration cells: figure 1's SNR grid,
+# figure 6's full array and figure 7's selection over SNR, figure 8's CSI-free
+# jamming selection over K, and AF selection at K = 3.  Each group is
+# simulated on common draws.
+_CALIBRATION = (
+    *((_FIG1_GAINS, rho_db, 1, (_DT, _AF, _CJ)) for rho_db in _RHO_GRID[::2]),
+    *((_FIG6_GAINS, 30.0, k, (_DT, _AF)) for k in (1, 2, 4, 6, 8)),
+    *((_FIG7_GAINS, rho_db, 6, (_DT_SEL, _AF_SEL, _AF_SEL_NOCSI)) for rho_db in _RHO_GRID[::2]),
+    *((_FIG8_GAINS, 12.0, k, (_CJ_SEL_NOCSI,)) for k in (1, 2, 4, 6, 10)),
+    (_FIG7_GAINS, 10.0, 3, (_AF_SEL,)),
+)
+
+
+def _calibration(mc: McConfig) -> tuple[bool, str]:
+    cells = []
+    for gains, rho_db, k, schemes in _CALIBRATION:
+        params_list = [_at(rho_db, scheme=s, k=k) for s in schemes]
+        for params, sim in zip(params_list, estimate_sop_many(gains, params_list, mc)):
+            gap = abs(analytic.analytic_sop(gains, params) - sim.value)
+            tol = max(4.0 * sim.stderr, 0.005)
+            cells.append((gap / tol, gap <= tol, f"{params.scheme} K={k} at {rho_db:g} dB", gap, tol))
+    passed = sum(cell[1] for cell in cells)
+    _, _, worst, gap, tol = max(cells)
+    return passed == len(cells), (
+        f"{passed}/{len(cells)} cells within max(4 stderr, 0.005); "
+        f"worst {worst}: gap {gap:.5f} (tol {tol:.5f})")
 
 
 def _weak_first_hop_order(mc: McConfig) -> tuple[bool, str]:
@@ -661,6 +685,72 @@ def _diversity(mc: McConfig) -> tuple[bool, str]:
         f"worst |CJ slope + 1/2| = {cj:.3e} (tol 0.02); worst |DT, AF slope| = {floor:.3e} (tol 0.01)")
 
 
+def _reseeded(mc: McConfig, offset: int) -> McConfig:
+    """``mc`` on the seed ``offset`` past its own, so each check draws its own fading."""
+    return replace(mc, seed=(mc.seed + offset) % (1 << 64))
+
+
+def _antenna_growth(mc: McConfig) -> tuple[bool, str]:
+    # Each full-array outage rises by 5 sigma from K = 1 to 2 and from 2 to 8;
+    # CSI-free jamming selection falls with K, to its large-K floor.
+    mc, problems = _reseeded(mc, 1), []
+    by_k = {k: estimate_sop_many(_FIG6_GAINS, [_at(30.0, scheme=s, k=k) for s in (_DT, _AF, _CJ)], mc)
+            for k in (1, 2, 8)}
+    for i, scheme in enumerate((_DT, _AF, _CJ)):
+        for lo, hi in ((1, 2), (2, 8)):
+            a, b = by_k[lo][i], by_k[hi][i]
+            sep = (b.value - a.value) / math.sqrt(a.stderr**2 + b.stderr**2 + 1e-30)
+            if sep < 5.0:
+                problems.append(f"{scheme} K={hi} vs K={lo}: separation {sep:.1f} sigma < 5")
+    floors = [analytic.sop_cj_select_nocsi(_FIG6_GAINS, _at(30.0, k=k)) for k in (1, 2, 4, 8, 16)]
+    if not all(b <= a + 1e-12 for a, b in zip(floors, floors[1:])):
+        problems.append(f"selection outage not nonincreasing in K: {floors}")
+    p64 = _at(30.0, scheme=_CJ_SEL_NOCSI, k=64)
+    floor_gap = abs(analytic.sop_cj_select_nocsi(_FIG6_GAINS, p64)
+                    - analytic.limits(_FIG6_GAINS, p64, "cj_select_nocsi_large_k"))
+    if floor_gap > 0.01:
+        problems.append(f"K=64 floor gap {floor_gap:.4f} exceeds 0.01")
+    return not problems, "; ".join(problems) or "5-sigma orderings and selection floor hold"
+
+
+def _selection_dip(mc: McConfig) -> tuple[bool, str]:
+    mc = _reseeded(mc, 2)
+    values = [estimate_sop(_FIG8_GAINS, _at(12.0, scheme=_CJ_SEL, k=k), mc).value for k in range(1, 11)]
+    low = values.index(min(values))
+    ok = 0 < low < len(values) - 1 and values[1] < values[0] and values[-1] > values[low]
+    return ok, f"outage over K=1..10: {[round(v, 4) for v in values]}; minimum at K={low + 1}"
+
+
+def _crossover(mc: McConfig) -> tuple[bool, str]:
+    diffs = [analytic.sop_af_single(_FIG1_GAINS, p) - analytic.sop_cj_single(_FIG1_GAINS, p)
+             for p in map(_at, _RHO_GRID)]
+    signs = [d > 0 for d in diffs]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    return not signs[0] and signs[-1] and changes == 1, (
+        f"AF - CJ along figure 1's grid: {[round(d, 4) for d in diffs]} ({changes} sign change)")
+
+
+def _power_gains(mc: McConfig) -> tuple[bool, str]:
+    # Each search scores about 120 candidates, so the searches run on at most 150,000 trials.
+    mc, problems = replace(_reseeded(mc, 3), trials=min(mc.trials, 150_000)), []
+
+    def gain(gains: LinkGains, scheme: SchemeId, rho_db: float) -> float:
+        params = _at(rho_db, scheme=scheme)
+        full = estimate_sop(gains, params, mc)
+        _, best = powerallo.minimize_sop(gains, params, mc, grid_step=0.25)
+        if best.value > full.value + 1e-12:
+            problems.append(f"{scheme} optimized above full power")
+        return full.value - best.value
+
+    af, cj, cj_k1 = gain(_FIG1_GAINS, _AF, 10.0), gain(_FIG1_GAINS, _CJ, 10.0), gain(_FIG6_GAINS, _CJ, 30.0)
+    if not af > cj:
+        problems.append(f"relaying gain {af:.4f} not above jamming gain {cj:.4f}")
+    if not cj_k1 < 0.01:
+        problems.append(f"single-antenna jamming gain {cj_k1:.4f} not below 0.01")
+    return not problems, "; ".join(problems) or (
+        f"gains: relaying {af:.4f} > jamming {cj:.4f}; K=1 jamming {cj_k1:.5f} < 0.01")
+
+
 CHECKS: tuple[Check, ...] = (
     _worst_gap("zero-rate complement, direct transmission", 0.0, 1e-9,
                lambda g, p: abs(analytic.sop_dt_single(g, p) - (1 - analytic.p_pos_dt(g)))),
@@ -675,7 +765,7 @@ CHECKS: tuple[Check, ...] = (
     *(_reduction(form, 1e-9)
       for form in ("dt_multi", "dt_select", "af_select_csi", "af_select_nocsi", "cj_select_nocsi")),
     _reduction("af_multi", 1e-6),
-    Check("antenna-selection AF closed form matches Monte Carlo", _af_select_matches_mc),
+    Check("calibration: closed forms match Monte Carlo", _calibration),
     _limit("high-SNR AF limit consistent with exact expression",
            _FIG1_GAINS, 80.0, "af_high_snr", 1e-4),
     Check("paper erratum: printed high-SNR AF limit misses the exact limit", _printed_af_limit),
@@ -687,6 +777,10 @@ CHECKS: tuple[Check, ...] = (
     _limit("weak-first-hop AF limit", _WEAK_FIRST_HOP, 20.0, "af_weak_first_hop", 0.005),
     Check("weak-first-hop limits order direct transmission below relaying", _weak_first_hop_order),
     Check("antenna-selection CJ has diversity order 1/2; DT and AF floor", _diversity),
+    Check("outage grows with K; CJ selection floors", _antenna_growth),
+    Check("CSI-selection CJ dips over K, then rises", _selection_dip),
+    Check("AF and CJ outages cross once over SNR", _crossover),
+    Check("power allocation helps AF more than CJ", _power_gains),
 )
 
 

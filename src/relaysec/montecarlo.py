@@ -34,7 +34,7 @@ from .model import (
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial budget (at most 2^20 chunks), seed, chunking and workers (at most 64) of one run."""
+    """Trial budget (at most 2^20 chunks), seed (64 bits), chunking and workers (at most 64) of one run."""
 
     trials: int = 1_000_000
     seed: int = 20260810
@@ -48,6 +48,9 @@ class McConfig:
             raise ValueError(f"trials must lie in [1, {(1 << 20) * self.chunk_size}], got {self.trials}")
         if not 1 <= self.workers <= 64:
             raise ValueError(f"workers must lie in [1, 64], got {self.workers}")
+        # block_rng keys Philox with 64 bits of the seed; a wider seed would alias another.
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 # Rows per tile of the margin formulas: their n-vector temporaries take

@@ -5,7 +5,7 @@ oracles: a Beta-function resummation of the order-statistics sum, the
 alternating order-statistics sums of the selection outages evaluated in
 big-float arithmetic, single-expectation forms of the multi-antenna AF
 outage, and light Monte Carlo cross-checks (the full-budget calibration
-lives in the acceptance suite).
+is the ``validate`` check that the acceptance suite runs at 10^6 trials).
 """
 
 import itertools

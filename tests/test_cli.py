@@ -120,6 +120,7 @@ class TestExitCodes:
         assert code == 2
         (line,) = err.splitlines()
         assert line.startswith(f"config error: config file {cfg} is unreadable: ")
+        assert line.count(str(cfg)) == 1
         assert out == ""
         assert not out_path.exists()
 
@@ -177,6 +178,8 @@ class TestExitCodes:
         (["power-opt", "--trials", "64", "--grid-step", "0.001"], "--grid-step"),
         (["point", "--method", "analytic", "--trials", "68719476737"], "--trials"),
         (["point", "--method", "analytic", "--workers", "65"], "--workers"),
+        (["point", "--method", "analytic", "--seed", "-1"], "--seed"),
+        (["point", "--method", "analytic", "--seed", "18446744073709551616"], "--seed"),
     ])
     def test_bad_value_names_its_flag(self, argv, flag, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -633,6 +636,12 @@ class TestValidate:
         assert "PASS paper erratum: printed high-SNR AF limit" in out
         assert f"{len(cli.CHECKS)}/{len(cli.CHECKS)} checks passed" in out
 
+    def test_largest_seed_runs_every_check(self, capsys):
+        # The checks that draw on a seed offset wrap it past 2^64 - 1.
+        code, out, _ = run_cli(["validate", "--trials", "4096", "--seed", str((1 << 64) - 1)], capsys)
+        assert code == 0
+        assert f"{len(cli.CHECKS)}/{len(cli.CHECKS)} checks passed" in out
+
     def test_failing_check_exits_one(self, monkeypatch, capsys):
         failing = cli.Check("always fails", lambda mc: (False, "forced"))
         monkeypatch.setattr(cli, "CHECKS", (*cli.CHECKS, failing))
@@ -655,6 +664,30 @@ class TestValidate:
         lines = out.splitlines()
         assert len(lines) == len(before)
         assert all(line.startswith(f"PASS {check.name}: ") for line, check in zip(lines, before))
+
+
+class TestMovedChecksCanFail:
+    """Planted faults that the paper-level checks of ``validate`` catch at a small budget."""
+
+    @staticmethod
+    def _run(name: str) -> tuple[bool, str]:
+        (check,) = (check for check in cli.CHECKS if check.name.startswith(name))
+        return check.run(montecarlo.McConfig(trials=4096))
+
+    def test_calibration_catches_a_shifted_closed_form(self, monkeypatch):
+        assert self._run("calibration")[0]
+        exact = analytic.analytic_sop
+        jamming = model.SchemeId(model.Scheme.CJ)
+        monkeypatch.setattr(analytic, "analytic_sop", lambda gains, params: (
+            exact(gains, params) + 0.02 * (params.scheme == jamming)))
+        ok, detail = self._run("calibration")
+        assert not ok and "cj/full" in detail, detail
+
+    def test_crossover_catches_jamming_equal_to_relaying(self, monkeypatch):
+        assert self._run("AF and CJ outages cross")[0]
+        monkeypatch.setattr(analytic, "sop_cj_single", analytic.sop_af_single)
+        ok, detail = self._run("AF and CJ outages cross")
+        assert not ok and "0 sign change" in detail, detail
 
 
 class TestSweepCommand:
