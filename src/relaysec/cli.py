@@ -828,7 +828,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
     except BrokenPipeError:  # stdout's reader left, as `head` does: exit quietly, as SIGPIPE would
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
 
 

@@ -206,10 +206,8 @@ class ChannelBlock:
     n-vector) are computed by ``features`` in row tiles, only those asked
     for, all missing ones in one pass, and kept for the block's lifetime,
     so the schemes of one chunk share a single computation.  A block kept
-    by its chunk's stream in a ``block_scope`` is shared further, by later
-    passes that ask for the same gains and K, and its features count
-    toward the store's byte bound through ``_store``: a feature that no
-    longer fits is computed again on each use.  A plain per-instance memo, not
+    in a ``block_scope`` counts its features toward the scope's byte bound
+    through ``_store``.  A plain per-instance memo, not
     ``functools.cached_property``, keeps chunk threads from contending for
     a class-wide lock.  The held and the computed arrays are read-only: a
     scheme that wrote into one would corrupt the next caller's margins.
@@ -330,18 +328,23 @@ class _Stream:
     and then 4n for each further antenna, with the generator state after
     each segment, from which the block of that K draws ``tx_pick``.
     Drawing in segments gives the same normals and end state as one call.
+    Given a ``head``, the stream starts from the head's segments and
+    generator state, so it draws only the antennas the head lacks.
     """
 
-    def __init__(self, seed: int, chunk_index: int, n: int):
+    def __init__(self, seed: int, chunk_index: int, n: int, head: _Stream | None = None):
         self.key = (seed, chunk_index, n)
         self.n = n
         self.reserved = 0  # bytes a store has counted for this stream
         self.asked: tuple | None = None  # the (gains, K) of the last block asked of a kept stream
         self.kept: ChannelBlock | None = None  # that block, once asked for twice in a row
-        self._rng = block_rng(seed, chunk_index)
-        self._segments: list[np.ndarray] = []
-        self._states: list[dict] = []
         self._lock = threading.Lock()
+        if head is None:
+            self._rng, self._segments, self._states = block_rng(seed, chunk_index), [], []
+        else:
+            with head._lock:
+                self._rng = _resume(head._rng.bit_generator.state)
+                self._segments, self._states = list(head._segments), list(head._states)
 
     @staticmethod
     def nbytes(n: int, k: int) -> int:
@@ -372,9 +375,7 @@ class _Stream:
         """The block of ``gains`` and k antennas: scaled slices of the stream."""
         self.grow(k)
         n = self.n
-        rng = np.random.Generator(np.random.Philox(0))
-        rng.bit_generator.state = self._states[k - 1]
-        tx_pick = rng.integers(0, k, size=n)
+        tx_pick = _resume(self._states[k - 1]).integers(0, k, size=n)
         h_ab = _complex(gains.gamma_ab, self.normals(0, 2 * n), (n,))
         first = {"h_ar": 2 * n, "h_rb": 2 * n + 2 * n * k}
         mean_square = {"h_ar": gains.gamma_ar, "h_rb": gains.gamma_rb}
@@ -386,6 +387,13 @@ class _Stream:
         for array in (h_ab, tx_pick):
             array.flags.writeable = False
         return ChannelBlock(h_ab=h_ab, tx_pick=tx_pick, k=k, hop_rows=hop_rows)
+
+
+def _resume(state: dict) -> np.random.Generator:
+    """A generator that continues from a Philox ``state``."""
+    rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = state
+    return rng
 
 
 def _complex(mean_square: float, normals: np.ndarray, shape: tuple) -> np.ndarray:
@@ -402,55 +410,41 @@ BLOCK_STORE_BYTES = 256 << 20
 
 
 class _BlockStore:
-    """The normal streams one ``block_scope`` keeps, up to a byte bound.
-
-    A stream is kept from its first draw, and grown while the growth fits;
-    one that cannot grow is dropped with its block, and later requests for
-    it draw a fresh, unkept stream.  A stream keeps one block: that of a
-    (gains, K) asked of it twice in a row, when a later pass is known to
-    reread it, until another is asked for.  Admission is first come, first
-    kept, so the leading chunks of a sequential scan stay and still hit on
-    the next pass.  Bookkeeping runs under a lock because the chunk threads
-    of ``workers > 1`` draw and compute features at once.
-    """
+    """The normal streams one ``block_scope`` keeps, up to a byte bound;
+    see ``block_scope`` for the policy.  Bookkeeping runs under a lock
+    because the chunk threads of ``workers > 1`` draw and compute features
+    at once."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.nbytes = 0
         self.streams: dict[tuple, _Stream] = {}
-        self._dropped: set[tuple] = set()
         self._lock = threading.Lock()
 
     def block(self, gains: LinkGains, k: int, seed: int, chunk_index: int, n: int) -> ChannelBlock:
-        """The block of ``gains`` and k antennas for the chunk: the kept one,
-        or one built from the chunk's kept stream, or from a fresh, unkept
-        stream where the chunk's stream does not fit."""
+        """The block of ``gains`` and k antennas for the chunk."""
         key, asked = (seed, chunk_index, n), (gains, k)
         with self._lock:
             stream = self.streams.get(key)
-            if stream is not None and stream.asked == asked and stream.kept is not None:
+            repeated = stream is not None and stream.asked == asked
+            if repeated and stream.kept is not None:
                 return stream.kept
-            growth = _Stream.nbytes(n, k) - (stream.reserved if stream else 0)
-            if self.nbytes + max(0, growth) > self.limit:
-                if stream is not None:
-                    self._drop(stream)
-                stream = None
-            elif stream is None and key not in self._dropped:
+            growth = max(0, _Stream.nbytes(n, k) - (stream.reserved if stream else 0))
+            fits = self.nbytes + growth <= self.limit
+            if fits and stream is None:
                 stream = self.streams[key] = _Stream(seed, chunk_index, n)
             if stream is not None:
-                self.nbytes += max(0, growth)
-                stream.reserved += max(0, growth)
-                repeated = stream.asked == asked
-                if not repeated:
-                    self._release(stream)
-                    stream.asked = asked
-        if stream is None:
-            return _Stream(seed, chunk_index, n).block(gains, k)
+                self._release(stream)
+                stream.asked = asked
+            if fits:
+                self.nbytes += growth
+                stream.reserved += growth
+        if not fits:
+            return _Stream(seed, chunk_index, n, head=stream).block(gains, k)
         block = stream.block(gains, k)
         if repeated:
             with self._lock:
-                if (self.streams.get(key) is stream and stream.asked == asked
-                        and stream.kept is None and self.nbytes + block.nbytes <= self.limit):
+                if stream.asked == asked and stream.kept is None and self.nbytes + block.nbytes <= self.limit:
                     stream.kept = block
                     self.nbytes += block.nbytes
                     object.__setattr__(block, "_store", self)
@@ -462,12 +456,6 @@ class _BlockStore:
         if block is not None:
             self.nbytes -= block.nbytes + sum(value.nbytes for value in block._memo.values())
             object.__setattr__(block, "_store", None)
-
-    def _drop(self, stream: _Stream) -> None:
-        del self.streams[stream.key]
-        self._dropped.add(stream.key)
-        self.nbytes -= stream.reserved
-        self._release(stream)
 
     def admit(self, nbytes: int) -> bool:
         """Count a feature computed on a kept block; False if it does not fit."""
@@ -492,16 +480,24 @@ def block_scope() -> Iterator[None]:
     """Keep the normal stream of each chunk ``sample_channel_block`` draws,
     with at most one block, until the scope exits.
 
-    Open one around a run whose passes read the same chunks again.  Every
-    chunk's normals are then drawn once, whatever the gains and antenna
-    counts of the blocks built from them, and a stream asked for the same
-    (gains, K) twice in a row keeps that block, with the features computed
-    on it, for every later pass until another (gains, K) is asked of it:
-    the points of an axis that leaves the gains and K alone, or the
-    candidates of a power search.  ``BLOCK_STORE_BYTES`` bounds the bytes
-    kept, the streams' normals and the kept blocks' n-vectors and features
-    together.  Inside an open scope this is a no-op, so a search run from a
-    figure point shares the figure's store.  The store is dropped, with
+    Open one around a run whose passes read the same chunks again.  Inside
+    it, a chunk's stream of normals is kept from its first draw and grown
+    to the largest K asked of it, so the chunk is drawn once, whatever the
+    gains and antenna counts of the blocks built from it.  A stream keeps
+    one block, with the features computed on it: that of a (gains, K)
+    asked of it twice in a row, until another (gains, K) is asked of it
+    (the points of an axis that leaves the gains and K alone, or the
+    candidates of a power search).  ``BLOCK_STORE_BYTES`` bounds the
+    streams' normals and the kept blocks' n-vectors and features together,
+    first come, first kept, so the leading chunks of a sequential scan
+    stay.  A request whose growth does not fit leaves the stream as it
+    is, a kept head, and builds its block from an unkept copy of the head
+    that draws only the antennas the head lacks (from a fresh stream where
+    the chunk has no head); a feature that does not fit is computed again
+    on each use.
+
+    Inside an open scope this is a no-op, so a search run from a figure
+    point shares the figure's store.  The store is dropped, with
     everything it keeps, when the outermost scope exits.  Scopes are
     process-wide, so the chunk threads of ``workers > 1`` share the store
     of the scope that runs them.
@@ -529,10 +525,8 @@ def sample_channel_block(gains: LinkGains, k: int, seed: int, chunk_index: int, 
     the same whichever schemes consume it, and the blocks of one chunk
     nest: every K and every gains read a prefix of the same stream.
 
-    Inside a ``block_scope`` the store keeps the stream of each (seed,
-    chunk_index, n), grown to the largest K asked for, and the stream keeps
-    the block of a (gains, K) asked of it twice in a row; see
-    ``block_scope`` for the bound.  Outside a scope nothing is kept: the
+    Inside a ``block_scope`` the chunk's stream, and at most one block of
+    it, may be kept; see ``block_scope``.  Outside a scope nothing is kept: the
     block lives, with its stream, as long as its caller holds it.  Chunk
     threads that ask one stream for a block at once may each build it,
     which costs a rebuild, never a wrong block.
@@ -549,13 +543,15 @@ def threshold_t(gains: LinkGains, params: SystemParams) -> float:
 
     Solving phi(z) = 0 gives rho*z^2 - (2^{2R}-1)*z - 2^{2R}*(gamma_ar +
     gamma_rb + 1/rho) = 0, whose discriminant carries 4*rho*2^{2R}*(...);
-    the paper prints 2 in place of 4.
+    the paper prints 2 in place of 4.  The root is taken as u + hypot(u,
+    2^R sqrt(s/rho)), with u = c/(2 rho), c = 2^{2R} - 1 and s the sum in
+    parentheses: this form overflows only where t does, while c*c in the
+    discriminant overflows above R = 256.
     """
     rho = params.rho
-    two2r = 2.0 ** (2.0 * params.rate)
-    c = two2r - 1.0
+    u = (2.0 ** (2.0 * params.rate) - 1.0) / (2.0 * rho)
     s = gains.gamma_ar + gains.gamma_rb + 1.0 / rho
-    return (c + math.sqrt(c * c + 4.0 * rho * two2r * s)) / (2.0 * rho)
+    return u + math.hypot(u, 2.0 ** params.rate * math.sqrt(s / rho))
 
 
 def derived_coefficients(gains: LinkGains, params: SystemParams) -> DerivedCoefficients:

@@ -8,10 +8,9 @@ minimization: coarse grid, then coordinate-wise golden-section refinement.
 
 The fading is drawn once per chunk for the whole search: the search runs
 inside a ``model.block_scope``, its own or the caller's when one is open
-(every CLI search joins its run's scope, so the run's rows reread its draws),
-where each chunk's stream of normals keeps the one block every candidate
-reads, with its features, from the second pass on, up to
-``model.BLOCK_STORE_BYTES``.  The grid stage scores all of its candidates
+(every CLI search joins its run's scope, so the run's rows reread its
+draws), which keeps the one block every candidate reads; see
+``block_scope``.  The grid stage scores all of its candidates
 in one ``estimate_sop_many`` pass over the chunks; the golden-section stage
 scores each probe with ``estimate_sop`` on the kept blocks.  Both stages
 fill one cache of estimates, keyed by the rounded fractions, so a probe

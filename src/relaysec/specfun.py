@@ -167,9 +167,15 @@ def integrate_semi_infinite(
     transition layers); subdivision starts at these points so narrow
     features next to the lower endpoint are not overlooked.
 
+    ``lower`` = inf is the empty interval, whose integral is 0: a
+    threshold beyond the float range puts all the mass below it.
+
     Raises ``ConvergenceError`` when the error estimate ends above ten
     times the tolerance or is not finite.
     """
+    if lower == math.inf:
+        return 0.0
+
     def rule(a: float, b: float) -> tuple[float, float]:
         """GK15 value and QUADPACK error estimate of the mapped integrand on [a, b]."""
         centre = 0.5 * (a + b)

@@ -692,7 +692,7 @@ class TestLimits:
         k=st.integers(2, 1024),
         gains_db=st.tuples(*[st.floats(-40.0, 40.0)] * 3),
         rho_db=st.floats(-10.0, 60.0),
-        rate=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+        rate=st.one_of(st.just(0.0), st.floats(0.0, 4.0), st.floats(0.0, 512.0, exclude_max=True)),
     )
     def test_in_range_or_unsupported_as_specified(self, k, gains_db, rho_db, rate):
         # Every selector on every variant, at K = 1 and at a drawn K > 1.
@@ -717,7 +717,7 @@ class TestDispatch:
         k=st.integers(2, 1024),
         gains_db=st.tuples(*[st.floats(-40.0, 40.0)] * 3),
         rho_db=st.floats(-10.0, 60.0),
-        rate=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+        rate=st.one_of(st.just(0.0), st.floats(0.0, 4.0), st.floats(0.0, 512.0, exclude_max=True)),
         split=st.tuples(*[st.floats(0.0, 1.0)] * 3).map(lambda fracs: PowerAllocation(*fracs)),
     )
     def test_in_range_or_unsupported_as_specified(self, k, gains_db, rho_db, rate, split):

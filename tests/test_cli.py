@@ -238,9 +238,31 @@ class TestExitCodes:
             assert proc.stdout.readline().decode().rstrip("\n") == CSV_COLUMNS
         proc.stdout.close()
         code = proc.wait(timeout=120)
-        err = proc.stderr.read().decode()
+        with proc.stderr:
+            err = proc.stderr.read().decode()
         assert code == 141, err
         assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_stdout_leaks_no_descriptor(self):
+        # Each call meets a closed pipe on stdout and points it at the null
+        # device; the count of open descriptors must not grow from call to call.
+        script = (
+            "import os, sys\n"
+            "from relaysec.cli import main\n"
+            "for _ in range(2):\n"
+            "    read, write = os.pipe()\n"
+            "    os.close(read)\n"
+            "    os.dup2(write, sys.stdout.fileno())\n"
+            "    os.close(write)\n"
+            "    code = main(['point', '--method', 'analytic'])\n"
+            "    print(code, len(os.listdir('/proc/self/fd')), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        first, second = (line.split() for line in proc.stderr.splitlines() if line[:1].isdigit())
+        assert first[0] == second[0] == "141"
+        assert first[1] == second[1]
 
     def test_failure_inside_the_search_is_not_blamed_on_the_grid_step(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -367,6 +389,17 @@ class TestExitCodes:
             )
             assert code == 0, err
             assert float(out.splitlines()[1].split(",")[9]) == 1.0
+
+    @pytest.mark.parametrize("mode,k", [("full", "1"), ("select-nocsi", "4")])
+    def test_cooperative_jamming_above_rate_256(self, mode, k, capsys):
+        # The jamming threshold's squared rate term overflowed above R = 256,
+        # and the quadrature from an infinite threshold ended in exit 4.
+        code, out, err = run_cli(
+            ["point", "--scheme", "cj", "--mode", mode, "--k", k, "--rate", "300",
+             "--method", "analytic"], capsys,
+        )
+        assert code == 0, err
+        assert float(out.splitlines()[1].split(",")[9]) == 1.0
 
     def test_selection_beyond_64_antennas(self, capsys):
         code, out, _ = run_cli(
@@ -796,7 +829,7 @@ class TestFigureCommand:
             ["figure", "3", "--trials", "20000", "--out", str(out_path)], capsys
         )
         assert code == 0
-        rows = list(csv.DictReader(open(out_path)))
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
         methods = {r["method"] for r in rows}
         assert methods == {"analytic", "montecarlo", "asymptotic"}
         # Cooperative jamming fails at both ends of the first-hop sweep.
@@ -816,7 +849,7 @@ class TestFigureCommand:
             capsys,
         )
         assert code == 0
-        rows = list(csv.DictReader(open(out_path)))
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
         af = {
             float(r["rho_db"]): float(r["sop"])
             for r in rows if r["scheme"] == "af" and r["method"] == "analytic"
@@ -1006,6 +1039,38 @@ class TestDrawReuse:
         # K changes at every point, so no block is asked for twice and none
         # is kept: no block is alive when the next one is asked for.
         assert alive == [0] * 20
+
+    def test_figure_eight_beyond_the_bound_draws_each_chunk_once(self, monkeypatch, tmp_path, capsys):
+        argv = ["figure", "8", "--skip-power-opt", "--trials", "200000"]
+        unbounded = tmp_path / "unbounded.csv"
+        code, _, err = run_cli([*argv, "--workers", "1", "--out", str(unbounded)], capsys)
+        assert code == 0, err
+        # Room for two K = 10 streams of the four the run reads: each stream
+        # stops growing at the first K that does not fit and keeps its head.
+        bound = 2 * model._Stream.nbytes(65536, 10)
+        monkeypatch.setattr(model, "BLOCK_STORE_BYTES", bound)
+        sample = model.sample_channel_block
+        for workers in ("1", "4"):
+            draws, held = [], []
+
+            def spy_sample(gains, k, seed, chunk_index, n):
+                block = sample(gains, k, seed, chunk_index, n)
+                held.append(model._store.nbytes)
+                return block
+
+            def spy_rng(seed, chunk_index, block_rng=model.block_rng):
+                draws.append(chunk_index)
+                return block_rng(seed, chunk_index)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(montecarlo, "sample_channel_block", spy_sample)
+                patch.setattr(model, "block_rng", spy_rng)
+                out = tmp_path / f"workers-{workers}.csv"
+                code, _, err = run_cli([*argv, "--workers", workers, "--out", str(out)], capsys)
+            assert code == 0, err
+            assert sorted(draws) == [0, 1, 2, 3]
+            assert len(held) == 40 and max(held) <= bound
+            assert out.read_bytes() == unbounded.read_bytes()
 
     def test_power_opt_draws_each_chunk_once(self, monkeypatch, capsys):
         draws, _, _ = self._spy(monkeypatch)

@@ -325,7 +325,7 @@ class TestNormalStreams:
         restored.bit_generator.state = stream._states[-1]
         assert np.array_equal(restored.random(64), rng.random(64))
 
-    def test_stream_that_cannot_grow_within_the_bound_is_dropped(self, monkeypatch):
+    def test_stream_that_cannot_grow_within_the_bound_keeps_its_head(self, monkeypatch):
         gains, n, seed = LinkGains(1.0, 2.0, 3.0), 64, 3
         want = {k: sample_channel_block(gains, k, seed, 0, n) for k in (2, 3)}
         monkeypatch.setattr(model, "BLOCK_STORE_BYTES", model._Stream.nbytes(n, 3) - 1)
@@ -334,16 +334,22 @@ class TestNormalStreams:
             store = model._store
             for _ in range(2):
                 kept = sample_channel_block(gains, 2, seed, 0, n)
-            assert store.streams[seed, 0, n].kept is kept and len(draws) == 1
-            # Three antennas do not fit: the stream goes, with its block.
-            grown = sample_channel_block(gains, 3, seed, 0, n)
-            assert not store.streams and store.nbytes == 0
-            assert kept._store is None
-            # Later requests draw a fresh stream each and keep nothing.
-            again = [sample_channel_block(gains, 2, seed, 0, n) for _ in range(2)]
-            assert again[0] is not again[1] and not store.streams and store.nbytes == 0
-            assert len(draws) == 4
-        for block, k in ((grown, 3), (kept, 2), *((block, 2) for block in again)):
+            head = store.streams[seed, 0, n]
+            assert head.kept is kept
+            # Three antennas do not fit: the head stays with the bytes counted
+            # for it, and each K = 3 block is built from a copy of it that
+            # draws the third antenna alone.  Asking for another (gains, K)
+            # still releases the kept block.
+            grown = [sample_channel_block(gains, 3, seed, 0, n) for _ in range(2)]
+            assert grown[0] is not grown[1]
+            assert store.streams == {(seed, 0, n): head} and len(head._segments) == 2
+            assert store.nbytes == head.reserved == model._Stream.nbytes(n, 2)
+            assert head.kept is None and kept._store is None
+            # The head still serves, and keeps, a block that fits.
+            again = [sample_channel_block(gains, 2, seed, 0, n) for _ in range(3)]
+            assert again[0] is not again[1] is again[2] is head.kept
+        assert draws == [(seed, 0)]
+        for block, k in ((kept, 2), *((block, 3) for block in grown), *((block, 2) for block in again)):
             self._assert_same_draws(block, want[k])
 
 
@@ -494,6 +500,14 @@ class TestDerivedCoefficients:
         coef = derived_coefficients(gains, params)
         assert abs(coef.phi(coef.t)) < 1e-12
         assert coef.phi(0.5 * coef.t) < 0.0 < coef.phi(2.0 * coef.t)
+
+    def test_root_of_phi_where_its_square_overflows(self):
+        # (2^{2R} - 1)^2 overflows above R = 256; the root does not below 512.
+        gains = LinkGains(1.0, 2.0, 0.5)
+        for rate in (256.5, 300.0, 511.0):
+            coef = derived_coefficients(gains, SystemParams(rho=100.0, rate=rate))
+            assert math.isfinite(coef.t)
+            assert coef.phi(0.5 * coef.t) < 0.0 < coef.phi(2.0 * coef.t)
 
     def test_equal_gains_beta1(self):
         gains = LinkGains(1.4, 1.4, 1.0)

@@ -177,6 +177,11 @@ class TestSemiInfiniteQuadrature:
             expected = gamma * math.exp(-lower / gamma)
             assert got == pytest.approx(expected, rel=specfun.REL_TOL * 50)
 
+    def test_empty_interval_from_infinity(self):
+        # A threshold beyond the float range leaves nothing to integrate; a
+        # ratio like the CJ integrands' phi is nan there.
+        assert integrate_semi_infinite(lambda z: math.exp(-z) * z / (z + 1.0), math.inf) == 0.0
+
     def test_focus_points_pass_through(self):
         got = integrate_semi_infinite(lambda z: math.exp(-z), 0.0, focus=[0.3, 2.0, math.inf])
         assert got == pytest.approx(1.0, abs=1e-10)
