@@ -197,9 +197,7 @@ class ChannelBlock:
     random-number layout is identical across schemes (common random
     numbers).  The relay's (n, K) coefficients ``h_ar`` and ``h_rb`` are not
     held: ``hop_rows`` yields any row range of them, from the chunk's normal
-    stream for a sampled block (see ``sample_channel_block``).  The
-    ``h_ar`` and ``h_rb`` properties assemble them in full for oracles and
-    tests; the kernel never does.
+    stream for a sampled block (see ``sample_channel_block``).
 
     The features the schemes read (the squared direct gain, per-trial sums,
     antenna picks, gathered gains and the MRC cross term, each an
@@ -220,32 +218,10 @@ class ChannelBlock:
     _memo: dict = field(default_factory=dict, init=False, repr=False)
     _store: _BlockStore | None = field(default=None, init=False, repr=False)
 
-    @classmethod
-    def from_arrays(cls, h_ab, h_ar, h_rb, tx_pick) -> ChannelBlock:
-        """A block of given coefficients: ``h_ar`` and ``h_rb`` are (n, K)."""
-        hops = {"h_ar": np.asarray(h_ar), "h_rb": np.asarray(h_rb)}
-        return cls(
-            h_ab=np.asarray(h_ab), tx_pick=np.asarray(tx_pick), k=hops["h_ar"].shape[1],
-            hop_rows=lambda name, start, stop: hops[name][start:stop],
-        )
-
     @property
     def nbytes(self) -> int:
         """Bytes of the held n-vectors; computed features not included."""
         return self.h_ab.nbytes + self.tx_pick.nbytes
-
-    @property
-    def h_ar(self) -> np.ndarray:
-        return self._hops_in_full("h_ar")
-
-    @property
-    def h_rb(self) -> np.ndarray:
-        return self._hops_in_full("h_rb")
-
-    def _hops_in_full(self, name: str) -> np.ndarray:
-        rows = self.hop_rows(name, 0, self.h_ab.shape[0])
-        rows.flags.writeable = False
-        return rows
 
     def features(self, *names) -> tuple[np.ndarray, ...]:
         """The named features, in order.  A name is a key of ``_FORMULAS``

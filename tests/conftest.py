@@ -1,5 +1,6 @@
-"""Shared fixtures: the standard figure settings, the (scheme, mode) pairs and a
-one-trial channel builder."""
+"""Shared fixtures: the standard figure settings, the (scheme, mode) pairs, a
+one-trial channel builder, and block helpers for oracles: a block of given
+coefficients and a block's relay coefficients in full."""
 
 import numpy as np
 import pytest
@@ -40,8 +41,24 @@ def fig8_gains():
     return LinkGains(1.0, 1.0, db_to_linear(2.0))
 
 
+def block_of(h_ab, h_ar, h_rb, tx_pick) -> ChannelBlock:
+    """A block of given coefficients: ``h_ar`` and ``h_rb`` are (n, K)."""
+    hops = {"h_ar": np.asarray(h_ar), "h_rb": np.asarray(h_rb)}
+    return ChannelBlock(
+        h_ab=np.asarray(h_ab), tx_pick=np.asarray(tx_pick), k=hops["h_ar"].shape[1],
+        hop_rows=lambda name, start, stop: hops[name][start:stop],
+    )
+
+
+def hop(block: ChannelBlock, name: str) -> np.ndarray:
+    """The block's (n, K) relay coefficients ``name``, "h_ar" or "h_rb", in full and read-only."""
+    rows = block.hop_rows(name, 0, block.h_ab.shape[0])
+    rows.flags.writeable = False
+    return rows
+
+
 def _one_trial_block(h_ab, h_ar, h_rb, tx_pick=0) -> ChannelBlock:
-    return ChannelBlock.from_arrays(
+    return block_of(
         h_ab=np.array([h_ab], dtype=complex),
         h_ar=np.array([h_ar], dtype=complex),
         h_rb=np.array([h_rb], dtype=complex),

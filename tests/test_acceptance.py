@@ -1,7 +1,7 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
-line per criterion.  Criteria 1-8 are the ``relaysec.cli.CHECKS``
+line per criterion.  Criteria 1-8 are the ``relaysec.checks.CHECKS``
 registry that ``relaysec validate`` prints, one test per check: the
 calibration of every closed form against simulation (its AF-selection
 cell reported on its own), the zero-rate complements, single-antenna
@@ -21,7 +21,7 @@ import scipy.stats
 
 from relaysec import LinkGains, McConfig, SchemeId, SystemParams, db_to_linear
 from relaysec import analytic
-from relaysec.cli import _AF_SELECT_CELL, _CALIBRATION, CHECKS, Check, _calibration
+from relaysec.checks import _AF_SELECT_CELL, _CALIBRATION, CHECKS, Check, _calibration
 from relaysec.model import Scheme, sample_channel_block
 from relaysec.montecarlo import estimate_sop
 
@@ -53,6 +53,10 @@ def registry_checks() -> list[Check]:
     return [af_select if check is CALIBRATION else check for check in CHECKS]
 
 
+def check_id(check: Check) -> str:
+    return re.sub(r"\W+", "-", check.name)
+
+
 class TestCriterion1Calibration:
     def test_calibration_gate(self):
         groups = tuple(group for group in _CALIBRATION if group is not _AF_SELECT_CELL)
@@ -63,10 +67,15 @@ class TestCriterion1Calibration:
 class TestCriteria2To4Checks:
     """Criteria 1-8: the checks ``relaysec validate`` runs, at full budget."""
 
-    @pytest.mark.parametrize("check", registry_checks(), ids=lambda check: re.sub(r"\W+", "-", check.name))
+    @pytest.mark.parametrize("check", registry_checks(), ids=check_id)
     def test_check(self, check):
         ok, detail = check.run(mc_config())
         report("1-8", check.name, ok, detail)
+
+    def test_check_ids_are_distinct(self):
+        # pytest would silently rename one of two checks whose names give the same id.
+        ids = [check_id(check) for check in registry_checks()]
+        assert len(set(ids)) == len(ids), sorted(ids)
 
 
 class TestCriterion9PropertySuites:

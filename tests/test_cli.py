@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaysec import analytic, cli, model, montecarlo, powerallo, specfun
+from relaysec import analytic, checks, cli, model, montecarlo, powerallo, specfun
 from relaysec.cli import CSV_COLUMNS, FIGURE_PRESETS, main
 
 OUT_FILE = "<out>"  # stands for a path under the test's tmp_path
@@ -557,6 +557,16 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_cli_does_not_load_checks(self):
+        # The suite loads only when ``validate`` runs, so no other command pays for it.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, relaysec.cli; print('relaysec.checks' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @staticmethod
     def _scipy_modules_after(*argvs):
         """The scipy modules loaded by importing the CLI and running ``argvs``, as a printed list."""
@@ -615,8 +625,9 @@ class TestTracedNames:
             "sop_af_multi", "sop_af_select_csi", "sop_af_select_nocsi", "sop_cj_select_nocsi",
         )),
         # The tracer also patches every alias of these that a module imports.
-        (cli, "estimate_sop"),
         (cli, "estimate_sop_many"),
+        (checks, "estimate_sop"),
+        (checks, "estimate_sop_many"),
         (powerallo, "estimate_sop"),
         (montecarlo, "sample_channel_block"),
     ])
@@ -667,18 +678,18 @@ class TestValidate:
         assert "FAIL" not in out
         assert "PASS paper erratum: printed CJ threshold constant" in out
         assert "PASS paper erratum: printed high-SNR AF limit" in out
-        assert f"{len(cli.CHECKS)}/{len(cli.CHECKS)} checks passed" in out
+        assert f"{len(checks.CHECKS)}/{len(checks.CHECKS)} checks passed" in out
 
     def test_largest_seed_runs_every_check(self, capsys):
         # The checks that draw on a seed offset wrap it past 2^64 - 1.
         code, out, _ = run_cli(["validate", "--trials", "4096", "--seed", str((1 << 64) - 1)], capsys)
         assert code == 0
-        assert f"{len(cli.CHECKS)}/{len(cli.CHECKS)} checks passed" in out
+        assert f"{len(checks.CHECKS)}/{len(checks.CHECKS)} checks passed" in out
 
     def test_failing_check_exits_one(self, monkeypatch, capsys):
-        failing = cli.Check("always fails", lambda mc: (False, "forced"))
-        monkeypatch.setattr(cli, "CHECKS", (*cli.CHECKS, failing))
-        n = len(cli.CHECKS)
+        failing = checks.Check("always fails", lambda mc: (False, "forced"))
+        monkeypatch.setattr(checks, "CHECKS", (*checks.CHECKS, failing))
+        n = len(checks.CHECKS)
         code, out, _ = run_cli(["validate", "--trials", "4096"], capsys)
         assert code == 1
         assert "FAIL always fails: forced" in out
@@ -688,8 +699,8 @@ class TestValidate:
         def fail(mc):
             raise specfun.ConvergenceError("tolerance not met")
 
-        before, after = cli.CHECKS[:2], cli.CHECKS[2:]
-        monkeypatch.setattr(cli, "CHECKS", (*before, cli.Check("planted quadrature", fail), *after))
+        before, after = checks.CHECKS[:2], checks.CHECKS[2:]
+        monkeypatch.setattr(checks, "CHECKS", (*before, checks.Check("planted quadrature", fail), *after))
         code, out, err = run_cli(["validate", "--trials", "4096"], capsys)
         assert code == 4
         assert err.splitlines()[-1] == "numerical error: planted quadrature: tolerance not met"
@@ -704,7 +715,7 @@ class TestMovedChecksCanFail:
 
     @staticmethod
     def _run(name: str) -> tuple[bool, str]:
-        (check,) = (check for check in cli.CHECKS if check.name.startswith(name))
+        (check,) = (check for check in checks.CHECKS if check.name.startswith(name))
         return check.run(montecarlo.McConfig(trials=4096))
 
     def test_calibration_catches_a_shifted_closed_form(self, monkeypatch):

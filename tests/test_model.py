@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import block_of, hop
 from relaysec import model
 from relaysec.model import (
-    ChannelBlock,
     LinkGains,
     PowerAllocation,
     Scheme,
@@ -105,7 +105,7 @@ class TestSampling:
         # Equal average gains make either branch the larger with chance 1/2.
         gains = LinkGains(1.0, 1.0, 1.0)
         block = sample_channel_block(gains, 1, seed=2, chunk_index=0, n=1_000_000)
-        frac = np.mean(np.abs(block.h_ab) ** 2 > np.abs(block.h_ar[:, 0]) ** 2)
+        frac = np.mean(np.abs(block.h_ab) ** 2 > np.abs(hop(block, "h_ar")[:, 0]) ** 2)
         assert frac == pytest.approx(0.5, abs=0.002)
 
     def test_variance_matches_exponential(self):
@@ -130,8 +130,8 @@ class TestSampling:
         b = sample_channel_block(gains, 3, seed=42, chunk_index=5, n=128)
         assert b is not a
         assert np.array_equal(a.h_ab, b.h_ab)
-        assert np.array_equal(a.h_ar, b.h_ar)
-        assert np.array_equal(a.h_rb, b.h_rb)
+        assert np.array_equal(hop(a, "h_ar"), hop(b, "h_ar"))
+        assert np.array_equal(hop(a, "h_rb"), hop(b, "h_rb"))
         assert np.array_equal(a.tx_pick, b.tx_pick)
         c = sample_channel_block(gains, 3, seed=42, chunk_index=6, n=128)
         assert not np.array_equal(a.h_ab, c.h_ab)
@@ -139,7 +139,7 @@ class TestSampling:
     def test_single_draw(self):
         block = sample_channel_block(LinkGains(1.0, 1.0, 1.0), 4, seed=0, chunk_index=0, n=1)
         assert block.h_ab.shape == block.tx_pick.shape == (1,)
-        assert block.h_ar.shape == block.h_rb.shape == (1, 4)
+        assert hop(block, "h_ar").shape == hop(block, "h_rb").shape == (1, 4)
         assert 0 <= block.tx_pick[0] < 4
 
     _KEY = dict(gains=LinkGains(1.0, 2.0, 3.0), k=2, seed=7, chunk_index=1, n=64)
@@ -192,7 +192,7 @@ class TestSampling:
 
     def test_drawn_arrays_are_read_only(self):
         block = sample_channel_block(**self._KEY)
-        for array in (block.h_ab, block.h_ar, block.h_rb, block.tx_pick):
+        for array in (block.h_ab, hop(block, "h_ar"), hop(block, "h_rb"), block.tx_pick):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -287,8 +287,10 @@ class TestNormalStreams:
 
     @classmethod
     def _assert_same_draws(cls, block, want):
-        for name in ("h_ab", "h_ar", "h_rb", "tx_pick"):
+        for name in ("h_ab", "tx_pick"):
             assert np.array_equal(getattr(block, name), getattr(want, name)), name
+        for name in ("h_ar", "h_rb"):
+            assert np.array_equal(hop(block, name), hop(want, name)), name
         for name, got, expected in zip(cls._FEATURES, block.features(*cls._FEATURES),
                                        want.features(*cls._FEATURES)):
             assert np.array_equal(got, expected), name
@@ -409,7 +411,7 @@ class TestAntennaSelection:
         gains = LinkGains(1.0, 0.7, 1.9)
         scaled_gains = LinkGains(c * c * 1.0, c * c * 0.7, c * c * 1.9)
         block = sample_channel_block(gains, 5, seed=9, chunk_index=0, n=25)
-        scaled = ChannelBlock.from_arrays(c * block.h_ab, c * block.h_ar, c * block.h_rb, block.tx_pick)
+        scaled = block_of(c * block.h_ab, c * hop(block, "h_ar"), c * hop(block, "h_rb"), block.tx_pick)
         for scheme in all_schemes:
             params = SystemParams(rho=20.0, k_antennas=5, scheme=scheme)
             np.testing.assert_allclose(
@@ -446,8 +448,8 @@ class TestMmseSinr:
         gains = LinkGains(1.0, 1.0, 1.0)
         rho = 50.0
         block = sample_channel_block(gains, 3, seed=23, chunk_index=0, n=50)
-        sum_a = np.sum(np.abs(block.h_ar) ** 2, axis=1)
-        sum_b = np.sum(np.abs(block.h_rb) ** 2, axis=1)
+        sum_a = np.sum(np.abs(hop(block, "h_ar")) ** 2, axis=1)
+        sum_b = np.sum(np.abs(hop(block, "h_rb")) ** 2, axis=1)
         i_b = 0.5 * np.log2(1.0 + rho * sum_b * sum_a / (sum_b + 3.0 + 3.0 + 3.0 / rho))
         margins = rate_margins_block(block, gains, SystemParams(rho=rho, k_antennas=3, scheme=SchemeId(Scheme.CJ)))
         assert np.all(margins <= i_b + 1e-12)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import hop
 from relaysec import LinkGains, McConfig, SchemeId, SystemParams, db_to_linear
 from relaysec import analytic
 from relaysec.cli import main
@@ -43,7 +44,7 @@ def _dense_margin(block, i, gains, params, noise):
     p_a, p_r, p_j = (f * params.rho * noise for f in (power.frac_alice, power.frac_relay, power.frac_bob_jam))
     if scheme is not Scheme.CJ:
         p_j = 0.0
-    h_ab, h_ar, h_rb = block.h_ab[i], block.h_ar[i], block.h_rb[i]
+    h_ab, h_ar, h_rb = block.h_ab[i], hop(block, "h_ar")[i], hop(block, "h_rb")[i]
     g_ar, g_rb = np.abs(h_ar) ** 2, np.abs(h_rb) ** 2
 
     def argmax(values):
@@ -139,7 +140,7 @@ class TestSecrecyRate:
         params = SystemParams(rho=rho, scheme=SchemeId(Scheme.CJ))
         block = sample_channel_block(gains, 1, seed=1, chunk_index=0, n=10)
         margins = rate_margins_block(block, gains, params)
-        for margin, h_ar, h_rb in zip(margins, block.h_ar[:, 0], block.h_rb[:, 0]):
+        for margin, h_ar, h_rb in zip(margins, hop(block, "h_ar")[:, 0], hop(block, "h_rb")[:, 0]):
             har2 = abs(h_ar) ** 2
             hrb2 = abs(h_rb) ** 2
             i_b = 0.5 * math.log2(
@@ -356,8 +357,8 @@ class TestAgainstDegenerateGeometry:
         # The reused transmit antenna is chosen on first-hop gains only, so
         # its second-hop gain keeps the plain exponential law (no diversity).
         block = sample_channel_block(fig8_gains, 6, seed=14, chunk_index=0, n=60_000)
-        g_rb = np.abs(block.h_rb) ** 2
-        m_star = np.argmax(np.abs(block.h_ar) ** 2, axis=1)
+        g_rb = np.abs(hop(block, "h_rb")) ** 2
+        m_star = np.argmax(np.abs(hop(block, "h_ar")) ** 2, axis=1)
         used = g_rb[np.arange(g_rb.shape[0]), m_star]
         res = scipy.stats.kstest(used, "expon", args=(0.0, fig8_gains.gamma_rb))
         assert res.pvalue > 1e-3
