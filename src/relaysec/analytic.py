@@ -194,7 +194,7 @@ def _sop_dt(gains: LinkGains, params: SystemParams, log_laplace: _LogForm) -> fl
     the exponential tail over G leaves L(2^R gamma_ar / gamma_ab).
     """
     two_r = 2.0 ** params.rate
-    return 1.0 - math.exp(
+    return -math.expm1(
         -(two_r - 1.0) / (params.rho * gains.gamma_ab)
         + log_laplace(params.k_antennas)(two_r * gains.gamma_ar / gains.gamma_ab)
     )
@@ -271,35 +271,6 @@ def sop_af_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
     )
 
 
-def _phi_level_crossing(gains: LinkGains, params: SystemParams, c: float, target_x: float) -> float:
-    """z > t where c / (gamma_ar * phi(z)) drops to ``target_x``.
-
-    phi rises from 0 at t towards rho, so the crossing is where phi(z) = y
-    with y = c / (gamma_ar * target_x), and exists only when y < rho.
-    Clearing the denominators of phi(z) = y leaves
-
-        (rho - y) z^2 + (1 - T - y (s + 1/rho)) z - s (T + y/rho) = 0,
-
-    T = 2^{2R}, s = gamma_ar + gamma_rb + 1/rho, whose constant term is
-    negative: one root is positive, and it is taken in the form that adds
-    two numbers of the same sign.  Used to seed quadrature break points
-    at the transition layer of the antenna-selection integrand.
-    """
-    rho = params.rho
-    y = c / (gains.gamma_ar * target_x)
-    if rho <= y:
-        return math.inf  # exponent never drops that far; no layer to mark
-    two2r = 2.0 ** (2.0 * params.rate)
-    s = gains.gamma_ar + gains.gamma_rb + 1.0 / rho
-    a = rho - y
-    b = 1.0 - two2r - y * (s + 1.0 / rho)
-    neg_c = s * (two2r + y / rho)
-    root = math.sqrt(b * b + 4.0 * a * neg_c)
-    if b < 0.0:
-        return (root - b) / (2.0 * a)
-    return 2.0 * neg_c / (b + root)
-
-
 def sop_cj_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
     """Cooperative-jamming outage with best-receive-antenna selection and no
     second-hop CSI at the relay, which transmits on its receive antenna."""
@@ -319,15 +290,11 @@ def sop_cj_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
 
     focus = None
     if c > 0.0 and k > 1:
-        # The K-th power turns on over a narrow layer above t; anchor
-        # subdivision where the exponent argument passes ~log K and ~1.
-        focus = [
-            _phi_level_crossing(gains, params, c, 4.0 * (1.0 + math.log(k))),
-            _phi_level_crossing(gains, params, c, 1.0),
-            _phi_level_crossing(gains, params, c, 0.05),
-        ]
+        # The K-th power turns on over a narrow layer above t; anchor subdivision
+        # where the exponent argument x = c / (gamma_ar phi) passes ~log K and ~1.
+        focus = [threshold_t(gains, params, c / (gar * x)) for x in (4.0 * (1.0 + math.log(k)), 1.0, 0.05)]
     integral = specfun.integrate_semi_infinite(integrand, t, focus=focus)
-    head = 1.0 - math.exp(-t / grb)
+    head = -math.expm1(-t / grb)
     return min(1.0, max(0.0, head + integral / grb))
 
 
@@ -424,7 +391,7 @@ def limits(gains: LinkGains, params: SystemParams, which: str) -> float:
     gab, gar, grb = gains.gamma_ab, gains.gamma_ar, gains.gamma_rb
 
     if which == "dt_high_snr":
-        return 1.0 - gab / (two_r * gar + gab)
+        return two_r * gar / (two_r * gar + gab)
     if which == "af_high_snr":
         beta2 = derived_coefficients(gains, params).beta2
         return 1.0 - gab / (c * gar + gab) * _ei_bracket(gar / grb, beta2)
@@ -443,12 +410,12 @@ def limits(gains: LinkGains, params: SystemParams, which: str) -> float:
     if which == "cj_weak_second_hop":
         return 1.0
     if which == "dt_weak_first_hop":
-        return 1.0 - math.exp(-(two_r - 1.0) / (rho * gab))
+        return -math.expm1(-(two_r - 1.0) / (rho * gab))
     if which == "af_weak_first_hop":
-        return 1.0 - math.exp(-c / (rho * gab))
+        return -math.expm1(-c / (rho * gab))
     if which == "cj_weak_first_hop":
         return 1.0
-    return 1.0 - math.exp(-threshold_t(gains, params) / grb)  # cj_select_nocsi_large_k
+    return -math.expm1(-threshold_t(gains, params) / grb)  # cj_select_nocsi_large_k
 
 
 def analytic_sop(gains: LinkGains, params: SystemParams) -> float:

@@ -513,21 +513,26 @@ def sample_channel_block(gains: LinkGains, k: int, seed: int, chunk_index: int, 
     return store.block(gains, k, seed, chunk_index, n)
 
 
-def threshold_t(gains: LinkGains, params: SystemParams) -> float:
-    """Positive root of phi(z) = 0, the jamming-gain threshold below which
-    cooperative jamming is always in outage.
+def threshold_t(gains: LinkGains, params: SystemParams, level: float = 0.0) -> float:
+    """The z > 0 where phi(z) = ``level``; inf from ``level`` = rho on, which phi only nears.
 
-    Solving phi(z) = 0 gives rho*z^2 - (2^{2R}-1)*z - 2^{2R}*(gamma_ar +
-    gamma_rb + 1/rho) = 0, whose discriminant carries 4*rho*2^{2R}*(...);
-    the paper prints 2 in place of 4.  The root is taken as u + hypot(u,
-    2^R sqrt(s/rho)), with u = c/(2 rho), c = 2^{2R} - 1 and s the sum in
-    parentheses: this form overflows only where t does, while c*c in the
-    discriminant overflows above R = 256.
+    Level 0 gives the threshold t below which cooperative jamming is always
+    in outage.  phi(z) = y clears to (rho - y) z^2 - (T - 1 + y (s + 1/rho)) z
+    - s (T + y/rho) = 0, T = 2^{2R}, s = gamma_ar + gamma_rb + 1/rho; at y = 0
+    the paper prints 2 for the 4 in its discriminant's 4*rho*T*s.  The root
+    u + hypot(u, 2^R sqrt(s (1 + y/(rho T)) / (rho - y))), u = (T - 1 + y (s +
+    1/rho)) / (2 (rho - y)), overflows only where it is out of range, while the
+    discriminant's squared linear term overflows above R = 256.  An infinite s
+    puts the root at inf; no term in y forms 0 * inf at level 0.
     """
     rho = params.rho
-    u = (2.0 ** (2.0 * params.rate) - 1.0) / (2.0 * rho)
     s = gains.gamma_ar + gains.gamma_rb + 1.0 / rho
-    return u + math.hypot(u, 2.0 ** params.rate * math.sqrt(s / rho))
+    if level >= rho or s == math.inf:
+        return math.inf
+    two2r = 2.0 ** (2.0 * params.rate)
+    a = rho - level
+    u = (two2r - 1.0 + level * s + level / rho) / (2.0 * a)
+    return u + math.hypot(u, 2.0 ** params.rate * math.sqrt(s * (1.0 + level / (rho * two2r)) / a))
 
 
 def derived_coefficients(gains: LinkGains, params: SystemParams) -> DerivedCoefficients:

@@ -168,7 +168,9 @@ def integrate_semi_infinite(
     features next to the lower endpoint are not overlooked.
 
     ``lower`` = inf is the empty interval, whose integral is 0: a
-    threshold beyond the float range puts all the mass below it.
+    threshold beyond the float range puts all the mass below it.  A node at
+    u = 1 is z = inf, where every integrand of the package has vanished, and
+    counts 0; a subinterval with no node below u = 1 has an infinite error.
 
     Raises ``ConvergenceError`` when the error estimate ends above ten
     times the tolerance or is not finite.
@@ -180,8 +182,11 @@ def integrate_semi_infinite(
         """GK15 value and QUADPACK error estimate of the mapped integrand on [a, b]."""
         centre = 0.5 * (a + b)
         half = 0.5 * (b - a)
+        if centre - half * _GK_X[3] >= 1.0:  # the leftmost node
+            return 0.0, math.inf
         # The map to z is inlined: a helper per node would cost a call frame.
-        values = [f(lower + (u := centre + half * x) / (w := 1.0 - u)) / (w * w) for x in _NODES]
+        values = [f(lower + u / w) / (w * w) if (w := 1.0 - (u := centre + half * x)) > 0.0 else 0.0
+                  for x in _NODES]
         kronrod = sum(map(mul, _KRONROD, values))
         mean = 0.5 * kronrod
         asc = sum(map(mul, _KRONROD, [abs(v - mean) for v in values]))

@@ -11,13 +11,14 @@ is the ``validate`` check that the acceptance suite runs at 10^6 trials).
 import itertools
 import math
 from dataclasses import replace
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SCHEMES
@@ -25,8 +26,9 @@ from relaysec import LinkGains, McConfig, PowerAllocation, SchemeId, SystemParam
 from relaysec import analytic
 from relaysec.analytic import UnsupportedAnalytic
 from relaysec.cli import main
-from relaysec.model import FULL_POWER, Scheme, SelectionMode, derived_coefficients
+from relaysec.model import FULL_POWER, Scheme, SelectionMode, derived_coefficients, threshold_t
 from relaysec.montecarlo import estimate_sop
+from relaysec.specfun import ConvergenceError
 
 AF = SchemeId(Scheme.AF)
 CJ = SchemeId(Scheme.CJ)
@@ -48,6 +50,19 @@ LIMIT_SPEC = {
     "cj_weak_first_hop": (Scheme.CJ, EVERY_MODE),
     "cj_weak_second_hop": (Scheme.CJ, EVERY_MODE),
 }
+
+
+def limit_describes(which, params):
+    limit_scheme, modes = LIMIT_SPEC[which]
+    in_mode = params.k_antennas == 1 if modes is None else params.scheme.mode in modes
+    return params.scheme.scheme is limit_scheme and in_mode
+
+
+def has_closed_form(params):
+    # CJ has no closed form on the full array or under selection with CSI.
+    return params.k_antennas == 1 or params.scheme not in (
+        SchemeId(Scheme.CJ), SchemeId(Scheme.CJ, SelectionMode.SELECT_CSI)
+    )
 
 
 def cj_floor_quad_oracle(gains, params):
@@ -463,27 +478,57 @@ class TestSelectionAmplifyForward:
 class TestSelectionCooperativeJamming:
     def test_level_crossing_solves_phi(self):
         # The focus points of the selection integrand sit where phi(z) = y,
-        # y = c / (gamma_ar x*), above the threshold t.  Both terms of phi
-        # are below rho there, so phi itself is good to a few eps * rho.
+        # y = c / (gamma_ar x*), at or above the threshold t.  Both terms of
+        # phi are below rho there, so phi itself is good to a few eps * rho.
+        # First hops near 2^{2R}, up to 1e160, keep y near rho, so half the
+        # draws cross at rates above 256, where the square of the
+        # quadratic's linear coefficient overflows.
         rng = np.random.default_rng(5)
-        crossed = 0
-        for _ in range(300):
-            gains = LinkGains(*(10.0 ** rng.uniform(-4.0, 4.0, 3)))
-            params = SystemParams(
-                rho=10.0 ** rng.uniform(-1.0, 6.0), rate=float(rng.uniform(0.01, 4.0)), k_antennas=8
-            )
+        crossed = high = 0
+        for i in range(600):
+            rate = float(rng.uniform(0.01, 512.0) if i % 2 else rng.uniform(256.0, 266.0))
+            gab, scale, grb = (float(10.0 ** v) for v in rng.uniform(-4.0, 4.0, 3))
+            gains = LinkGains(gab, min(1e156, 4.0 ** rate) * scale, grb)
+            params = SystemParams(rho=float(10.0 ** rng.uniform(-1.0, 6.0)), rate=rate, k_antennas=8)
             coef = derived_coefficients(gains, params)
             c = 2.0 ** (2.0 * params.rate) - 1.0
             for target_x in (4.0 * (1.0 + math.log(8)), 1.0, 0.05):
                 y = c / (gains.gamma_ar * target_x)
-                root = analytic._phi_level_crossing(gains, params, c, target_x)
+                root = threshold_t(gains, params, y)
                 if y >= params.rho:
                     assert root == math.inf
                     continue
                 crossed += 1
-                assert root > coef.t
+                high += params.rate > 256.0
+                # Far outside the paper's range the crossing rounds to t itself.
+                assert coef.t <= root < math.inf
                 assert abs(coef.phi(root) - y) <= 1e-12 * params.rho
-        assert crossed > 300
+        assert crossed > 800 and high > 400
+
+    def test_mass_below_threshold_keeps_its_digits(self):
+        # At zero rate the outage is the mass below t, 1e-10 here, which
+        # 1 - exp(-t / gamma_rb) gave as 1.000000083e-10.
+        gains = LinkGains(1.0, 1.0, 1e20)
+        params = SystemParams(rho=1.0, rate=0.0, k_antennas=4, scheme=CJ_SEL_NOCSI)
+        with mpmath.workdps(40):
+            s = mpmath.mpf(2) + mpmath.mpf(1e20)
+            exact = float(-mpmath.expm1(-(mpmath.sqrt(4 * s) / 2) / mpmath.mpf(1e20)))
+        assert analytic.sop_cj_select_nocsi(gains, params) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        floor = analytic.limits(gains, params, "cj_select_nocsi_large_k")
+        assert floor == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_strong_second_hop_misses_no_mass(self):
+        # Most of the outage lies beyond z ~ 1e16, where the quadrature's map
+        # has no node; counting a subinterval whose every node rounds to
+        # u = 1 as 0 returned 0.0011513.  The reference is a 40-digit mpmath
+        # quadrature in z (10^6 trials give 0.001373 +- 0.000037).
+        gains = LinkGains(*(db_to_linear(v) for v in (59.24, -3.77, 182.85)))
+        params = SystemParams(rho=db_to_linear(85.25), rate=9.37, k_antennas=8, scheme=CJ_SEL_NOCSI)
+        try:
+            value = analytic.sop_cj_select_nocsi(gains, params)
+        except ConvergenceError:
+            return
+        assert value == pytest.approx(0.00140039763954897, rel=1e-6)
 
     def test_single_antenna_reduction(self):
         for gains, params in random_settings(10, seed=11):
@@ -591,6 +636,28 @@ class TestRegressionPoints:
         assert analytic.sop_dt_select(gains, params) == pytest.approx(
             dt_select_sum_oracle(gains, params), abs=1e-12
         )
+
+    @pytest.mark.parametrize("form,k,rho_db", [
+        ("sop_dt_multi", 2, 200.0), ("dt_weak_first_hop", 1, 200.0),
+        ("af_weak_first_hop", 1, 200.0), ("dt_high_snr", 1, 20.0),
+    ])
+    def test_tiny_outages_keep_their_digits(self, form, k, rho_db):
+        # A first hop of -200 dB leaves outages near 1e-20, which one minus a
+        # number close to one rounded to 0.
+        gains, params = self._point(k, (0.0, -200.0, 0.0), rho_db, 0.1)
+        scheme = Scheme.AF if form.startswith("af") else Scheme.DT
+        params = replace(params, scheme=SchemeId(scheme))
+        value = analytic.sop_dt_multi(gains, params) if k > 1 else analytic.limits(gains, params, form)
+        with mpmath.workdps(40):
+            gab, gar, rho = (mpmath.mpf(v) for v in (gains.gamma_ab, gains.gamma_ar, params.rho))
+            two_r = mpmath.mpf(2) ** mpmath.mpf(params.rate)
+            exact = {
+                "sop_dt_multi": 1 - mpmath.exp(-(two_r - 1) / (rho * gab)) * (1 + two_r * gar / gab) ** -k,
+                "dt_weak_first_hop": -mpmath.expm1(-(two_r - 1) / (rho * gab)),
+                "af_weak_first_hop": -mpmath.expm1(-(two_r ** 2 - 1) / (rho * gab)),
+                "dt_high_snr": two_r * gar / (two_r * gar + gab),
+            }[form]
+        assert value == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
     def test_af_select_nocsi_k58(self):
         gains, params = self._point(58, (16.38, 14.36, -30.81), 55.72, 3.754)
@@ -701,9 +768,8 @@ class TestLimits:
             params = SystemParams(
                 rho=db_to_linear(rho_db), rate=rate, k_antennas=k_antennas, scheme=scheme
             )
-            for which, (limit_scheme, modes) in LIMIT_SPEC.items():
-                in_mode = k_antennas == 1 if modes is None else scheme.mode in modes
-                if scheme.scheme is limit_scheme and in_mode:
+            for which in LIMIT_SPEC:
+                if limit_describes(which, params):
                     value = analytic.limits(gains, params, which)
                     assert math.isfinite(value) and 0.0 <= value <= 1.0, (which, params)
                 else:
@@ -728,18 +794,46 @@ class TestDispatch:
             params = SystemParams(
                 rho=db_to_linear(rho_db), rate=rate, k_antennas=k_antennas, scheme=scheme
             )
-            # CJ has no closed form on the full array or under selection with CSI.
-            monte_carlo_only = k_antennas > 1 and scheme in (
-                SchemeId(Scheme.CJ), SchemeId(Scheme.CJ, SelectionMode.SELECT_CSI)
-            )
             for power in (FULL_POWER, split):
                 at_power = replace(params, power=power)
-                if monte_carlo_only or power != FULL_POWER:
+                if not has_closed_form(params) or power != FULL_POWER:
                     with pytest.raises(UnsupportedAnalytic):
                         analytic.analytic_sop(gains, at_power)
                 else:
                     value = analytic.analytic_sop(gains, at_power)
                     assert math.isfinite(value) and 0.0 <= value <= 1.0, at_power
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        k=st.integers(2, 1024),
+        gains_db=st.tuples(*[st.floats(-300.0, 300.0)] * 3),
+        rho_db=st.floats(-300.0, 300.0),
+        rate=st.floats(0.0, 512.0, exclude_max=True),
+    )
+    # A quadrature node next to u = 1 rounded to it and divided by zero.
+    @example(k=2, gains_db=(0.0, 0.0, 130.0), rho_db=150.0, rate=30.0)
+    def test_contract_over_the_cli_reach(self, k, gains_db, rho_db, rate):
+        # Every closed form and limit over the dB range the CLI accepts, at
+        # K = 1 and at a drawn K: a value in [0, 1], a refusal where the
+        # tests above expect one, or a missed quadrature tolerance.
+        gains = LinkGains(*(db_to_linear(v) for v in gains_db))
+        for scheme, k_antennas in itertools.product(ALL_SCHEMES, (1, k)):
+            params = SystemParams(
+                rho=db_to_linear(rho_db), rate=rate, k_antennas=k_antennas, scheme=scheme
+            )
+            calls = [(has_closed_form(params), partial(analytic.analytic_sop, gains, params))]
+            calls += [(limit_describes(which, params), partial(analytic.limits, gains, params, which))
+                      for which in LIMIT_SPEC]
+            for supported, call in calls:
+                if not supported:
+                    with pytest.raises(UnsupportedAnalytic):
+                        call()
+                    continue
+                try:
+                    value = call()
+                except ConvergenceError:
+                    continue
+                assert math.isfinite(value) and 0.0 <= value <= 1.0, params
 
     def test_analytic_dispatch_matches_direct_calls(self, fig7_gains):
         params = SystemParams(

@@ -452,6 +452,10 @@ class TestPointArgvGate:
     @example({"--trials": "1", "--scheme": "af", "--mode": "select-nocsi", "--k": "4",
               "--rate": "511", "--method": "analytic"})
     @example({"--trials": "1", "--rate": "511.0", "--gar-db": "7.0"})
+    # A quadrature node next to u = 1 rounded to it and divided by zero.
+    @example({"--trials": "1", "--scheme": "cj", "--mode": "select-nocsi", "--k": "2",
+              "--gab-db": "0", "--gar-db": "0", "--grb-db": "130", "--rho-db": "150",
+              "--rate": "30", "--method": "analytic"})
     def test_every_argv_exits_by_the_contract(self, flags):
         argv = ["point", *(part for flag, value in flags.items() for part in (flag, value))]
         assert _exit_code(argv) in (0, 2, 3, 4), argv

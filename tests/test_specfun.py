@@ -221,6 +221,17 @@ class TestSemiInfiniteQuadrature:
                 lambda z: math.exp(-z / 1000.0) * math.sin(z) ** 2, 0.0, focus=[1.0, 2.0, 3.0]
             )
 
+    def test_nodes_that_round_to_one(self):
+        # At this scale the subintervals next to u = 1 narrow to ~1e-16, where
+        # a GK15 node rounds to u = 1 (z = inf) and counts 0; the map puts no
+        # node where the mass lies, so the tolerance is missed.
+        with pytest.raises(ConvergenceError):
+            integrate_semi_infinite(lambda z: math.exp(-z / 1e13) / 1e13, 0.0)
+        # A focus point one ulp below u = 1 leaves a subinterval all of whose
+        # nodes round to u = 1; counted as 0, it hid all but 7e-14 of the mass.
+        with pytest.raises(ConvergenceError):
+            integrate_semi_infinite(lambda z: math.exp(-z / 1e16) / 1e16, 0.0, focus=[9e15])
+
     def test_non_finite_integrand_raises(self):
         with pytest.raises(ConvergenceError):
             integrate_semi_infinite(lambda z: math.nan if z > 2.0 else math.exp(-z), 0.0)
