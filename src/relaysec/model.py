@@ -191,9 +191,10 @@ _PICKS = ("argmax_ar", "argmax_rb", "argmax_ratio", "tx_pick")
 class ChannelBlock:
     """A vectorized batch of fading realizations plus per-trial antenna picks.
 
-    A block holds only n-vectors.  ``h_ab`` is the direct link, and
-    ``tx_pick`` one uniform antenna index per trial, consumed by the AF
-    no-CSI transmit selection; it is drawn unconditionally so the
+    The coefficients are unit-mean fading, which the rate margins scale by
+    the link gains.  A block holds only n-vectors.  ``h_ab`` is the direct
+    link, and ``tx_pick`` one uniform antenna index per trial, consumed by
+    the AF no-CSI transmit selection; it is drawn unconditionally so the
     random-number layout is identical across schemes (common random
     numbers).  The relay's (n, K) coefficients ``h_ar`` and ``h_rb`` are not
     held: ``hop_rows`` yields any row range of them, from the chunk's normal
@@ -220,8 +221,8 @@ class ChannelBlock:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the held n-vectors; computed features not included."""
-        return self.h_ab.nbytes + self.tx_pick.nbytes
+        """Bytes a sampled block owns, ``tx_pick``: its ``h_ab`` views the stream, and features are not included."""
+        return self.tx_pick.nbytes
 
     def features(self, *names) -> tuple[np.ndarray, ...]:
         """The named features, in order.  A name is a key of ``_FORMULAS``
@@ -295,8 +296,9 @@ def block_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 class _Stream:
-    """The unit normals ``block_rng(seed, chunk_index)`` yields for a chunk
-    of n trials, drawn antenna by antenna.
+    """The normals ``block_rng(seed, chunk_index)`` yields for a chunk of n
+    trials, drawn antenna by antenna and scaled by sqrt(1/2), so each pair
+    is one unit-mean-square coefficient.
 
     The block of K antennas reads the first 2n + 4nK of them (see
     ``sample_channel_block``), so one stream serves every K up to the
@@ -312,7 +314,7 @@ class _Stream:
         self.key = (seed, chunk_index, n)
         self.n = n
         self.reserved = 0  # bytes a store has counted for this stream
-        self.asked: tuple | None = None  # the (gains, K) of the last block asked of a kept stream
+        self.asked: int | None = None  # the K of the last block asked of a kept stream
         self.kept: ChannelBlock | None = None  # that block, once asked for twice in a row
         self._lock = threading.Lock()
         if head is None:
@@ -331,6 +333,7 @@ class _Stream:
         with self._lock:
             while len(self._segments) < k:
                 segment = self._rng.standard_normal(4 * self.n if self._segments else 6 * self.n)
+                segment *= math.sqrt(0.5)
                 segment.flags.writeable = False
                 self._segments.append(segment)
                 self._states.append(self._rng.bit_generator.state)
@@ -347,22 +350,19 @@ class _Stream:
             start = end
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
-    def block(self, gains: LinkGains, k: int) -> ChannelBlock:
-        """The block of ``gains`` and k antennas: scaled slices of the stream."""
+    def block(self, k: int) -> ChannelBlock:
+        """The block of k antennas: views of the stream."""
         self.grow(k)
         n = self.n
         tx_pick = _resume(self._states[k - 1]).integers(0, k, size=n)
-        h_ab = _complex(gains.gamma_ab, self.normals(0, 2 * n), (n,))
+        tx_pick.flags.writeable = False
         first = {"h_ar": 2 * n, "h_rb": 2 * n + 2 * n * k}
-        mean_square = {"h_ar": gains.gamma_ar, "h_rb": gains.gamma_rb}
 
         def hop_rows(name: str, start: int, stop: int) -> np.ndarray:
             z = self.normals(first[name] + 2 * k * start, first[name] + 2 * k * stop)
-            return _complex(mean_square[name], z, (stop - start, k))
+            return z.view(np.complex128).reshape(stop - start, k)
 
-        for array in (h_ab, tx_pick):
-            array.flags.writeable = False
-        return ChannelBlock(h_ab=h_ab, tx_pick=tx_pick, k=k, hop_rows=hop_rows)
+        return ChannelBlock(h_ab=self.normals(0, 2 * n).view(np.complex128), tx_pick=tx_pick, k=k, hop_rows=hop_rows)
 
 
 def _resume(state: dict) -> np.random.Generator:
@@ -370,12 +370,6 @@ def _resume(state: dict) -> np.random.Generator:
     rng = np.random.Generator(np.random.Philox(0))
     rng.bit_generator.state = state
     return rng
-
-
-def _complex(mean_square: float, normals: np.ndarray, shape: tuple) -> np.ndarray:
-    """Circular Gaussian coefficients of ``shape``, each from two consecutive normals."""
-    scale = math.sqrt(mean_square / 2.0)
-    return scale * normals.reshape(shape + (2,)).view(np.complex128)[..., 0]
 
 
 # Bytes a block scope may keep: normal streams and kept blocks with their
@@ -397,12 +391,12 @@ class _BlockStore:
         self.streams: dict[tuple, _Stream] = {}
         self._lock = threading.Lock()
 
-    def block(self, gains: LinkGains, k: int, seed: int, chunk_index: int, n: int) -> ChannelBlock:
-        """The block of ``gains`` and k antennas for the chunk."""
-        key, asked = (seed, chunk_index, n), (gains, k)
+    def block(self, k: int, seed: int, chunk_index: int, n: int) -> ChannelBlock:
+        """The block of k antennas for the chunk."""
+        key = (seed, chunk_index, n)
         with self._lock:
             stream = self.streams.get(key)
-            repeated = stream is not None and stream.asked == asked
+            repeated = stream is not None and stream.asked == k
             if repeated and stream.kept is not None:
                 return stream.kept
             growth = max(0, _Stream.nbytes(n, k) - (stream.reserved if stream else 0))
@@ -411,16 +405,16 @@ class _BlockStore:
                 stream = self.streams[key] = _Stream(seed, chunk_index, n)
             if stream is not None:
                 self._release(stream)
-                stream.asked = asked
+                stream.asked = k
             if fits:
                 self.nbytes += growth
                 stream.reserved += growth
         if not fits:
-            return _Stream(seed, chunk_index, n, head=stream).block(gains, k)
-        block = stream.block(gains, k)
+            return _Stream(seed, chunk_index, n, head=stream).block(k)
+        block = stream.block(k)
         if repeated:
             with self._lock:
-                if stream.asked == asked and stream.kept is None and self.nbytes + block.nbytes <= self.limit:
+                if stream.asked == k and stream.kept is None and self.nbytes + block.nbytes <= self.limit:
                     stream.kept = block
                     self.nbytes += block.nbytes
                     object.__setattr__(block, "_store", self)
@@ -459,14 +453,13 @@ def block_scope() -> Iterator[None]:
     Open one around a run whose passes read the same chunks again.  Inside
     it, a chunk's stream of normals is kept from its first draw and grown
     to the largest K asked of it, so the chunk is drawn once, whatever the
-    gains and antenna counts of the blocks built from it.  A stream keeps
-    one block, with the features computed on it: that of a (gains, K)
-    asked of it twice in a row, until another (gains, K) is asked of it
-    (the points of an axis that leaves the gains and K alone, or the
-    candidates of a power search).  ``BLOCK_STORE_BYTES`` bounds the
-    streams' normals and the kept blocks' n-vectors and features together,
-    first come, first kept, so the leading chunks of a sequential scan
-    stay.  A request whose growth does not fit leaves the stream as it
+    antenna counts of the blocks built from it.  A stream keeps one block,
+    with the features computed on it: that of a K asked of it twice in a
+    row, until another K is asked of it (the points of an axis that
+    leaves K alone, gains and SNR axes alike, or the candidates of a
+    power search).  ``BLOCK_STORE_BYTES`` bounds the streams' normals and
+    the kept blocks' n-vectors and features together, first come, first
+    kept, so the leading chunks of a sequential scan stay.  A request whose growth does not fit leaves the stream as it
     is, a kept head, and builds its block from an unkept copy of the head
     that draws only the antennas the head lacks (from a fresh stream where
     the chunk has no head); a feature that does not fit is computed again
@@ -490,16 +483,18 @@ def block_scope() -> Iterator[None]:
         store.close()
 
 
-def sample_channel_block(gains: LinkGains, k: int, seed: int, chunk_index: int, n: int) -> ChannelBlock:
-    """Vectorized fading draws for trials [chunk_index*chunk, ...) of a run.
+def sample_channel_block(k: int, seed: int, chunk_index: int, n: int) -> ChannelBlock:
+    """Unit-mean Rayleigh fading draws for trials [chunk_index*chunk, ...) of a run.
 
     The block is built from the unit normals S of ``block_rng(seed,
     chunk_index)``: h_ab from S[0:2n], h_ar from the next 2nK as n rows of
-    K, h_rb from the next 2nK, each pair of normals scaled by
-    sqrt(gamma/2) into one coefficient, and ``tx_pick`` from the generator
-    right after them.  A block is thus a pure function of the arguments,
-    the same whichever schemes consume it, and the blocks of one chunk
-    nest: every K and every gains read a prefix of the same stream.
+    K, h_rb from the next 2nK, each pair of normals scaled by sqrt(1/2)
+    into one coefficient of mean square 1, and ``tx_pick`` from the
+    generator right after them.  The link gains enter only in
+    ``montecarlo.rate_margins_block``.  A block is thus a pure function of
+    the arguments, the same whichever gains and schemes consume it, and
+    the blocks of one chunk nest: every K reads a prefix of the same
+    stream.
 
     Inside a ``block_scope`` the chunk's stream, and at most one block of
     it, may be kept; see ``block_scope``.  Outside a scope nothing is kept: the
@@ -509,8 +504,8 @@ def sample_channel_block(gains: LinkGains, k: int, seed: int, chunk_index: int, 
     """
     store = _store
     if store is None:
-        return _Stream(seed, chunk_index, n).block(gains, k)
-    return store.block(gains, k, seed, chunk_index, n)
+        return _Stream(seed, chunk_index, n).block(k)
+    return store.block(k, seed, chunk_index, n)
 
 
 def threshold_t(gains: LinkGains, params: SystemParams, level: float = 0.0) -> float:

@@ -117,12 +117,13 @@ def _reads(scheme: SchemeId) -> tuple:
 def _rates(gains: LinkGains, params: SystemParams, *features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(I_B, I_R) from the features ``_reads`` names, for one row tile.
 
-    One expression per scheme serves the full array and selection: the
-    relay normalizes its forwarded power over m antennas, m = K for the
-    full array and m = 1 under selection.  Only CJ's eavesdropping SINR
-    has two laws: MMSE against the jamming on the array, and one
-    antenna's SINR under selection.  A relay without power forwards
-    nothing.
+    The features are of unit-mean fading; this is the one place that
+    knows the link gains, each folded into a scalar factor.  One
+    expression per scheme serves the full array and selection: the relay
+    normalizes its forwarded power over m antennas, m = K for the full
+    array and m = 1 under selection.  Only CJ's eavesdropping SINR has two
+    laws: MMSE against the jamming on the array, and one antenna's SINR
+    under selection.  A relay without power forwards nothing.
     """
     rho = params.rho
     a = params.power.frac_alice
@@ -130,32 +131,35 @@ def _rates(gains: LinkGains, params: SystemParams, *features: np.ndarray) -> tup
     j = params.power.frac_bob_jam
     full = params.scheme.mode is SelectionMode.FULL_ARRAY
     m = params.k_antennas if full else 1
+    g_ab_scale = a * rho * gains.gamma_ab
+    g_ar_scale = a * rho * gains.gamma_ar
 
     if params.scheme.scheme is Scheme.DT:
         g_ab, hop1 = features
-        return np.log2(1.0 + a * rho * g_ab), np.log2(1.0 + a * rho * hop1)
+        return np.log2(1.0 + g_ab_scale * g_ab), np.log2(1.0 + g_ar_scale * hop1)
 
     if params.scheme.scheme is Scheme.AF:
         g_ab, hop1, hop2 = features
         if r > 0.0:
-            den = hop2 + (a / r) * m * gains.gamma_ar + m / (r * rho)
-            relay_snr = a * rho * hop2 * hop1 / den
+            den = hop2 + ((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb
+            relay_snr = g_ar_scale * hop2 * hop1 / den
         else:
             relay_snr = np.zeros_like(hop1)
-        return 0.5 * np.log2(1.0 + a * rho * g_ab + relay_snr), 0.5 * np.log2(1.0 + a * rho * hop1)
+        return 0.5 * np.log2(1.0 + g_ab_scale * g_ab + relay_snr), 0.5 * np.log2(1.0 + g_ar_scale * hop1)
 
     # Cooperative jamming: the destination forfeits the direct link and jams
     # during the first phase, then cancels its own interference.
     hop1, hop2, jam = features
     if r > 0.0:
-        den = hop2 + (a / r) * m * gains.gamma_ar + (j / r) * m * gains.gamma_rb + m / (r * rho)
-        bob_snr = a * rho * hop2 * hop1 / den
+        den = hop2 + (((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb + (j / r) * m)
+        bob_snr = g_ar_scale * hop2 * hop1 / den
     else:
         bob_snr = np.zeros_like(hop1)
     if full:
-        sinr = a * rho * hop1 - (a * rho) * (j * rho) * jam / (1.0 + j * rho * hop2)
+        jam_scale = j * rho * gains.gamma_rb
+        sinr = g_ar_scale * hop1 - g_ar_scale * jam_scale * jam / (1.0 + jam_scale * hop2)
     else:
-        sinr = a * hop1 / (j * jam + 1.0 / rho)
+        sinr = (a * gains.gamma_ar) * hop1 / ((j * gains.gamma_rb) * jam + 1.0 / rho)
     return 0.5 * np.log2(1.0 + bob_snr), 0.5 * np.log2(1.0 + sinr)
 
 
@@ -191,7 +195,7 @@ def _count_many(
         shared = dict.fromkeys(name for params in params_list for name in _reads(params.scheme))
 
     def run_chunk(idx: int, n: int) -> list[int]:
-        block = sample_channel_block(gains, k, mc.seed, idx, n)
+        block = sample_channel_block(k, mc.seed, idx, n)
         block.features(*shared)
         counts = []
         for params in params_list:

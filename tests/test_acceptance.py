@@ -129,9 +129,9 @@ class TestCriterion9PropertySuites:
         )
 
     def test_fading_law(self):
-        block = sample_channel_block(FIG1, 1, seed=SEED, chunk_index=0, n=100_000)
+        block = sample_channel_block(1, seed=SEED, chunk_index=0, n=100_000)
         sq = np.abs(block.h_ab) ** 2
-        res = scipy.stats.kstest(sq, "expon", args=(0.0, FIG1.gamma_ab))
+        res = scipy.stats.kstest(sq, "expon")  # unit-mean fading; the gains scale the margins
         report(
             9, "exponential fading law", res.pvalue > 1e-3,
             f"KS p-value {res.pvalue:.4f} at 1e5 samples (significance 1e-3)",

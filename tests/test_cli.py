@@ -10,9 +10,11 @@ import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -640,6 +642,10 @@ class TestTracedNames:
         assert inspect.isfunction(fn)
         assert not hasattr(fn, "__wrapped__")
 
+    def test_sampler_parameter_names(self):
+        # The tracer binds the sampler's arguments by name to key its draws.
+        assert list(inspect.signature(model.sample_channel_block).parameters) == ["k", "seed", "chunk_index", "n"]
+
 
 class TestStdoutIsCsv:
     """Progress, agreement and allocation lines go to stderr: stdout holds
@@ -992,10 +998,10 @@ class TestDrawReuse:
             draws.append((model._store is not None, sum(ref() is not None for ref in handed)))
             return block_rng(seed, chunk_index)
 
-        def spy_sample(gains, k, seed, chunk_index, n):
-            requested.add((gains, k, seed, chunk_index, n))
+        def spy_sample(k, seed, chunk_index, n):
+            requested.add((k, seed, chunk_index, n))
             alive.append(sum(ref() is not None for ref in handed))
-            block = sample(gains, k, seed, chunk_index, n)
+            block = sample(k, seed, chunk_index, n)
             handed.append(weakref.ref(block))
             return block
 
@@ -1007,16 +1013,16 @@ class TestDrawReuse:
         draws, requested, _ = self._spy(monkeypatch)
         builds, build = [], model._Stream.block
 
-        def spy_build(stream, gains, k):
+        def spy_build(stream, k):
             builds.append(stream.key[1:])
-            return build(stream, gains, k)
+            return build(stream, k)
 
         monkeypatch.setattr(model._Stream, "block", spy_build)
         code, _, err = run_cli(["figure", "1", "--trials", "131072", "--power-opt-trials", "70000"], capsys)
         assert code == 0, err
         # Two chunks for the rows, two for the search; chunk 0 is common to both.
         chunks = [(0, 65536), (1, 4464), (1, 65536)]
-        assert sorted(key[3:] for key in requested) == chunks
+        assert sorted(key[2:] for key in requested) == chunks
         assert len(draws) == len(requested)
         assert all(scoped for scoped, _ in draws)
         # Each stream is asked for one block throughout: the first request
@@ -1040,9 +1046,38 @@ class TestDrawReuse:
         assert code == 0, err
         assert len(kept) == len(streams) == 4
         normals = sum(segment.nbytes for stream in streams for segment in stream._segments)
+        # A kept block owns its transmit picks and features; its h_ab is a
+        # view of the stream's normals, counted with them.
+        for stream, block in zip(streams, kept):
+            assert np.shares_memory(block.h_ab, stream._segments[0])
         assert held == normals + sum(
-            block.nbytes + sum(value.nbytes for value in block._memo.values()) for block in kept
+            block.tx_pick.nbytes + sum(value.nbytes for value in block._memo.values()) for block in kept
         )
+
+    def test_gains_axis_makes_one_feature_pass_per_chunk(self, monkeypatch, capsys):
+        evaluations, draws = Counter(), []
+
+        def counted(name, formula):
+            def evaluate(get):
+                evaluations[name] += 1
+                return formula(get)
+            return evaluate
+
+        def spy_rng(seed, chunk_index, block_rng=model.block_rng):
+            draws.append(chunk_index)
+            return block_rng(seed, chunk_index)
+
+        monkeypatch.setattr(model, "_FORMULAS", {name: counted(name, f) for name, f in model._FORMULAS.items()})
+        monkeypatch.setattr(model, "block_rng", spy_rng)
+        code, _, err = run_cli(["figure", "3", "--trials", "131072", "--workers", "1"], capsys)
+        assert code == 0, err
+        # Fifteen gains at K = 1 read one block per chunk.  Its features are
+        # computed on its first request and again on its second, which keeps
+        # it for the other thirteen points: two passes of four tiles a chunk.
+        chunks, tiles = 2, 65536 // (model.FEATURE_TILE_BYTES // 16)
+        assert evaluations["g_ab"] > 0
+        assert max(evaluations.values()) <= 2 * chunks * tiles
+        assert sorted(draws) == [0, 1]
 
     def test_figure_eight_keeps_no_block(self, monkeypatch, capsys):
         draws, requested, alive = self._spy(monkeypatch)
@@ -1068,8 +1103,8 @@ class TestDrawReuse:
         for workers in ("1", "4"):
             draws, held = [], []
 
-            def spy_sample(gains, k, seed, chunk_index, n):
-                block = sample(gains, k, seed, chunk_index, n)
+            def spy_sample(k, seed, chunk_index, n):
+                block = sample(k, seed, chunk_index, n)
                 held.append(model._store.nbytes)
                 return block
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import block_of, hop
-from relaysec import model
+from conftest import hop
+from relaysec import McConfig, model, montecarlo
 from relaysec.model import (
     LinkGains,
     PowerAllocation,
@@ -26,7 +26,7 @@ from relaysec.model import (
     sample_channel_block,
     threshold_t,
 )
-from relaysec.montecarlo import rate_margins_block
+from relaysec.montecarlo import estimate_sop, rate_margins_block
 
 
 def _margin(block, gains, params) -> float:
@@ -96,53 +96,53 @@ class TestDbConversion:
 
 
 class TestSampling:
+    @staticmethod
+    def _squared_magnitudes(block) -> dict:
+        """|h|^2 of each coefficient of the block, by link."""
+        return {"h_ab": np.abs(block.h_ab) ** 2,
+                **{name: np.abs(hop(block, name)).ravel() ** 2 for name in ("h_ar", "h_rb")}}
+
     def test_mean_square_magnitude(self):
-        gains = LinkGains(1.0, 0.5, 2.0)
-        block = sample_channel_block(gains, 1, seed=1, chunk_index=0, n=1_000_000)
+        block = sample_channel_block(1, seed=1, chunk_index=0, n=1_000_000)
         assert np.mean(np.abs(block.h_ab) ** 2) == pytest.approx(1.0, abs=0.004)
 
     def test_pairwise_symmetry(self):
-        # Equal average gains make either branch the larger with chance 1/2.
-        gains = LinkGains(1.0, 1.0, 1.0)
-        block = sample_channel_block(gains, 1, seed=2, chunk_index=0, n=1_000_000)
+        # Unit-mean fading on both links makes either branch the larger with chance 1/2.
+        block = sample_channel_block(1, seed=2, chunk_index=0, n=1_000_000)
         frac = np.mean(np.abs(block.h_ab) ** 2 > np.abs(hop(block, "h_ar")[:, 0]) ** 2)
         assert frac == pytest.approx(0.5, abs=0.002)
 
     def test_variance_matches_exponential(self):
-        gains = LinkGains(1.7, 1.0, 1.0)
-        n = 500_000
-        block = sample_channel_block(gains, 1, seed=3, chunk_index=0, n=n)
-        sq = np.abs(block.h_ab) ** 2
-        # The sample variance of an exponential(mean g) has sdev ~ g^2*sqrt(8/n).
-        assert abs(np.var(sq) - 1.7**2) < 3.0 * 1.7**2 * math.sqrt(8.0 / n)
+        n = 250_000
+        block = sample_channel_block(2, seed=3, chunk_index=0, n=n)
+        for name, sq in self._squared_magnitudes(block).items():
+            # The sample variance of an Exp(1) sample of size m has sdev ~ sqrt(8/m).
+            assert abs(np.var(sq) - 1.0) < 3.0 * math.sqrt(8.0 / sq.size), name
 
     def test_kolmogorov_smirnov_exponential(self):
-        gains = LinkGains(0.8, 1.0, 1.0)
-        block = sample_channel_block(gains, 1, seed=4, chunk_index=0, n=100_000)
-        sq = np.abs(block.h_ab) ** 2
-        res = scipy.stats.kstest(sq, "expon", args=(0.0, 0.8))
-        assert res.pvalue > 1e-3
+        block = sample_channel_block(2, seed=4, chunk_index=0, n=50_000)
+        for name, sq in self._squared_magnitudes(block).items():
+            assert scipy.stats.kstest(sq, "expon").pvalue > 1e-3, name
 
     def test_block_reproducibility(self):
-        gains = LinkGains(1.0, 1.0, 1.0)
-        a = sample_channel_block(gains, 3, seed=42, chunk_index=5, n=128)
-        sample_channel_block(gains, 3, seed=43, chunk_index=5, n=128)  # another key in between
-        b = sample_channel_block(gains, 3, seed=42, chunk_index=5, n=128)
+        a = sample_channel_block(3, seed=42, chunk_index=5, n=128)
+        sample_channel_block(3, seed=43, chunk_index=5, n=128)  # another key in between
+        b = sample_channel_block(3, seed=42, chunk_index=5, n=128)
         assert b is not a
         assert np.array_equal(a.h_ab, b.h_ab)
         assert np.array_equal(hop(a, "h_ar"), hop(b, "h_ar"))
         assert np.array_equal(hop(a, "h_rb"), hop(b, "h_rb"))
         assert np.array_equal(a.tx_pick, b.tx_pick)
-        c = sample_channel_block(gains, 3, seed=42, chunk_index=6, n=128)
+        c = sample_channel_block(3, seed=42, chunk_index=6, n=128)
         assert not np.array_equal(a.h_ab, c.h_ab)
 
     def test_single_draw(self):
-        block = sample_channel_block(LinkGains(1.0, 1.0, 1.0), 4, seed=0, chunk_index=0, n=1)
+        block = sample_channel_block(4, seed=0, chunk_index=0, n=1)
         assert block.h_ab.shape == block.tx_pick.shape == (1,)
         assert hop(block, "h_ar").shape == hop(block, "h_rb").shape == (1, 4)
         assert 0 <= block.tx_pick[0] < 4
 
-    _KEY = dict(gains=LinkGains(1.0, 2.0, 3.0), k=2, seed=7, chunk_index=1, n=64)
+    _KEY = dict(k=2, seed=7, chunk_index=1, n=64)
 
     def test_same_arguments_return_the_held_block(self):
         with model.block_scope():
@@ -156,7 +156,6 @@ class TestSampling:
         assert sample_channel_block(**self._KEY) is not block
 
     @pytest.mark.parametrize("field,value", [
-        ("gains", LinkGains(1.0, 2.0, 4.0)),
         ("k", 3),
         ("seed", 8),
         ("chunk_index", 2),
@@ -169,12 +168,38 @@ class TestSampling:
             other = [sample_channel_block(**changed) for _ in range(2)][-1]
             assert other is not held
             assert sample_channel_block(**changed) is other
-            # Gains and K pick another block of the same chunk's stream, which
-            # keeps only one; a seed, chunk or size of its own has its own stream.
-            assert (sample_channel_block(**self._KEY) is held) is (field not in ("gains", "k"))
+            # K picks another block of the same chunk's stream, which keeps
+            # only one; a seed, chunk or size of its own has its own stream.
+            assert (sample_channel_block(**self._KEY) is held) is (field != "k")
+
+    def test_gains_share_the_block(self, monkeypatch):
+        # The gains enter only the margins, so two gains at one K read one
+        # block: the kept one inside a scope, equal draws outside one.
+        handed, sample = [], montecarlo.sample_channel_block
+
+        def spy(*args):
+            handed.append(sample(*args))
+            return handed[-1]
+
+        monkeypatch.setattr(montecarlo, "sample_channel_block", spy)
+        params = SystemParams(rho=10.0, k_antennas=self._KEY["k"], scheme=SchemeId(Scheme.CJ))
+        mc = McConfig(trials=self._KEY["n"], seed=self._KEY["seed"])
+        gains = (LinkGains(1.0, 2.0, 3.0), LinkGains(1.0, 2.0, 4.0))
+        with model.block_scope():
+            for g in (*gains, *gains):
+                estimate_sop(g, params, mc)
+        assert handed[0] is not handed[1] and handed[1] is handed[2] is handed[3]
+        handed.clear()
+        for g in gains:
+            estimate_sop(g, params, mc)
+        first, second = handed
+        assert first is not second
+        assert np.array_equal(first.h_ab, second.h_ab) and np.array_equal(first.tx_pick, second.tx_pick)
+        for name in ("h_ar", "h_rb"):
+            assert np.array_equal(hop(first, name), hop(second, name))
 
     def test_stream_keeps_one_block(self):
-        other = {**self._KEY, "gains": LinkGains(1.0, 2.0, 4.0)}
+        other = {**self._KEY, "k": 3}
         with model.block_scope():
             store = model._store
             first = [sample_channel_block(**self._KEY) for _ in range(2)][-1]
@@ -182,8 +207,8 @@ class TestSampling:
             stream, = store.streams.values()
             assert stream.kept is first and first._store is store
             assert store.nbytes == stream.reserved + first.nbytes + 2 * 8 * self._KEY["n"]
-            # Another (gains, K) asked for twice in a row takes the stream's
-            # one place, and the first block's bytes leave the count.
+            # Another K asked for twice in a row takes the stream's one
+            # place, and the first block's bytes leave the count.
             second = [sample_channel_block(**other) for _ in range(2)][-1]
             assert stream.kept is second and first._store is None
             assert store.nbytes == stream.reserved + second.nbytes
@@ -234,7 +259,7 @@ class TestSampling:
             SchemeId(Scheme.CJ), SchemeId(Scheme.AF, SelectionMode.SELECT_CSI))]
         fresh, sizes = [], []
         for idx in range(6):
-            block = sample_channel_block(gains, k, 1, idx, n)
+            block = sample_channel_block(k, 1, idx, n)
             fresh.append([rate_margins_block(block, gains, p) for p in params])
             sizes.append((block.nbytes, sum(v.nbytes for v in block._memo.values())))
         (held, features), = set(sizes)
@@ -247,7 +272,7 @@ class TestSampling:
             store = model._store
             for _ in range(3):
                 for idx in range(6):
-                    block = sample_channel_block(gains, k, 1, idx, n)
+                    block = sample_channel_block(k, 1, idx, n)
                     for p, want in zip(params, fresh[idx]):
                         assert np.array_equal(rate_margins_block(block, gains, p), want)
                     assert store.nbytes <= bound
@@ -261,8 +286,8 @@ class TestSampling:
             assert list(kept) == [0, 1, 2]
             first, _, third = kept.values()
             assert len(third._memo) < len(first._memo)
-            assert sample_channel_block(gains, k, 1, 0, n) is sample_channel_block(gains, k, 1, 0, n)
-            assert sample_channel_block(gains, k, 1, 5, n) is not sample_channel_block(gains, k, 1, 5, n)
+            assert sample_channel_block(k, 1, 0, n) is sample_channel_block(k, 1, 0, n)
+            assert sample_channel_block(k, 1, 5, n) is not sample_channel_block(k, 1, 5, n)
 
 
 class TestNormalStreams:
@@ -299,19 +324,16 @@ class TestNormalStreams:
         # n is not a multiple of the tile rows at any K, so tiles straddle
         # the stream's segments.
         n, seed = 20000, 11
-        gains = (LinkGains(1.0, 2.0, 3.0), LinkGains(0.2, 5.0, 0.7))
-        want = {
-            (g, k, idx): sample_channel_block(g, k, seed, idx, n)
-            for g in gains for k in (1, 2, 3, 5) for idx in (0, 1)
-        }
+        want = {(k, idx): sample_channel_block(k, seed, idx, n) for k in (1, 2, 3, 5) for idx in (0, 1)}
         draws = self._count_draws(monkeypatch)
         with model.block_scope():
             for _ in range(2):
                 for k in (3, 1, 5, 2):
-                    for g in gains:
+                    # Each K twice in a row, so its second block is the kept one.
+                    for _ in range(2):
                         for idx in (0, 1):
-                            self._assert_same_draws(sample_channel_block(g, k, seed, idx, n), want[g, k, idx])
-        # One draw per chunk, grown to the largest K, for both gains.
+                            self._assert_same_draws(sample_channel_block(k, seed, idx, n), want[k, idx])
+        # One draw per chunk, grown to the largest K.
         assert draws == [(seed, 0), (seed, 1)]
 
     def test_segments_equal_one_call(self):
@@ -319,7 +341,7 @@ class TestNormalStreams:
         stream = model._Stream(3, 2, n)
         stream.grow(k)
         rng = model.block_rng(3, 2)
-        normals = rng.standard_normal(2 * n + 4 * n * k)
+        normals = rng.standard_normal(2 * n + 4 * n * k) * math.sqrt(0.5)
         for start, stop in ((0, 2 * n), (0, 6 * n), (5 * n + 2, 11 * n), (7, 2 * n + 4 * n * k)):
             assert np.array_equal(stream.normals(start, stop), normals[start:stop])
         # The state after the last segment is the one-call end state.
@@ -328,27 +350,27 @@ class TestNormalStreams:
         assert np.array_equal(restored.random(64), rng.random(64))
 
     def test_stream_that_cannot_grow_within_the_bound_keeps_its_head(self, monkeypatch):
-        gains, n, seed = LinkGains(1.0, 2.0, 3.0), 64, 3
-        want = {k: sample_channel_block(gains, k, seed, 0, n) for k in (2, 3)}
+        n, seed = 64, 3
+        want = {k: sample_channel_block(k, seed, 0, n) for k in (2, 3)}
         monkeypatch.setattr(model, "BLOCK_STORE_BYTES", model._Stream.nbytes(n, 3) - 1)
         draws = self._count_draws(monkeypatch)
         with model.block_scope():
             store = model._store
             for _ in range(2):
-                kept = sample_channel_block(gains, 2, seed, 0, n)
+                kept = sample_channel_block(2, seed, 0, n)
             head = store.streams[seed, 0, n]
             assert head.kept is kept
             # Three antennas do not fit: the head stays with the bytes counted
             # for it, and each K = 3 block is built from a copy of it that
-            # draws the third antenna alone.  Asking for another (gains, K)
-            # still releases the kept block.
-            grown = [sample_channel_block(gains, 3, seed, 0, n) for _ in range(2)]
+            # draws the third antenna alone.  Asking for another K still
+            # releases the kept block.
+            grown = [sample_channel_block(3, seed, 0, n) for _ in range(2)]
             assert grown[0] is not grown[1]
             assert store.streams == {(seed, 0, n): head} and len(head._segments) == 2
             assert store.nbytes == head.reserved == model._Stream.nbytes(n, 2)
             assert head.kept is None and kept._store is None
             # The head still serves, and keeps, a block that fits.
-            again = [sample_channel_block(gains, 2, seed, 0, n) for _ in range(3)]
+            again = [sample_channel_block(2, seed, 0, n) for _ in range(3)]
             assert again[0] is not again[1] is again[2] is head.kept
         assert draws == [(seed, 0)]
         for block, k in ((kept, 2), *((block, 3) for block in grown), *((block, 2) for block in again)):
@@ -405,17 +427,17 @@ class TestAntennaSelection:
             assert _margin(block, gains, params) == pytest.approx(expected, rel=1e-12)
 
     def test_scale_invariance(self, all_schemes):
-        # Scaling every coefficient by c, the mean gains by c^2 and the SNR by
-        # 1/c^2 leaves every received SNR, hence every pick and margin, alone.
+        # Scaling the mean gains by c^2 and the SNR by 1/c^2 leaves every
+        # received SNR, hence every pick and margin, alone: each gain enters
+        # only through rho times it or through a ratio of gains.
         c = 3.7
         gains = LinkGains(1.0, 0.7, 1.9)
         scaled_gains = LinkGains(c * c * 1.0, c * c * 0.7, c * c * 1.9)
-        block = sample_channel_block(gains, 5, seed=9, chunk_index=0, n=25)
-        scaled = block_of(c * block.h_ab, c * hop(block, "h_ar"), c * hop(block, "h_rb"), block.tx_pick)
+        block = sample_channel_block(5, seed=9, chunk_index=0, n=25)
         for scheme in all_schemes:
             params = SystemParams(rho=20.0, k_antennas=5, scheme=scheme)
             np.testing.assert_allclose(
-                rate_margins_block(scaled, scaled_gains, replace(params, rho=20.0 / (c * c))),
+                rate_margins_block(block, scaled_gains, replace(params, rho=20.0 / (c * c))),
                 rate_margins_block(block, gains, params),
                 rtol=1e-10, atol=1e-12,
             )
@@ -437,7 +459,8 @@ class TestMmseSinr:
         h_ar, h_rb = 0.9 + 0.3j, 0.2 - 0.7j
         block = channel_block(0.0, [h_ar], [h_rb])
         params = SystemParams(rho=8.0, scheme=SchemeId(Scheme.CJ))
-        har2, hrb2 = abs(h_ar) ** 2, abs(h_rb) ** 2
+        # The block's coefficients are unit-mean fading; the gains scale them.
+        har2, hrb2 = 0.8 * abs(h_ar) ** 2, 2.1 * abs(h_rb) ** 2
         bob = 8.0 * hrb2 * har2 / (hrb2 + 0.8 + 2.1 + 1.0 / 8.0)
         relay = har2 / (hrb2 + 1.0 / 8.0)
         assert _margin(block, gains, params) == pytest.approx(_two_phase(bob, relay), rel=1e-12)
@@ -447,7 +470,7 @@ class TestMmseSinr:
         # the jamming-free one.
         gains = LinkGains(1.0, 1.0, 1.0)
         rho = 50.0
-        block = sample_channel_block(gains, 3, seed=23, chunk_index=0, n=50)
+        block = sample_channel_block(3, seed=23, chunk_index=0, n=50)
         sum_a = np.sum(np.abs(hop(block, "h_ar")) ** 2, axis=1)
         sum_b = np.sum(np.abs(hop(block, "h_rb")) ** 2, axis=1)
         i_b = 0.5 * np.log2(1.0 + rho * sum_b * sum_a / (sum_b + 3.0 + 3.0 + 3.0 / rho))
@@ -471,7 +494,8 @@ class TestMrcMrtTerms:
         h_ab, h_ar, h_rb = 0.3 + 0.1j, 1.1 - 0.2j, 0.8 + 0.5j
         block = channel_block(h_ab, [h_ar], [h_rb])
         params = SystemParams(rho=7.0, scheme=SchemeId(Scheme.AF))
-        har2, hrb2 = abs(h_ar) ** 2, abs(h_rb) ** 2
+        # The block's coefficients are unit-mean fading; the gains scale them.
+        har2, hrb2 = 0.6 * abs(h_ar) ** 2, 1.4 * abs(h_rb) ** 2
         bob = 7.0 * abs(h_ab) ** 2 + 7.0 * hrb2 * har2 / (hrb2 + 0.6 + 1.0 / 7.0)
         assert _margin(block, gains, params) == pytest.approx(_two_phase(bob, 7.0 * har2), rel=1e-12)
 
