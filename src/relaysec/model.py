@@ -172,19 +172,42 @@ def row_tiles(n: int, rows: int) -> Iterator[slice]:
 # squared gains' per-trial sums, the strongest first-hop antenna, the
 # strongest second-hop antenna, the antenna with the largest first-hop to
 # second-hop gain ratio, and |h_rb^H h_ar|^2, the MRC cross term of signal
-# and jamming.
+# and jamming.  A squared magnitude is re^2 + im^2 (hypot, then a square,
+# took 1.6 times as long), and a per-trial sum is a product with a vector
+# of ones (numpy's row sums took 4 to 16 times as long for K from 2 to
+# 10); each lies within a few ulp of the plain numpy form.  The cross
+# term keeps its einsum: a product of the conjugate product with ones was
+# no faster, and it sums in another order, which a cancelling sum shows.
 _FORMULAS: dict[str, Callable[[Callable[[str], np.ndarray]], np.ndarray]] = {
-    "g_ab": lambda get: np.abs(get("h_ab")) ** 2,
-    "g_ar": lambda get: np.abs(get("h_ar")) ** 2,
-    "g_rb": lambda get: np.abs(get("h_rb")) ** 2,
-    "sum_a": lambda get: get("g_ar").sum(axis=1),
-    "sum_b": lambda get: get("g_rb").sum(axis=1),
+    "g_ab": lambda get: _abs2(get("h_ab")),
+    "g_ar": lambda get: _abs2(get("h_ar")),
+    "g_rb": lambda get: _abs2(get("h_rb")),
+    "sum_a": lambda get: _row_sums(get("g_ar")),
+    "sum_b": lambda get: _row_sums(get("g_rb")),
     "argmax_ar": lambda get: np.argmax(get("g_ar"), axis=1),
     "argmax_rb": lambda get: np.argmax(get("g_rb"), axis=1),
     "argmax_ratio": lambda get: np.argmax(get("g_ar") / get("g_rb"), axis=1),
-    "cross": lambda get: np.abs(np.einsum("ij,ij->i", np.conj(get("h_rb")), get("h_ar"))) ** 2,
+    "cross": lambda get: _abs2(np.einsum("ij,ij->i", np.conj(get("h_rb")), get("h_ar"))),
 }
 _PICKS = ("argmax_ar", "argmax_rb", "argmax_ratio", "tx_pick")
+
+
+def _abs2(h: np.ndarray) -> np.ndarray:
+    """|h|^2 of complex coefficients, as re^2 + im^2."""
+    power = np.square(h.real)
+    power += np.square(h.imag)
+    return power
+
+
+def _row_sums(g: np.ndarray) -> np.ndarray:
+    """Each row's sum of a (rows, K) array, the column itself at K = 1.
+
+    OpenBLAS runs a product with a one-element vector on its thread pool,
+    and waking the idle pool took 6 to 10 ms a tile on two cores.
+    """
+    if g.shape[1] == 1:
+        return g[:, 0]
+    return np.dot(g, np.ones(g.shape[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +284,8 @@ class ChannelBlock:
                 value = self.hop_rows(name, rows.start, rows.stop)
             elif isinstance(name, tuple):
                 gain, pick = (self._tile(part, rows, tile) for part in name)
-                value = gain[np.arange(gain.shape[0]), pick]
+                # A flat index: indexing by (row, pick) took 2 to 3 times as long.
+                value = np.take(gain, pick + np.arange(0, gain.size, self.k))
             else:
                 value = _FORMULAS[name](lambda dep: self._tile(dep, rows, tile))
             tile[name] = value

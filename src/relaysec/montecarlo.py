@@ -12,6 +12,7 @@ scheme comparisons.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -67,41 +68,43 @@ def rate_margins_block(block: ChannelBlock, gains: LinkGains, params: SystemPara
     The margin (which may be negative) drives the outage count, so that a
     zero target rate recovers the complement of the positive-secrecy
     probability; the achievable rate itself is the margin clipped at zero.
-    Two-phase schemes (AF, CJ) carry the 1/2 pre-log; direct transmission
-    does not.  Node power fractions scale the respective transmit powers,
-    with the relay's statistical normalization tracking the actual
-    received power (signal, jamming, noise).  The formulas run on row
-    tiles of the block's features, so their temporaries stay small.
+    Each is one logarithm, pre * log2((1 + S_B) / (1 + S_R)) in bits, of
+    Bob's and the relay's SNRs; two-phase schemes (AF, CJ) carry the
+    pre-log 1/2, direct transmission 1.  Node power fractions scale the
+    respective transmit powers, with the relay's statistical normalization
+    tracking the actual received power (signal, jamming, noise).  The
+    formulas run on row tiles of the block's features, so their
+    temporaries stay small.
     """
     if block.k != params.k_antennas:
         raise ValueError(f"block has {block.k} antennas, params expect {params.k_antennas}")
-    features = block.features(*_reads(params.scheme))
+    features = block.features(*_reads(params.scheme, block.k))
     n = block.h_ab.shape[0]
     if n <= _MARGIN_ROWS:
-        # One tile returns its own result: copying it into an output
-        # allocated before the formulas ran made the 8192-trial power
-        # searches of `fig1-poweropt` about 3% slower.
-        return np.subtract(*_rates(gains, params, *features))
+        return _rates(gains, params, *features)
     margins = np.empty(n)
     for rows in row_tiles(n, _MARGIN_ROWS):
-        i_b, i_r = _rates(gains, params, *[feature[rows] for feature in features])
-        np.subtract(i_b, i_r, out=margins[rows])
+        margins[rows] = _rates(gains, params, *[feature[rows] for feature in features])
     return margins
 
 
-def _reads(scheme: SchemeId) -> tuple:
-    """The block features the margins of ``scheme`` read, in the order
-    ``_rates`` takes them: direct gain, first hop, second hop, jamming.
+@functools.cache
+def _reads(scheme: SchemeId, k: int) -> tuple:
+    """The block features the margins of ``scheme`` on k antennas read, in
+    the order ``_rates`` takes them: direct gain, first hop, second hop,
+    jamming.
 
     The full array reads per-trial sums and the MRC cross term; selection
     reads each hop's gain on one antenna per trial.  The relay receives on
     its strongest first hop (a CJ relay with CSI: on its largest first- to
     second-hop ratio) and forwards on its strongest second hop with CSI, on
     a uniform pick without.  A CJ relay without CSI transmits on its
-    receive antenna, the law the closed form describes.
+    receive antenna, the law the closed form describes.  A CJ array of one
+    antenna reads its second hop's gain as the jamming term, the law of
+    one antenna.
     """
     if scheme.mode is SelectionMode.FULL_ARRAY:
-        hop1, hop2, jam = "sum_a", "sum_b", "cross"
+        hop1, hop2, jam = "sum_a", "sum_b", "cross" if k > 1 else "sum_b"
     else:
         csi = scheme.mode is SelectionMode.SELECT_CSI
         if scheme.scheme is Scheme.CJ:
@@ -114,53 +117,79 @@ def _reads(scheme: SchemeId) -> tuple:
     return ("g_ab", hop1, hop2) if scheme.scheme is Scheme.AF else (hop1, hop2, jam)
 
 
-def _rates(gains: LinkGains, params: SystemParams, *features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(I_B, I_R) from the features ``_reads`` names, for one row tile.
+def _rates(gains: LinkGains, params: SystemParams, *features: np.ndarray) -> np.ndarray:
+    """The margin pre * log2((1 + S_B) / (1 + S_R)) from the features
+    ``_reads`` names, for one row tile.
 
     The features are of unit-mean fading; this is the one place that
     knows the link gains, each folded into a scalar factor.  One
     expression per scheme serves the full array and selection: the relay
     normalizes its forwarded power over m antennas, m = K for the full
     array and m = 1 under selection.  Only CJ's eavesdropping SINR has two
-    laws: MMSE against the jamming on the array, and one antenna's SINR
-    under selection.  A relay without power forwards nothing.
+    laws: MMSE against the jamming on an array of K > 1, and one antenna's
+    SINR under selection and on a single antenna.  A relay without power
+    forwards nothing.  The ratio is built in place in two temporaries,
+    ``bob`` and ``relay``, 1 + S_B and 1 + S_R up to a common factor,
+    and takes the one logarithm.
     """
     rho = params.rho
     a = params.power.frac_alice
     r = params.power.frac_relay
     j = params.power.frac_bob_jam
-    full = params.scheme.mode is SelectionMode.FULL_ARRAY
-    m = params.k_antennas if full else 1
-    g_ab_scale = a * rho * gains.gamma_ab
+    scheme = params.scheme.scheme
+    m = params.k_antennas if params.scheme.mode is SelectionMode.FULL_ARRAY else 1
     g_ar_scale = a * rho * gains.gamma_ar
 
-    if params.scheme.scheme is Scheme.DT:
-        g_ab, hop1 = features
-        return np.log2(1.0 + g_ab_scale * g_ab), np.log2(1.0 + g_ar_scale * hop1)
-
-    if params.scheme.scheme is Scheme.AF:
-        g_ab, hop1, hop2 = features
-        if r > 0.0:
-            den = hop2 + ((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb
-            relay_snr = g_ar_scale * hop2 * hop1 / den
+    if scheme is Scheme.CJ:
+        # Cooperative jamming: the destination forfeits the direct link and
+        # jams during the first phase, then cancels its own interference.
+        # Each SNR's denominator moves to the other side of the ratio, which
+        # saves two divisions.
+        hop1, hop2, jam = features
+        if m > 1:
+            # MMSE: a difference, which cancels under strong jamming.
+            jam_scale = j * rho * gains.gamma_rb
+            den = np.multiply(hop2, jam_scale)
+            den += 1.0
+            relay = np.multiply(jam, g_ar_scale * jam_scale)
+            relay /= den
+            np.multiply(hop1, g_ar_scale, out=den)
+            np.subtract(den, relay, out=relay)
+            relay += 1.0
+            bob = np.ones_like(relay)
         else:
-            relay_snr = np.zeros_like(hop1)
-        return 0.5 * np.log2(1.0 + g_ab_scale * g_ab + relay_snr), 0.5 * np.log2(1.0 + g_ar_scale * hop1)
-
-    # Cooperative jamming: the destination forfeits the direct link and jams
-    # during the first phase, then cancels its own interference.
-    hop1, hop2, jam = features
-    if r > 0.0:
-        den = hop2 + (((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb + (j / r) * m)
-        bob_snr = g_ar_scale * hop2 * hop1 / den
+            # 1 + S_R = (interference + signal) / interference, in units of
+            # noise: the interference moves to the ratio's numerator.
+            interference = np.multiply(jam, j * gains.gamma_rb)
+            interference += 1.0 / rho
+            relay = np.multiply(hop1, a * gains.gamma_ar)
+            relay += interference
+            bob = interference
+        if r > 0.0:
+            # 1 + S_B = (floor + forwarded) / floor.
+            floor = np.add(hop2, (((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb + (j / r) * m))
+            forwarded = np.multiply(hop2, g_ar_scale)
+            forwarded *= hop1
+            forwarded += floor
+            bob *= forwarded
+            relay *= floor
     else:
-        bob_snr = np.zeros_like(hop1)
-    if full:
-        jam_scale = j * rho * gains.gamma_rb
-        sinr = g_ar_scale * hop1 - g_ar_scale * jam_scale * jam / (1.0 + jam_scale * hop2)
-    else:
-        sinr = (a * gains.gamma_ar) * hop1 / ((j * gains.gamma_rb) * jam + 1.0 / rho)
-    return 0.5 * np.log2(1.0 + bob_snr), 0.5 * np.log2(1.0 + sinr)
+        g_ab, hop1 = features[:2]
+        bob = np.multiply(g_ab, a * rho * gains.gamma_ab)
+        bob += 1.0
+        if scheme is Scheme.AF and r > 0.0:
+            hop2 = features[2]
+            forwarded = np.multiply(hop2, g_ar_scale)
+            forwarded *= hop1
+            forwarded /= np.add(hop2, ((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb)
+            bob += forwarded
+        relay = np.multiply(hop1, g_ar_scale)
+        relay += 1.0
+    bob /= relay
+    np.log2(bob, out=bob)
+    if scheme is not Scheme.DT:
+        bob *= 0.5
+    return bob
 
 
 def _map_chunks(run_chunk: Callable[[int, int], object], mc: McConfig) -> list:
@@ -192,7 +221,7 @@ def _count_many(
     # tiles; a lone scheme computes its own in rate_margins_block.
     shared = ()
     if len(params_list) > 1:
-        shared = dict.fromkeys(name for params in params_list for name in _reads(params.scheme))
+        shared = dict.fromkeys(name for params in params_list for name in _reads(params.scheme, k))
 
     def run_chunk(idx: int, n: int) -> list[int]:
         block = sample_channel_block(k, mc.seed, idx, n)
@@ -204,7 +233,7 @@ def _count_many(
         return counts
 
     per_chunk = _map_chunks(run_chunk, mc)
-    return [sum(chunk[i] for chunk in per_chunk) for i in range(len(params_list))]
+    return [sum(counts) for counts in zip(*per_chunk)]
 
 
 def _to_estimate(count: int, trials: int) -> SopEstimate:

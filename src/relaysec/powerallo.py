@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 
 from .model import LinkGains, PowerAllocation, Scheme, SopEstimate, SystemParams, block_scope
 from .montecarlo import McConfig, estimate_sop, estimate_sop_many
@@ -36,12 +35,6 @@ _ACTIVE_COORDS = {
     Scheme.AF: ("frac_alice", "frac_relay"),
     Scheme.CJ: ("frac_alice", "frac_relay", "frac_bob_jam"),
 }
-
-
-def _allocation(coords: tuple[str, ...], values: tuple[float, ...]) -> PowerAllocation:
-    fields = {"frac_alice": 1.0, "frac_relay": 1.0, "frac_bob_jam": 1.0}
-    fields.update(dict(zip(coords, values)))
-    return PowerAllocation(**fields)
 
 
 def minimize_sop(
@@ -88,7 +81,12 @@ def _search(
     cache: dict[tuple[float, ...], SopEstimate] = {}
 
     def at_power(values: tuple[float, ...]) -> SystemParams:
-        return replace(params, power=_allocation(coords, values))
+        # Inactive nodes keep their default full power.  Two constructor
+        # calls, where dataclasses.replace inspects the fields each time.
+        power = PowerAllocation(**dict(zip(coords, values)))
+        return SystemParams(
+            rho=params.rho, k_antennas=params.k_antennas, rate=params.rate, scheme=params.scheme, power=power
+        )
 
     def estimate(values: tuple[float, ...]) -> SopEstimate:
         key = tuple(round(v, 6) for v in values)
@@ -130,7 +128,7 @@ def _search(
         full = (1.0,) * n_active
         if objective(full) < objective(best_values):
             best_values = full
-    allocation = _allocation(coords, tuple(round(v, 6) for v in best_values))
+    allocation = PowerAllocation(**{coord: round(v, 6) for coord, v in zip(coords, best_values)})
     return allocation, estimate(best_values)
 
 

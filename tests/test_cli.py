@@ -1159,3 +1159,33 @@ class TestDrawReuse:
             assert code == 0, err
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestBenchmarkBindings:
+    """The benchmark (perfbench) counts draws and margins by wrapping
+    ``sample_channel_block`` and ``rate_margins_block`` where the program
+    looks them up, in ``montecarlo``'s namespace; a run that bypassed them
+    would escape its counts and fail the benchmark's self-test."""
+
+    def test_power_searches_draw_and_score_through_the_traced_names(self, monkeypatch, capsys):
+        keys, margins = [], []
+        sample, margins_of = montecarlo.sample_channel_block, montecarlo.rate_margins_block
+
+        def spy_sample(k, seed, chunk_index, n):
+            keys.append((k, seed, chunk_index, n))
+            return sample(k, seed, chunk_index, n)
+
+        def spy_margins(block, gains, params):
+            margins.append(params)
+            return margins_of(block, gains, params)
+
+        monkeypatch.setattr(montecarlo, "sample_channel_block", spy_sample)
+        monkeypatch.setattr(montecarlo, "rate_margins_block", spy_margins)
+        argv = ["figure", "1", "--trials", "65536", "--power-opt-trials", "8192", "--seed", "7", "--workers", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        # The benchmark's traced fig1-poweropt asserts this share of repeated
+        # draws: every candidate of a search asks for the chunk it scores on.
+        assert keys and (len(keys) - len(set(keys))) / len(keys) >= 0.99
+        rows = [line for line in out.splitlines()[1:] if line.split(",")[8] == "montecarlo"]
+        assert len(margins) >= len(rows) > 0

@@ -443,6 +443,48 @@ class TestAntennaSelection:
             )
 
 
+class TestFeaturePass:
+    """Each block feature against the plain numpy form of its definition.
+
+    A squared magnitude as re^2 + im^2 lies within eps of |h|^2, and as the
+    square of a hypot within 1 ulp within 2.5 eps, so the two within 4 eps
+    of each other (the 4 ulp of a value at the bottom of its binade); a
+    gathered gain and the cross term (the same sum, squared either way)
+    inherit that.  Sums of K such terms in two orders add a summation error
+    of at most log2(K) eps each way for numpy's pairwise sum and a blocked
+    product alike.
+    """
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 64, 1024])
+    def test_features_match_numpy_forms(self, k):
+        # Three tiles or more (16 rows a tile at K = 1024).
+        n = max(64, 40000 // k)
+        block = sample_channel_block(k, seed=31, chunk_index=k, n=n)
+        h_ar, h_rb = hop(block, "h_ar"), hop(block, "h_rb")
+        g_ab, g_ar, g_rb = (np.abs(h) ** 2 for h in (block.h_ab, h_ar, h_rb))
+        picks = {
+            "argmax_ar": np.argmax(g_ar, axis=1),
+            "argmax_rb": np.argmax(g_rb, axis=1),
+            "argmax_ratio": np.argmax(g_ar / g_rb, axis=1),
+            "tx_pick": block.tx_pick,
+        }
+        for name in ("argmax_ar", "argmax_rb", "argmax_ratio"):
+            np.testing.assert_array_equal(block.features(name)[0], picks[name], err_msg=name)
+        rows = np.arange(n)
+        references = {
+            "g_ab": g_ab,
+            "sum_a": g_ar.sum(axis=1),
+            "sum_b": g_rb.sum(axis=1),
+            "cross": np.abs(np.einsum("ij,ij->i", np.conj(h_rb), h_ar)) ** 2,
+            **{("g_ar", pick): g_ar[rows, index] for pick, index in picks.items()},
+            **{("g_rb", pick): g_rb[rows, index] for pick, index in picks.items()},
+        }
+        eps = np.finfo(np.float64).eps
+        for (name, reference), value in zip(references.items(), block.features(*references)):
+            bound = (4.0 + 2.0 * math.log2(k)) * eps if name in ("sum_a", "sum_b") else 4.0 * eps
+            assert np.max(np.abs(value - reference) / reference) <= bound, name
+
+
 class TestMmseSinr:
     """The full-array CJ relay's max-SINR receiver against the jamming."""
 

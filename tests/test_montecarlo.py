@@ -20,13 +20,7 @@ from relaysec.model import (
     SelectionMode,
     sample_channel_block,
 )
-from relaysec.montecarlo import (
-    _rates,
-    _reads,
-    estimate_sop,
-    estimate_sop_many,
-    rate_margins_block,
-)
+from relaysec.montecarlo import estimate_sop, estimate_sop_many, rate_margins_block
 
 
 def _relay_sinr(p_a, p_j, noise, h_ar, h_rb, w=None) -> float:
@@ -38,6 +32,28 @@ def _relay_sinr(p_a, p_j, noise, h_ar, h_rb, w=None) -> float:
         r = mpmath.mpf(float(p_j)) * g * g.H + mpmath.mpf(float(noise)) * mpmath.eye(len(h))
         w = mpmath.lu_solve(r, h) if w is None else mpmath.matrix([mpmath.mpc(complex(x)) for x in w])
         return float(mpmath.mpf(float(p_a)) * abs((w.H * h)[0]) ** 2 / mpmath.re((w.H * r * w)[0]))
+
+
+def _cj_relay_sinr(block, gains, params) -> np.ndarray:
+    """The CJ relay's SINR per trial, from the block's coefficients, with no
+    cancellation: one antenna's SINR under selection, on the antenna it
+    receives on, and MMSE against the jamming on the full array, which
+    Lagrange's identity turns into p_a (|h|^2 + p_j |h ^ g|^2) / (1 + p_j |g|^2),
+    |h ^ g|^2 = |h|^2 |g|^2 - |g^H h|^2 = sum over i < l of |h_i g_l - h_l g_i|^2."""
+    p_a = params.power.frac_alice * params.rho * gains.gamma_ar
+    p_j = params.power.frac_bob_jam * params.rho * gains.gamma_rb
+    h_ar, h_rb = hop(block, "h_ar"), hop(block, "h_rb")
+    g_ar, g_rb = np.abs(h_ar) ** 2, np.abs(h_rb) ** 2
+    if params.scheme.mode is SelectionMode.FULL_ARRAY:
+        k = params.k_antennas
+        wedge = sum(
+            (np.abs(h_ar[:, i] * h_rb[:, l] - h_ar[:, l] * h_rb[:, i]) ** 2 for i in range(k) for l in range(i + 1, k)),
+            np.zeros(h_ar.shape[0]),
+        )
+        return p_a * (g_ar.sum(axis=1) + p_j * wedge) / (1.0 + p_j * g_rb.sum(axis=1))
+    rx = np.argmax(g_ar / g_rb if params.scheme.mode is SelectionMode.SELECT_CSI else g_ar, axis=1)
+    rows = np.arange(rx.size)
+    return p_a * g_ar[rows, rx] / (1.0 + p_j * g_rb[rows, rx])
 
 
 def _dense_margin(block, i, gains, params, noise):
@@ -135,6 +151,103 @@ class TestKernelOracles:
                     rate_margins_block(block, gains, params), expected, rtol=1e-10, atol=1e-12,
                     err_msg=f"K = {k}, gains {gains}, {params.power}",
                 )
+
+
+    @pytest.mark.parametrize("gains_db,rho_db,power", [
+        ((17.0, 46.3, 83.3), 67.9, PowerAllocation()),
+        ((-38.6, 288.4, 240.6), -104.8, PowerAllocation(1.0, 0.0, 1.0)),
+    ])
+    def test_single_antenna_cj_array_matches_exact_margin(self, gains_db, rho_db, power):
+        # The array's MMSE form, a difference, cancels under strong jamming:
+        # at K = 1 it was off these margins by 3.8e-4 and 0.1 bit.
+        gains = LinkGains(*(db_to_linear(v) for v in gains_db))
+        params = SystemParams(rho=db_to_linear(rho_db), scheme=SchemeId(Scheme.CJ), power=power)
+        block = sample_channel_block(1, seed=37, chunk_index=0, n=256)
+        with mpmath.workdps(60):
+            a, r, j = (mpmath.mpf(f) for f in (power.frac_alice, power.frac_relay, power.frac_bob_jam))
+            rho, g_ar, g_rb = (mpmath.mpf(v) for v in (params.rho, gains.gamma_ar, gains.gamma_rb))
+            expected = []
+            for h_ar, h_rb in zip(hop(block, "h_ar")[:, 0], hop(block, "h_rb")[:, 0]):
+                hop1, hop2 = (abs(mpmath.mpc(complex(h))) ** 2 for h in (h_ar, h_rb))
+                relay = a * rho * g_ar * hop1 / (1 + j * rho * g_rb * hop2)
+                bob = a * rho * g_ar * hop1 * hop2 / (hop2 + (a * g_ar + j * g_rb + 1 / rho) / (r * g_rb)) if r else 0
+                expected.append(float(mpmath.log((1 + bob) / (1 + relay), 2) / 2))
+        np.testing.assert_allclose(rate_margins_block(block, gains, params), expected, rtol=1e-14, atol=1e-14)
+
+
+def _two_log_margins(block, gains, params) -> np.ndarray:
+    """pre * (log2(1 + S_B) - log2(1 + S_R)), two logarithms and a difference,
+    with Bob's SNR S_B and the relay's S_R from the block's coefficients: the
+    array's per-trial sums, or each hop's gain on the antenna picked by an
+    explicit argmax (the block's uniform pick for AF without CSI)."""
+    scheme, mode, k = params.scheme.scheme, params.scheme.mode, params.k_antennas
+    a, r, j = params.power.frac_alice, params.power.frac_relay, params.power.frac_bob_jam
+    rho = params.rho
+    g_ab = np.abs(block.h_ab) ** 2
+    g_ar, g_rb = np.abs(hop(block, "h_ar")) ** 2, np.abs(hop(block, "h_rb")) ** 2
+    rows = np.arange(g_ab.size)
+    if mode is SelectionMode.FULL_ARRAY:
+        m, hop1, hop2 = k, g_ar.sum(axis=1), g_rb.sum(axis=1)
+    else:
+        csi = mode is SelectionMode.SELECT_CSI
+        if scheme is Scheme.CJ:
+            rx = np.argmax(g_ar / g_rb if csi else g_ar, axis=1)
+            tx = np.argmax(g_rb, axis=1) if csi else rx
+        else:
+            rx = np.argmax(g_ar, axis=1)
+            tx = np.argmax(g_rb, axis=1) if csi else block.tx_pick
+        m, hop1, hop2 = 1, g_ar[rows, rx], g_rb[rows, tx]
+    direct = a * rho * gains.gamma_ab * g_ab
+    if scheme is Scheme.DT:
+        return np.log2(1.0 + direct) - np.log2(1.0 + a * rho * gains.gamma_ar * hop1)
+    forwarded = np.zeros(g_ab.size)
+    if r > 0.0:
+        floor = ((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb
+        if scheme is Scheme.CJ:
+            floor += (j / r) * m
+        forwarded = a * rho * gains.gamma_ar * hop1 * hop2 / (hop2 + floor)
+    if scheme is Scheme.AF:
+        s_b, s_r = direct + forwarded, a * rho * gains.gamma_ar * hop1
+    else:
+        s_b, s_r = forwarded, _cj_relay_sinr(block, gains, params)
+    return 0.5 * (np.log2(1.0 + s_b) - np.log2(1.0 + s_r))
+
+
+class TestOneLogMargin:
+    """The kernel's one logarithm, pre * log2((1 + S_B) / (1 + S_R)), against
+    the two-logarithm reference."""
+
+    _POWERS = {
+        "full": PowerAllocation(),
+        "split": PowerAllocation(0.7, 0.4, 0.6),
+        "silent-relay": PowerAllocation(0.7, 0.0, 0.6),
+        "no-jamming": PowerAllocation(0.7, 0.8, 0.0),
+    }
+
+    @pytest.mark.parametrize("power", _POWERS)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_margins_match_two_logarithms(self, scheme, k, power, fig8_gains):
+        params = SystemParams(rho=db_to_linear(15.0), k_antennas=k, scheme=scheme, power=self._POWERS[power])
+        block = sample_channel_block(k, seed=23, chunk_index=k, n=4096)
+        np.testing.assert_allclose(
+            rate_margins_block(block, fig8_gains, params), _two_log_margins(block, fig8_gains, params),
+            rtol=0.0, atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("figure", [1, 8])
+    def test_outage_counts_match_two_logarithms(self, all_schemes, figure, fig1_gains, fig8_gains):
+        # Figure 1 sweeps the SNR at K = 1, figure 8 the antennas at 12 dB.
+        gains, settings = {
+            1: (fig1_gains, [(rho_db, 1) for rho_db in (0.0, 20.0, 40.0)]),
+            8: (fig8_gains, [(12.0, k) for k in (1, 3, 10)]),
+        }[figure]
+        mc = McConfig(trials=1 << 16, seed=29)
+        for rho_db, k in settings:
+            block = sample_channel_block(k, seed=mc.seed, chunk_index=0, n=mc.trials)
+            for scheme in all_schemes:
+                params = SystemParams(rho=db_to_linear(rho_db), k_antennas=k, scheme=scheme)
+                expected = np.count_nonzero(_two_log_margins(block, gains, params) < params.rate)
+                assert estimate_sop(gains, params, mc).value * mc.trials == expected, (rho_db, k, str(scheme))
 
 
 class TestSecrecyRate:
@@ -369,9 +482,9 @@ class TestPowerFractions:
                         - 0.5 * np.log2(1.0 + a * rho * fig1_gains.gamma_ar * eav))
             np.testing.assert_allclose(margins, expected, rtol=1e-14, atol=1e-14)
         else:
-            i_b, i_r = _rates(fig1_gains, params, *block.features(*_reads(scheme)))
-            np.testing.assert_array_equal(i_b, 0.0)
-            np.testing.assert_array_equal(margins, -i_r)
+            # CJ leaves Bob nothing: the margin is the relay's rate, negated.
+            expected = -0.5 * np.log2(1.0 + _cj_relay_sinr(block, fig1_gains, params))
+            np.testing.assert_allclose(margins, expected, rtol=1e-13, atol=1e-14)
 
 
 class TestAgainstDegenerateGeometry:
