@@ -573,6 +573,20 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_one_chunk_run_does_not_load_thread_pool(self):
+        # A pool starts only where chunks run side by side, so neither the
+        # import nor a one-chunk run at --workers 4 loads concurrent.futures.
+        script = (
+            "import os, sys, relaysec.cli\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "assert relaysec.cli.main(['point', '--method', 'montecarlo', '--trials', '65536',\n"
+            "                          '--workers', '4', '--out', os.devnull]) == 0\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
+
     @staticmethod
     def _scipy_modules_after(*argvs):
         """The scipy modules loaded by importing the CLI and running ``argvs``, as a printed list."""
@@ -899,7 +913,7 @@ class TestFigureCommand:
 
 # sha256 of the montecarlo and power-opt rows, in output order.  Analytic and
 # asymptotic rows are left out so that closed-form fixes do not move them;
-# the simulated rows are a pure function of (seed, trials, chunk_size) and
+# the simulated rows are a pure function of (seed, trials) and
 # must stay byte-identical across refactors of the sampling and sweep code.
 GOLDEN_RUNS = [
     pytest.param(

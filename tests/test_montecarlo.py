@@ -3,7 +3,7 @@
 import csv
 import io
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -12,7 +12,7 @@ import scipy.stats
 
 from conftest import hop
 from relaysec import LinkGains, McConfig, SchemeId, SystemParams, db_to_linear
-from relaysec import analytic
+from relaysec import analytic, model, montecarlo
 from relaysec.cli import main
 from relaysec.model import (
     PowerAllocation,
@@ -348,13 +348,32 @@ class TestSharedFeatures:
         pair = ("g_rb", "argmax_ratio")
         assert block.features(pair)[0] is block.features(pair)[0]
 
-    def test_all_pairs_independent_of_workers(self, all_schemes, fig8_gains):
+    def test_all_pairs_independent_of_workers(self, all_schemes, fig8_gains, monkeypatch):
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 1 << 12)  # ten chunks
         params = [SystemParams(rho=db_to_linear(15.0), k_antennas=3, scheme=s) for s in all_schemes]
         runs = [
-            estimate_sop_many(fig8_gains, params, McConfig(trials=40_000, seed=17, chunk_size=1 << 12, workers=w))
+            estimate_sop_many(fig8_gains, params, McConfig(trials=40_000, seed=17, workers=w))
             for w in (1, 4)
         ]
         assert runs[0] == runs[1]
+
+    def test_single_antenna_modes_read_the_full_array_features(self, all_schemes, fig8_gains, monkeypatch):
+        # At K = 1 the antenna modes coincide, so every mode reads the sums
+        # and no antenna pick is computed.
+        def no_pick(get):
+            raise AssertionError("an antenna pick was computed at K = 1")
+
+        monkeypatch.setattr(model, "_FORMULAS", {
+            name: no_pick if name.startswith("argmax_") else formula for name, formula in model._FORMULAS.items()
+        })
+        block = sample_channel_block(1, seed=41, chunk_index=0, n=4096)
+        for power in (PowerAllocation(), PowerAllocation(0.7, 0.4, 0.6), PowerAllocation(0.7, 0.0, 0.6)):
+            for scheme in all_schemes:
+                params = SystemParams(rho=db_to_linear(15.0), scheme=scheme, power=power)
+                full = replace(params, scheme=SchemeId(scheme.scheme))
+                assert np.array_equal(
+                    rate_margins_block(block, fig8_gains, params), rate_margins_block(block, fig8_gains, full)
+                ), (str(scheme), power)
 
 
 class TestEstimates:
@@ -394,13 +413,14 @@ class TestEstimates:
         ]
         assert values[0] == values[1] == values[2]
 
-    def test_chunk_size_invariance(self, fig1_gains):
-        # The per-trial stream is keyed by chunk position, so the estimate
-        # depends on chunk_size; determinism holds per (seed, chunk_size).
+    def test_seed_and_trials_determine_the_estimate(self, fig1_gains):
+        # Every run is cut into chunks of CHUNK_SIZE and each chunk's stream
+        # is keyed by (seed, chunk index), so (seed, trials) fixes the estimate.
         params = SystemParams(rho=db_to_linear(15.0), rate=0.1, scheme=SchemeId(Scheme.CJ))
-        a = estimate_sop(fig1_gains, params, McConfig(trials=131_072, seed=9, chunk_size=1 << 14))
-        b = estimate_sop(fig1_gains, params, McConfig(trials=131_072, seed=9, chunk_size=1 << 14))
+        a = estimate_sop(fig1_gains, params, McConfig(trials=131_072, seed=9))
+        b = estimate_sop(fig1_gains, params, McConfig(trials=131_072, seed=9))
         assert a.value == b.value
+        assert estimate_sop(fig1_gains, params, McConfig(trials=131_072, seed=10)).value != a.value
 
     def test_shared_draw_evaluation_matches_single(self, fig1_gains):
         mc = McConfig(trials=100_000, seed=10)
@@ -426,18 +446,60 @@ class TestEstimates:
         with pytest.raises(ValueError):
             McConfig(trials=0)
         with pytest.raises(ValueError):
-            McConfig(chunk_size=0)
-        with pytest.raises(ValueError):
             McConfig(workers=0)
         # At most 2^20 chunks, listed before any is drawn, and 64 worker threads.
         assert McConfig(trials=1 << 36, workers=64).trials == 1 << 36
-        assert McConfig(trials=1 << 30, chunk_size=1 << 10).chunk_size == 1 << 10
         with pytest.raises(ValueError, match="^trials"):
-            McConfig(trials=(1 << 36) + 1)
-        with pytest.raises(ValueError, match="^trials"):
-            McConfig(trials=(1 << 20) + 1, chunk_size=1)
+            McConfig(trials=(1 << 20) * montecarlo.CHUNK_SIZE + 1)
         with pytest.raises(ValueError, match="^workers"):
             McConfig(workers=65)
+
+
+class TestChunkScheduler:
+    """``_map_chunks``: a constant chunk size, and a thread pool only where
+    chunks run side by side."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The thread pools started while the test runs."""
+        import concurrent.futures
+
+        started = []
+
+        class SpyPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+        return started
+
+    def test_config_has_no_chunk_field(self):
+        assert [f.name for f in fields(McConfig)] == ["trials", "seed", "workers"]
+        with pytest.raises(TypeError):
+            McConfig(chunk_size=1 << 10)
+
+    def test_one_chunk_starts_no_pool(self, pools, fig1_gains):
+        params = SystemParams(rho=db_to_linear(15.0), scheme=SchemeId(Scheme.AF))
+        one = estimate_sop(fig1_gains, params, McConfig(trials=montecarlo.CHUNK_SIZE, seed=3, workers=4))
+        assert pools == []
+        assert one == estimate_sop(fig1_gains, params, McConfig(trials=montecarlo.CHUNK_SIZE, seed=3))
+
+    def test_two_chunks_start_one_pool(self, pools, fig1_gains):
+        params = SystemParams(rho=db_to_linear(15.0), scheme=SchemeId(Scheme.CJ))
+        trials = montecarlo.CHUNK_SIZE + 4096
+        serial = estimate_sop(fig1_gains, params, McConfig(trials=trials, seed=3))
+        assert pools == []
+        assert estimate_sop(fig1_gains, params, McConfig(trials=trials, seed=3, workers=2)) == serial
+        assert len(pools) == 1
+
+    def test_chunk_plan(self, monkeypatch):
+        # Tests shrink the chunk to make many chunks cheaply; the trials bound follows it.
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 1000)
+        plan = montecarlo._map_chunks(lambda idx, n: (idx, n), McConfig(trials=2500, workers=2))
+        assert plan == [(0, 1000), (1, 1000), (2, 500)]
+        with pytest.raises(ValueError, match="^trials"):
+            McConfig(trials=1000 * (1 << 20) + 1)
 
 
 class TestPowerFractions:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relaysec import McConfig, SchemeId, SystemParams, db_to_linear
+from relaysec import McConfig, SchemeId, SystemParams, db_to_linear, montecarlo
 from relaysec.model import Scheme
 from relaysec.montecarlo import estimate_sop
 from relaysec.powerallo import FRACTION_FLOOR, _grid_axis, minimize_sop
@@ -33,15 +33,15 @@ class TestMinimizeSop:
         for frac in (alloc.frac_alice, alloc.frac_relay, alloc.frac_bob_jam):
             assert FRACTION_FLOOR - 1e-9 <= frac <= 1.0 + 1e-9
 
-    def test_independent_of_workers(self, fig1_gains):
+    def test_independent_of_workers(self, fig1_gains, monkeypatch):
         # Five chunks on more threads than cores, switching often, so the
         # chunk threads keep replacing each other's held block.
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 1 << 13)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             runs = [
-                minimize_sop(fig1_gains, _params(Scheme.AF), replace(MC, chunk_size=1 << 13, workers=w),
-                             grid_step=0.5)
+                minimize_sop(fig1_gains, _params(Scheme.AF), replace(MC, workers=w), grid_step=0.5)
                 for w in (1, 8)
             ]
         finally:
