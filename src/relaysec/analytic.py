@@ -273,14 +273,18 @@ def sop_af_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
 
 def sop_cj_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
     """Cooperative-jamming outage with best-receive-antenna selection and no
-    second-hop CSI at the relay, which transmits on its receive antenna."""
+    second-hop CSI at the relay, which transmits on its receive antenna.
+    The second-hop gain z decays on the scale gamma_rb, so the integral runs
+    over v = z / max(1, gamma_rb), which decays on the quadrature's unit scale."""
     k = params.k_antennas
     coef = derived_coefficients(gains, params)
     c = 2.0 ** (2.0 * params.rate) - 1.0
     gar, grb = gains.gamma_ar, gains.gamma_rb
     t = coef.t
+    scale = max(1.0, grb)
 
-    def integrand(z: float) -> float:
+    def integrand(v: float) -> float:
+        z = scale * v
         phi = coef.phi(z)
         if phi <= 0.0 or c == 0.0:
             return 0.0
@@ -292,10 +296,10 @@ def sop_cj_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
     if c > 0.0 and k > 1:
         # The K-th power turns on over a narrow layer above t; anchor subdivision
         # where the exponent argument x = c / (gamma_ar phi) passes ~log K and ~1.
-        focus = [threshold_t(gains, params, c / (gar * x)) for x in (4.0 * (1.0 + math.log(k)), 1.0, 0.05)]
-    integral = specfun.integrate_semi_infinite(integrand, t, focus=focus)
+        focus = [threshold_t(gains, params, c / (gar * x)) / scale for x in (4.0 * (1.0 + math.log(k)), 1.0, 0.05)]
+    integral = specfun.integrate_semi_infinite(integrand, t / scale, focus=focus)
     head = -math.expm1(-t / grb)
-    return min(1.0, max(0.0, head + integral / grb))
+    return min(1.0, max(0.0, head + integral * (scale / grb)))
 
 
 def _cj_full_array_floor(gains: LinkGains, params: SystemParams) -> float:

@@ -171,13 +171,14 @@ def row_tiles(n: int, rows: int) -> Iterator[slice]:
 # (rows, K) and live only within a tile; the others are n-vectors: the
 # squared gains' per-trial sums, the strongest first-hop antenna, the
 # strongest second-hop antenna, the antenna with the largest first-hop to
-# second-hop gain ratio, and |h_rb^H h_ar|^2, the MRC cross term of signal
-# and jamming.  A squared magnitude is re^2 + im^2 (hypot, then a square,
-# took 1.6 times as long), and a per-trial sum is a product with a vector
-# of ones (numpy's row sums took 4 to 16 times as long for K from 2 to
-# 10); each lies within a few ulp of the plain numpy form.  The cross
-# term keeps its einsum: a product of the conjugate product with ones was
-# no faster, and it sums in another order, which a cancelling sum shows.
+# second-hop gain ratio, |h_rb^H h_ar|^2, the MRC cross term of signal and
+# jamming, and |h_rb|^2 times the gain orthogonal to the jamming.  A squared
+# magnitude is re^2 + im^2 (hypot, then a square, took 1.6 times as long),
+# and a per-trial sum a product with a vector of ones (numpy's row sums took
+# 4 to 16 times as long for K from 2 to 10), each within a few ulp of numpy.
+# The cross term keeps its einsum: a product of the conjugate product with
+# ones was no faster, and it sums in another order, which the orthogonal
+# gain's difference shows.
 _FORMULAS: dict[str, Callable[[Callable[[str], np.ndarray]], np.ndarray]] = {
     "g_ab": lambda get: _abs2(get("h_ab")),
     "g_ar": lambda get: _abs2(get("h_ar")),
@@ -188,6 +189,7 @@ _FORMULAS: dict[str, Callable[[Callable[[str], np.ndarray]], np.ndarray]] = {
     "argmax_rb": lambda get: np.argmax(get("g_rb"), axis=1),
     "argmax_ratio": lambda get: np.argmax(get("g_ar") / get("g_rb"), axis=1),
     "cross": lambda get: _abs2(np.einsum("ij,ij->i", np.conj(get("h_rb")), get("h_ar"))),
+    "orthogonal": lambda get: get("sum_a") * get("sum_b") - get("cross"),
 }
 _PICKS = ("argmax_ar", "argmax_rb", "argmax_ratio", "tx_pick")
 
@@ -224,7 +226,7 @@ class ChannelBlock:
     stream for a sampled block (see ``sample_channel_block``).
 
     The features the schemes read (the squared direct gain, per-trial sums,
-    antenna picks, gathered gains and the MRC cross term, each an
+    antenna picks, gathered gains and the orthogonal gain, each an
     n-vector) are computed by ``features`` in row tiles, only those asked
     for, all missing ones in one pass, and kept for the block's lifetime,
     so the schemes of one chunk share a single computation.  A block kept

@@ -95,19 +95,20 @@ def rate_margins_block(block: ChannelBlock, gains: LinkGains, params: SystemPara
 def _reads(scheme: SchemeId, k: int) -> tuple:
     """The block features the margins of ``scheme`` on k antennas read, in
     the order ``_rates`` takes them: direct gain, first hop, second hop,
-    jamming.
+    jamming, and the gain orthogonal to the jamming.
 
-    The full array reads per-trial sums and the MRC cross term; selection
-    reads each hop's gain on one antenna per trial.  The relay receives on
-    its strongest first hop (a CJ relay with CSI: on its largest first- to
+    The full array reads per-trial sums, the second hop's as CJ's jamming
+    term, and CJ on K > 1 antennas the orthogonal gain too; selection reads
+    each hop's gain on one antenna per trial.  The relay receives on its
+    strongest first hop (a CJ relay with CSI: on its largest first- to
     second-hop ratio) and forwards on its strongest second hop with CSI, on
-    a uniform pick without.  A CJ relay without CSI transmits on its
-    receive antenna, the law the closed form describes.  On one antenna
-    the modes coincide, and every mode reads the sums, with the second
-    hop's gain as CJ's jamming term, so no antenna is picked.
+    a uniform pick without.  A CJ relay without CSI transmits on its receive
+    antenna, the law the closed form describes.  On one antenna the modes
+    coincide, and every mode reads the sums, so no antenna is picked.
     """
+    orthogonal = ("orthogonal",) if scheme.mode is SelectionMode.FULL_ARRAY and k > 1 else ()
     if scheme.mode is SelectionMode.FULL_ARRAY or k == 1:
-        hop1, hop2, jam = "sum_a", "sum_b", "cross" if k > 1 else "sum_b"
+        hop1, hop2, jam = "sum_a", "sum_b", "sum_b"
     else:
         csi = scheme.mode is SelectionMode.SELECT_CSI
         if scheme.scheme is Scheme.CJ:
@@ -117,7 +118,7 @@ def _reads(scheme: SchemeId, k: int) -> tuple:
         hop1, hop2, jam = ("g_ar", rx), ("g_rb", tx), ("g_rb", rx)
     if scheme.scheme is Scheme.DT:
         return ("g_ab", hop1)
-    return ("g_ab", hop1, hop2) if scheme.scheme is Scheme.AF else (hop1, hop2, jam)
+    return ("g_ab", hop1, hop2) if scheme.scheme is Scheme.AF else (hop1, hop2, jam, *orthogonal)
 
 
 def _rates(gains: LinkGains, params: SystemParams, *features: np.ndarray) -> np.ndarray:
@@ -128,12 +129,13 @@ def _rates(gains: LinkGains, params: SystemParams, *features: np.ndarray) -> np.
     knows the link gains, each folded into a scalar factor.  One
     expression per scheme serves the full array and selection: the relay
     normalizes its forwarded power over m antennas, m = K for the full
-    array and m = 1 under selection.  Only CJ's eavesdropping SINR has two
-    laws: MMSE against the jamming on an array of K > 1, and one antenna's
-    SINR under selection and on a single antenna.  A relay without power
-    forwards nothing.  The ratio is built in place in two temporaries,
-    ``bob`` and ``relay``, 1 + S_B and 1 + S_R up to a common factor,
-    and takes the one logarithm.
+    array and m = 1 under selection.  CJ's eavesdropping SINR has one law,
+    one antenna's SINR against the jamming on the antenna gains read; on
+    an array of K > 1 the relay's max-SINR (MMSE) receiver adds the first
+    hop's gain orthogonal to the jamming, which the jamming does not dim.
+    A relay without power forwards nothing.  The ratio is built in place
+    in two temporaries, ``bob`` and ``relay``, 1 + S_B and 1 + S_R up to a
+    common factor, and takes the one logarithm.
     """
     rho = params.rho
     a = params.power.frac_alice
@@ -147,27 +149,17 @@ def _rates(gains: LinkGains, params: SystemParams, *features: np.ndarray) -> np.
         # Cooperative jamming: the destination forfeits the direct link and
         # jams during the first phase, then cancels its own interference.
         # Each SNR's denominator moves to the other side of the ratio, which
-        # saves two divisions.
-        hop1, hop2, jam = features
-        if m > 1:
-            # MMSE: a difference, which cancels under strong jamming.
-            jam_scale = j * rho * gains.gamma_rb
-            den = np.multiply(hop2, jam_scale)
-            den += 1.0
-            relay = np.multiply(jam, g_ar_scale * jam_scale)
-            relay /= den
-            np.multiply(hop1, g_ar_scale, out=den)
-            np.subtract(den, relay, out=relay)
-            relay += 1.0
-            bob = np.ones_like(relay)
-        else:
-            # 1 + S_R = (interference + signal) / interference, in units of
-            # noise: the interference moves to the ratio's numerator.
-            interference = np.multiply(jam, j * gains.gamma_rb)
-            interference += 1.0 / rho
-            relay = np.multiply(hop1, a * gains.gamma_ar)
-            relay += interference
-            bob = interference
+        # saves two divisions: ``bob`` starts as the interference I = j
+        # gamma_rb S_jam + 1/rho, in units of noise, and ``relay`` as
+        # I (1 + S_R) = I + a gamma_ar (S_ar + j rho gamma_rb Q), with the
+        # orthogonal gain Q = |h_ar|^2 |h_rb|^2 - |h_rb^H h_ar|^2 on an array.
+        hop1, hop2, jam, *orthogonal = features
+        bob = np.multiply(jam, j * gains.gamma_rb)
+        bob += 1.0 / rho
+        relay = np.multiply(hop1, a * gains.gamma_ar)
+        relay += bob
+        for q in orthogonal:
+            relay += q * (a * gains.gamma_ar * j * rho * gains.gamma_rb)
         if r > 0.0:
             # 1 + S_B = (floor + forwarded) / floor.
             floor = np.add(hop2, (((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb + (j / r) * m))

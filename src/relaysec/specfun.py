@@ -159,9 +159,9 @@ def integrate_semi_infinite(
     The interval is mapped to (0, 1) with z = lower + u/(1-u), and the
     subinterval with the largest error estimate is bisected until the
     summed estimate falls to max(ABS_TOL, REL_TOL*|I|) or there are
-    ``MAX_SUBDIVISIONS`` subintervals.  The substitution (rather than
-    tail truncation) keeps slowly decaying exponential tails accurate even
-    when the decay length is several orders of magnitude.
+    ``MAX_SUBDIVISIONS`` subintervals.  No node lies beyond lower + 2^53,
+    and the error estimate cannot see mass there, so f must decay on the
+    unit scale: every caller integrates a gain in units of its mean or more.
 
     ``focus`` lists z values where the integrand changes character (sharp
     transition layers); subdivision starts at these points so narrow

@@ -1,6 +1,6 @@
 """Shared fixtures: the standard figure settings, the (scheme, mode) pairs, a
 one-trial channel builder, and block helpers for oracles: a block of given
-coefficients and a block's relay coefficients in full."""
+coefficients, a block's relay coefficients in full, and Lagrange's identity."""
 
 import numpy as np
 import pytest
@@ -55,6 +55,18 @@ def hop(block: ChannelBlock, name: str) -> np.ndarray:
     rows = block.hop_rows(name, 0, block.h_ab.shape[0])
     rows.flags.writeable = False
     return rows
+
+
+def wedge(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """|h ^ g|^2 = |h|^2 |g|^2 - |g^H h|^2 of each row pair of (n, K) arrays,
+    by Lagrange's identity: the sum over i < l of |h_i g_l - h_l g_i|^2,
+    which subtracts only products of single coefficients."""
+    rows = max(1, (1 << 16) // h.shape[1] ** 2)  # (rows, K, K) products of 1 MiB
+    wedges = []
+    for start in range(0, h.shape[0], rows):
+        outer = h[start:start + rows, :, None] * g[start:start + rows, None, :]
+        wedges.append(0.5 * np.sum(np.abs(outer - outer.transpose(0, 2, 1)) ** 2, axis=(1, 2)))
+    return np.concatenate(wedges)
 
 
 def _one_trial_block(h_ab, h_ar, h_rb, tx_pick=0) -> ChannelBlock:

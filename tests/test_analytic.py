@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from conftest import ALL_SCHEMES
 from relaysec import LinkGains, McConfig, PowerAllocation, SchemeId, SystemParams, db_to_linear
-from relaysec import analytic
+from relaysec import analytic, specfun
 from relaysec.analytic import UnsupportedAnalytic
 from relaysec.cli import main
 from relaysec.model import FULL_POWER, Scheme, SelectionMode, derived_coefficients, threshold_t
@@ -210,6 +210,38 @@ def af_select_sum_oracle(gains, params, csi):
                 bracket = _ei_bracket_mp(mu, beta_n, 1)
             total += mpmath.binomial(k - 1, n) * (-1) ** n * gab * bracket / den
         return float(1 - k * mpmath.exp(-c / (rho * gab)) * total)
+
+
+def cj_select_nocsi_mp_oracle(gains, params):
+    """SOP = 1 - e^{-t/gamma_rb} + (1/gamma_rb) int_t^inf (1 - e^{-c/(gamma_ar phi(z))})^K e^{-z/gamma_rb} dz
+    at 40 digits, in z itself, with breakpoints every three decades above t.
+    The integral stops at t + 120 gamma_rb, where e^{-120} leaves nothing at 40 digits."""
+    with mpmath.workdps(40):
+        gar, grb, rho = (mpmath.mpf(v) for v in (gains.gamma_ar, gains.gamma_rb, params.rho))
+        two2r = mpmath.mpf(2) ** (2 * mpmath.mpf(params.rate))
+        c = two2r - 1
+        s = gar + grb + 1 / rho
+        t = (c + mpmath.sqrt(c * c + 4 * rho * two2r * s)) / (2 * rho)
+
+        def integrand(z):
+            phi = rho * z / (z + s) - two2r / (z + 1 / rho)
+            if phi <= 0:  # at t itself, up to rounding
+                return mpmath.mpf(0)
+            return mpmath.exp(params.k_antennas * mpmath.log(-mpmath.expm1(-c / (gar * phi))) - z / grb)
+
+        edges = [t + mpmath.mpf(10) ** j for j in range(-14, int(mpmath.ceil(mpmath.log10(grb))), 3)]
+        return float(-mpmath.expm1(-t / grb) + mpmath.quad(integrand, [t, *edges, t + 120 * grb]) / grb)
+
+
+def strong_second_hop_settings(n, seed):
+    """Selection-CJ settings with a second hop of 90-200 dB, whose decay
+    length in z lies far beyond the last node of a unit-scale quadrature map."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        gains_db = (rng.uniform(0.0, 60.0), rng.uniform(-10.0, 30.0), rng.uniform(90.0, 200.0))
+        rho, rate = db_to_linear(rng.uniform(30.0, 120.0)), float(rng.uniform(0.05, 12.0))
+        params = SystemParams(rho=rho, rate=rate, k_antennas=int(rng.choice([2, 8, 64])), scheme=CJ_SEL_NOCSI)
+        yield LinkGains(*(db_to_linear(v) for v in gains_db)), params
 
 
 def random_settings(n, seed, k_max=1):
@@ -524,11 +556,25 @@ class TestSelectionCooperativeJamming:
         # quadrature in z (10^6 trials give 0.001373 +- 0.000037).
         gains = LinkGains(*(db_to_linear(v) for v in (59.24, -3.77, 182.85)))
         params = SystemParams(rho=db_to_linear(85.25), rate=9.37, k_antennas=8, scheme=CJ_SEL_NOCSI)
-        try:
-            value = analytic.sop_cj_select_nocsi(gains, params)
-        except ConvergenceError:
-            return
-        assert value == pytest.approx(0.00140039763954897, rel=1e-6)
+        assert analytic.sop_cj_select_nocsi(gains, params) == pytest.approx(0.00140039763954897, rel=1e-6)
+
+    def test_strong_second_hops_meet_the_tolerance(self):
+        # Integrated in z, the first point returned 0.00295 and the second
+        # 0.00631, without raising.  Each setting must return a value within
+        # the quadrature's tolerance of the oracle, or raise.
+        settings = [
+            (LinkGains(*(db_to_linear(v) for v in gains_db)),
+             SystemParams(rho=db_to_linear(rho_db), rate=rate, k_antennas=k, scheme=CJ_SEL_NOCSI))
+            for gains_db, rho_db, rate, k in (((43.08, 19.55, 137.11), 32.79, 10.39, 8),
+                                              ((30.03, 9.89, 169.50), 83.64, 13.13, 64))
+        ]
+        for gains, params in [*settings, *strong_second_hop_settings(10, seed=0)]:
+            exact = cj_select_nocsi_mp_oracle(gains, params)
+            try:
+                value = analytic.sop_cj_select_nocsi(gains, params)
+            except ConvergenceError:
+                continue
+            assert abs(value - exact) <= max(specfun.ABS_TOL, specfun.REL_TOL * exact), (gains, params, value, exact)
 
     def test_single_antenna_reduction(self):
         for gains, params in random_settings(10, seed=11):

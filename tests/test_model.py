@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import hop
+from conftest import hop, wedge
 from relaysec import McConfig, model, montecarlo
 from relaysec.model import (
     LinkGains,
@@ -305,7 +305,7 @@ class TestNormalStreams:
         return draws
 
     _FEATURES = (
-        "g_ab", "sum_a", "sum_b", "cross", "argmax_ar", "argmax_rb", "argmax_ratio",
+        "g_ab", "sum_a", "sum_b", "cross", "orthogonal", "argmax_ar", "argmax_rb", "argmax_ratio",
         *((gain, pick) for gain in ("g_ar", "g_rb")
           for pick in ("argmax_ar", "argmax_rb", "argmax_ratio", "tx_pick")),
     )
@@ -452,7 +452,9 @@ class TestFeaturePass:
     gathered gain and the cross term (the same sum, squared either way)
     inherit that.  Sums of K such terms in two orders add a summation error
     of at most log2(K) eps each way for numpy's pairwise sum and a blocked
-    product alike.
+    product alike.  The gain Q orthogonal to the jamming, a difference of
+    such terms, loses digits by the factor |h_ar|^2 |h_rb|^2 / Q; its
+    reference is Lagrange's identity.
     """
 
     @pytest.mark.parametrize("k", [1, 2, 3, 10, 64, 1024])
@@ -479,10 +481,14 @@ class TestFeaturePass:
             **{("g_ar", pick): g_ar[rows, index] for pick, index in picks.items()},
             **{("g_rb", pick): g_rb[rows, index] for pick, index in picks.items()},
         }
+        if k > 1:  # one antenna has no direction orthogonal to the jamming
+            references["orthogonal"] = wedge(h_ar, h_rb)
         eps = np.finfo(np.float64).eps
         for (name, reference), value in zip(references.items(), block.features(*references)):
-            bound = (4.0 + 2.0 * math.log2(k)) * eps if name in ("sum_a", "sum_b") else 4.0 * eps
-            assert np.max(np.abs(value - reference) / reference) <= bound, name
+            bound = (4.0 + 2.0 * math.log2(k)) * eps if name in ("sum_a", "sum_b", "orthogonal") else 4.0 * eps
+            if name == "orthogonal":
+                bound = bound * references["sum_a"] * references["sum_b"] / reference
+            assert np.all(np.abs(value - reference) / reference <= bound), name
 
 
 class TestMmseSinr:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import hop
+from conftest import hop, wedge
 from relaysec import LinkGains, McConfig, SchemeId, SystemParams, db_to_linear
 from relaysec import analytic, model, montecarlo
 from relaysec.cli import main
@@ -39,18 +39,13 @@ def _cj_relay_sinr(block, gains, params) -> np.ndarray:
     cancellation: one antenna's SINR under selection, on the antenna it
     receives on, and MMSE against the jamming on the full array, which
     Lagrange's identity turns into p_a (|h|^2 + p_j |h ^ g|^2) / (1 + p_j |g|^2),
-    |h ^ g|^2 = |h|^2 |g|^2 - |g^H h|^2 = sum over i < l of |h_i g_l - h_l g_i|^2."""
+    |h ^ g|^2 = |h|^2 |g|^2 - |g^H h|^2 (see ``conftest.wedge``)."""
     p_a = params.power.frac_alice * params.rho * gains.gamma_ar
     p_j = params.power.frac_bob_jam * params.rho * gains.gamma_rb
     h_ar, h_rb = hop(block, "h_ar"), hop(block, "h_rb")
     g_ar, g_rb = np.abs(h_ar) ** 2, np.abs(h_rb) ** 2
     if params.scheme.mode is SelectionMode.FULL_ARRAY:
-        k = params.k_antennas
-        wedge = sum(
-            (np.abs(h_ar[:, i] * h_rb[:, l] - h_ar[:, l] * h_rb[:, i]) ** 2 for i in range(k) for l in range(i + 1, k)),
-            np.zeros(h_ar.shape[0]),
-        )
-        return p_a * (g_ar.sum(axis=1) + p_j * wedge) / (1.0 + p_j * g_rb.sum(axis=1))
+        return p_a * (g_ar.sum(axis=1) + p_j * wedge(h_ar, h_rb)) / (1.0 + p_j * g_rb.sum(axis=1))
     rx = np.argmax(g_ar / g_rb if params.scheme.mode is SelectionMode.SELECT_CSI else g_ar, axis=1)
     rows = np.arange(rx.size)
     return p_a * g_ar[rows, rx] / (1.0 + p_j * g_rb[rows, rx])
@@ -173,6 +168,22 @@ class TestKernelOracles:
                 bob = a * rho * g_ar * hop1 * hop2 / (hop2 + (a * g_ar + j * g_rb + 1 / rho) / (r * g_rb)) if r else 0
                 expected.append(float(mpmath.log((1 + bob) / (1 + relay), 2) / 2))
         np.testing.assert_allclose(rate_margins_block(block, gains, params), expected, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("gains_db,rho_db", [((17.0, 46.3, 83.3), 67.9), ((0.0, 0.0, 30.0), 60.0)])
+    def test_cj_array_matches_lagrange_margin_under_strong_jamming(self, k, gains_db, rho_db):
+        # The relay escapes the jamming only through h_ar's part orthogonal
+        # to h_rb, whose gain Q = |h_ar|^2 |h_rb|^2 - |h_rb^H h_ar|^2 cancels
+        # as h_ar nears h_rb's direction, by the factor |h_ar|^2 |h_rb|^2 / Q.
+        # So a margin may be off by a few eps times that factor beyond
+        # 1e-13 bit: up to 5e-13 bit at K = 2 here.
+        gains = LinkGains(*(db_to_linear(v) for v in gains_db))
+        params = SystemParams(rho=db_to_linear(rho_db), k_antennas=k, scheme=SchemeId(Scheme.CJ))
+        block = sample_channel_block(k, seed=41, chunk_index=k, n=4096)
+        h_ar, h_rb = hop(block, "h_ar"), hop(block, "h_rb")
+        cancellation = np.sum(np.abs(h_ar) ** 2, axis=1) * np.sum(np.abs(h_rb) ** 2, axis=1) / wedge(h_ar, h_rb)
+        error = np.abs(rate_margins_block(block, gains, params) - _two_log_margins(block, gains, params))
+        assert np.all(error <= 1e-13 + 4.0 * np.finfo(np.float64).eps * cancellation)
 
 
 def _two_log_margins(block, gains, params) -> np.ndarray:
@@ -337,7 +348,7 @@ class TestSharedFeatures:
     def test_cached_features_are_read_only(self):
         block = sample_channel_block(3, seed=1, chunk_index=0, n=8)
         features = block.features(
-            "g_ab", "sum_a", "sum_b", "argmax_ar", "argmax_rb", "argmax_ratio", "cross",
+            "g_ab", "sum_a", "sum_b", "argmax_ar", "argmax_rb", "argmax_ratio", "cross", "orthogonal",
             ("g_ar", "argmax_ar"), ("g_rb", "tx_pick"),
         )
         for feature in features:
