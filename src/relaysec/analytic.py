@@ -3,7 +3,8 @@
 Each transmission policy (direct, amplify-and-forward, cooperative jamming)
 has an exact outage expression for the single-antenna relay; the
 multi-antenna beamforming and antenna-selection variants generalize them
-where a closed form exists.  Two variants are Monte Carlo only by design:
+where a closed form exists, and single-antenna DT and CJ are evaluated as
+their K-antenna forms at K = 1.  Two variants are Monte Carlo only by design:
 cooperative jamming with a full beamforming array (K > 1) and cooperative
 jamming with CSI-aided antenna selection.  Every asymptotic limit, the
 full-array cooperative-jamming floor included, is a closed form.
@@ -57,10 +58,7 @@ def p_pos_dt(gains: LinkGains) -> float:
 
 def sop_dt_single(gains: LinkGains, params: SystemParams) -> float:
     """Secrecy outage probability of direct transmission, single-antenna relay."""
-    two_r = 2.0 ** params.rate
-    return 1.0 - gains.gamma_ab / (two_r * gains.gamma_ar + gains.gamma_ab) * math.exp(
-        -(two_r - 1.0) / (params.rho * gains.gamma_ab)
-    )
+    return _sop_dt(gains, params, _log_laplace_sum, k=1)
 
 
 def p_pos_af(gains: LinkGains, params: SystemParams) -> float:
@@ -86,43 +84,8 @@ def p_pos_cj(gains: LinkGains, params: SystemParams) -> float:
 
 
 def sop_cj_single(gains: LinkGains, params: SystemParams) -> float:
-    """Secrecy outage probability of cooperative jamming, single-antenna relay.
-
-    With x = z / gamma_rb the second-hop gain is a unit exponential, so the
-    integrand decays on the unit scale the quadrature maps with.  Outage
-    is certain below the threshold t; above it, the outage probability
-    given x is -expm1(-c / (gamma_ar phi)), which never forms one minus a
-    number close to one:
-
-        SOP = -expm1(-t/gamma_rb)
-              + int_{t/gamma_rb}^inf -expm1(-c / (gamma_ar phi(gamma_rb x))) e^{-x} dx.
-
-    At zero rate c = 0 and only the first term remains, a function of the
-    threshold alone, so the zero-rate complement 1 - P(positive secrecy)
-    pins t; the validation suite shows there that the paper's printed root
-    constant is wrong.
-    """
-    coef = derived_coefficients(gains, params)
-    t = coef.t
-    c = 2.0 ** (2.0 * params.rate) - 1.0
-    gar = gains.gamma_ar
-    grb = gains.gamma_rb
-    below = -math.expm1(-t / grb)
-    # At zero rate the jamming-gain function drops out of the exponent
-    # exactly, so only the threshold term remains.
-    if c == 0.0:
-        return below
-
-    def integrand(x: float) -> float:
-        phi = coef.phi(grb * x)
-        if phi <= 0.0:
-            return math.exp(-x)
-        return -math.expm1(-c / (gar * phi)) * math.exp(-x)
-
-    # The outage given x falls from one towards its floor in a layer just
-    # above the threshold; subdivision starts there.
-    above = specfun.integrate_semi_infinite(integrand, t / grb, focus=[(t + 1.0) / grb])
-    return min(1.0, max(0.0, below + above))
+    """Secrecy outage probability of cooperative jamming, single-antenna relay."""
+    return _sop_cj(gains, params, k=1)
 
 
 _LogForm = Callable[[int], Callable[[float], float]]  # K -> (argument -> log value)
@@ -187,8 +150,8 @@ def _log_pdf_exp(k: int) -> Callable[[float], float]:
     return lambda w: -w
 
 
-def _sop_dt(gains: LinkGains, params: SystemParams, log_laplace: _LogForm) -> float:
-    """Direct-transmission outage given the transform of the relay's gain.
+def _sop_dt(gains: LinkGains, params: SystemParams, log_laplace: _LogForm, k: int) -> float:
+    """Direct-transmission outage given the transform of the relay's gain over K antennas.
 
     Secrecy needs |h_ab|^2 > (2^R (1 + rho*gamma_ar*G) - 1) / rho; averaging
     the exponential tail over G leaves L(2^R gamma_ar / gamma_ab).
@@ -196,18 +159,18 @@ def _sop_dt(gains: LinkGains, params: SystemParams, log_laplace: _LogForm) -> fl
     two_r = 2.0 ** params.rate
     return -math.expm1(
         -(two_r - 1.0) / (params.rho * gains.gamma_ab)
-        + log_laplace(params.k_antennas)(two_r * gains.gamma_ar / gains.gamma_ab)
+        + log_laplace(k)(two_r * gains.gamma_ar / gains.gamma_ab)
     )
 
 
 def sop_dt_multi(gains: LinkGains, params: SystemParams) -> float:
     """Direct-transmission outage with a K-antenna MRC eavesdropping relay."""
-    return _sop_dt(gains, params, _log_laplace_sum)
+    return _sop_dt(gains, params, _log_laplace_sum, params.k_antennas)
 
 
 def sop_dt_select(gains: LinkGains, params: SystemParams) -> float:
     """Direct-transmission outage when the relay eavesdrops on its best antenna."""
-    return _sop_dt(gains, params, _log_laplace_max)
+    return _sop_dt(gains, params, _log_laplace_max, params.k_antennas)
 
 
 def _sop_af(
@@ -271,35 +234,52 @@ def sop_af_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
     )
 
 
-def sop_cj_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
-    """Cooperative-jamming outage with best-receive-antenna selection and no
-    second-hop CSI at the relay, which transmits on its receive antenna.
-    The second-hop gain z decays on the scale gamma_rb, so the integral runs
-    over v = z / max(1, gamma_rb), which decays on the quadrature's unit scale."""
-    k = params.k_antennas
+def _sop_cj(gains: LinkGains, params: SystemParams, k: int) -> float:
+    """Cooperative-jamming outage when the relay eavesdrops on the best of K
+    receive antennas and transmits on it, with no second-hop CSI; K = 1 is
+    the single-antenna relay.
+
+    With x = z / gamma_rb the second-hop gain is a unit exponential, so the
+    integrand decays on the unit scale the quadrature maps with.  Outage
+    is certain below the threshold t; above it, the outage probability
+    given x is (-expm1(-c / (gamma_ar phi)))^K, which never forms one minus
+    a number close to one:
+
+        SOP = -expm1(-t/gamma_rb)
+              + int_{t/gamma_rb}^inf (-expm1(-c / (gamma_ar phi(gamma_rb x))))^K e^{-x} dx.
+
+    At zero rate c = 0 and only the first term remains, a function of the
+    threshold alone, so the zero-rate complement 1 - P(positive secrecy)
+    pins t; the validation suite shows there that the paper's printed root
+    constant is wrong.
+    """
     coef = derived_coefficients(gains, params)
     c = 2.0 ** (2.0 * params.rate) - 1.0
     gar, grb = gains.gamma_ar, gains.gamma_rb
-    t = coef.t
-    scale = max(1.0, grb)
+    head = -math.expm1(-coef.t / grb)
+    if c == 0.0:
+        return head
 
-    def integrand(v: float) -> float:
-        z = scale * v
-        phi = coef.phi(z)
-        if phi <= 0.0 or c == 0.0:
-            return 0.0
-        # (1 - e^{-x})^K in log form, so nothing cancels for any K.
-        x = c / (gar * phi)
-        return math.exp(k * math.log(-math.expm1(-x)) - z / grb)
+    def integrand(x: float) -> float:
+        phi = coef.phi(grb * x)
+        if phi <= 0.0:  # at t itself, up to rounding
+            return math.exp(-x)
+        # A power, not exp(K log(...)): a base that underflows gives 0.
+        return (-math.expm1(-c / (gar * phi))) ** k * math.exp(-x)
 
-    focus = None
-    if c > 0.0 and k > 1:
-        # The K-th power turns on over a narrow layer above t; anchor subdivision
-        # where the exponent argument x = c / (gamma_ar phi) passes ~log K and ~1.
-        focus = [threshold_t(gains, params, c / (gar * x)) / scale for x in (4.0 * (1.0 + math.log(k)), 1.0, 0.05)]
-    integral = specfun.integrate_semi_infinite(integrand, t / scale, focus=focus)
-    head = -math.expm1(-t / grb)
-    return min(1.0, max(0.0, head + integral * (scale / grb)))
+    # The outage given x turns on over a narrow layer above t; anchor
+    # subdivision where the exponent c / (gamma_ar phi) passes 4(1 + ln K),
+    # 1 and each decade down to 1e-4.
+    focus = [threshold_t(gains, params, c / (gar * exponent)) / grb
+             for exponent in (4.0 * (1.0 + math.log(k)), 1.0, 0.1, 0.01, 1e-3, 1e-4)]
+    integral = specfun.integrate_semi_infinite(integrand, coef.t / grb, focus=focus)
+    return min(1.0, max(0.0, head + integral))
+
+
+def sop_cj_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
+    """Cooperative-jamming outage with best-receive-antenna selection and no
+    second-hop CSI at the relay, which transmits on its receive antenna."""
+    return _sop_cj(gains, params, params.k_antennas)
 
 
 def _cj_full_array_floor(gains: LinkGains, params: SystemParams) -> float:

@@ -259,8 +259,7 @@ CHECKS: tuple[Check, ...] = (
           _printed_cj_threshold),
     Check("integration threshold solves phi(t) = 0", _threshold_root),
     # The af_select_csi reduction also pins the index range of the selection sum.
-    *(_reduction(form, 1e-9)
-      for form in ("dt_multi", "dt_select", "af_select_csi", "af_select_nocsi", "cj_select_nocsi")),
+    *(_reduction(form, 1e-9) for form in ("dt_select", "af_select_csi", "af_select_nocsi")),
     _reduction("af_multi", 1e-6),
     Check("calibration: closed forms match Monte Carlo", _calibration),
     _limit("high-SNR AF limit consistent with exact expression",

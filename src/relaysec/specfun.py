@@ -161,7 +161,7 @@ def integrate_semi_infinite(
     summed estimate falls to max(ABS_TOL, REL_TOL*|I|) or there are
     ``MAX_SUBDIVISIONS`` subintervals.  No node lies beyond lower + 2^53,
     and the error estimate cannot see mass there, so f must decay on the
-    unit scale: every caller integrates a gain in units of its mean or more.
+    unit scale: every caller integrates a gain in units of its mean.
 
     ``focus`` lists z values where the integrand changes character (sharp
     transition layers); subdivision starts at these points so narrow

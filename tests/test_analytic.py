@@ -244,6 +244,22 @@ def strong_second_hop_settings(n, seed):
         yield LinkGains(*(db_to_linear(v) for v in gains_db)), params
 
 
+def weak_second_hop_settings(n, seed):
+    """Selection-CJ settings with a second hop of 1e-10 to 0.3, a first hop
+    within three decades of it, and rho within a decade of
+    (gamma_ar + gamma_rb) / gamma_rb^2, where the threshold t is of the
+    order of gamma_rb, so both terms of the outage count."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        grb = float(10.0 ** rng.uniform(-10.0, math.log10(0.3)))
+        gar = grb * float(10.0 ** rng.uniform(-3.0, 3.0))
+        rho = (gar + grb) / grb ** 2 * float(10.0 ** rng.uniform(-1.0, 1.0))
+        gains = LinkGains(db_to_linear(rng.uniform(-10.0, 30.0)), gar, grb)
+        params = SystemParams(rho=rho, rate=float(rng.uniform(0.05, 4.0)),
+                              k_antennas=int(rng.choice([1, 2, 8, 64])), scheme=CJ_SEL_NOCSI)
+        yield gains, params
+
+
 def random_settings(n, seed, k_max=1):
     rng = np.random.default_rng(seed)
     for _ in range(n):
@@ -381,12 +397,6 @@ class TestCooperativeJammingSingle:
 
 
 class TestMultiAntennaDirect:
-    def test_single_antenna_reduction(self):
-        for gains, params in random_settings(10, seed=4):
-            assert analytic.sop_dt_multi(gains, params) == pytest.approx(
-                analytic.sop_dt_single(gains, params), abs=1e-12
-            )
-
     def test_large_array_saturates(self, fig6_gains):
         params = SystemParams(rho=db_to_linear(30.0), rate=0.1, k_antennas=100)
         assert analytic.sop_dt_multi(fig6_gains, params) > 1.0 - 1e-6
@@ -558,29 +568,29 @@ class TestSelectionCooperativeJamming:
         params = SystemParams(rho=db_to_linear(85.25), rate=9.37, k_antennas=8, scheme=CJ_SEL_NOCSI)
         assert analytic.sop_cj_select_nocsi(gains, params) == pytest.approx(0.00140039763954897, rel=1e-6)
 
-    def test_strong_second_hops_meet_the_tolerance(self):
-        # Integrated in z, the first point returned 0.00295 and the second
-        # 0.00631, without raising.  Each setting must return a value within
-        # the quadrature's tolerance of the oracle, or raise.
-        settings = [
+    def test_second_hops_at_both_ends_meet_the_tolerance(self):
+        # Integrated in z, the first two points returned 0.00295 and 0.00631.
+        # Integrated in units of max(1, gamma_rb), the next four returned
+        # 0.9280969964, 0.999956134758, 0.002378228166 and 0.003516497956: a
+        # second hop below 1 decayed faster than the quadrature's unit scale,
+        # and the last two lost mass on a layer no focus point marked.  None
+        # raised.  Each setting must return a value within the quadrature's
+        # tolerance of the oracle.
+        pinned = [
             (LinkGains(*(db_to_linear(v) for v in gains_db)),
              SystemParams(rho=db_to_linear(rho_db), rate=rate, k_antennas=k, scheme=CJ_SEL_NOCSI))
             for gains_db, rho_db, rate, k in (((43.08, 19.55, 137.11), 32.79, 10.39, 8),
-                                              ((30.03, 9.89, 169.50), 83.64, 13.13, 64))
+                                              ((30.03, 9.89, 169.50), 83.64, 13.13, 64),
+                                              ((2.42, -35.38, -36.92), 35.50, 0.057, 8),
+                                              ((-2.43, -11.71, -42.86), 54.99, 0.166, 1),
+                                              ((38.42, 33.20, 21.66), 50.13, 1.244, 2),
+                                              ((8.74, 19.46, 5.42), 58.79, 0.156, 2))
         ]
-        for gains, params in [*settings, *strong_second_hop_settings(10, seed=0)]:
+        for gains, params in [*pinned, *strong_second_hop_settings(10, seed=0),
+                              *weak_second_hop_settings(8, seed=1)]:
             exact = cj_select_nocsi_mp_oracle(gains, params)
-            try:
-                value = analytic.sop_cj_select_nocsi(gains, params)
-            except ConvergenceError:
-                continue
+            value = analytic.sop_cj_select_nocsi(gains, params)
             assert abs(value - exact) <= max(specfun.ABS_TOL, specfun.REL_TOL * exact), (gains, params, value, exact)
-
-    def test_single_antenna_reduction(self):
-        for gains, params in random_settings(10, seed=11):
-            assert analytic.sop_cj_select_nocsi(gains, params) == pytest.approx(
-                analytic.sop_cj_single(gains, params), abs=1e-9
-            )
 
     def test_large_k_floor(self, fig6_gains):
         params = SystemParams(rho=db_to_linear(30.0), rate=0.1, k_antennas=64, scheme=CJ_SEL_NOCSI)

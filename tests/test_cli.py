@@ -660,6 +660,18 @@ class TestTracedNames:
         # The tracer binds the sampler's arguments by name to key its draws.
         assert list(inspect.signature(model.sample_channel_block).parameters) == ["k", "seed", "chunk_index", "n"]
 
+    def test_closed_forms_call_no_public_closed_form(self):
+        # The tracer counts each public closed form per call, so one that
+        # calls another counts a single evaluation twice; shared bodies
+        # stay private.
+        tree = ast.parse(Path(inspect.getfile(analytic)).read_text())
+        forms = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name.startswith("sop_")}
+        named = {name: sorted({node.id for node in ast.walk(body)
+                               if isinstance(node, ast.Name) and node.id in forms} - {name})
+                 for name, body in forms.items()}
+        assert len(forms) == 9 and not any(named.values()), named
+
 
 class TestStdoutIsCsv:
     """Progress, agreement and allocation lines go to stderr: stdout holds
