@@ -25,6 +25,7 @@ function of the link gains and the system parameters.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 from . import specfun
@@ -260,8 +261,14 @@ def _sop_cj(gains: LinkGains, params: SystemParams, k: int) -> float:
     if c == 0.0:
         return head
 
+    rho, two2r = params.rho, 2.0 ** (2.0 * params.rate)
+    x_top = 0.5 * sys.float_info.max / grb if grb > 1.0 else math.inf  # gamma_rb x is finite below it
+
     def integrand(x: float) -> float:
-        phi = coef.phi(grb * x)
+        if x < x_top:
+            phi = coef.phi(grb * x)
+        else:  # phi(gamma_rb x) in units of x, with s / gamma_rb = 1 + mu1
+            phi = rho / (1.0 + (1.0 + coef.mu1) / x) - (two2r / grb) / (x + (1.0 / rho) / grb)
         if phi <= 0.0:  # at t itself, up to rounding
             return math.exp(-x)
         # A power, not exp(K log(...)): a base that underflows gives 0.

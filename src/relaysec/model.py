@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -485,11 +486,11 @@ def block_scope() -> Iterator[None]:
     leaves K alone, gains and SNR axes alike, or the candidates of a
     power search).  ``BLOCK_STORE_BYTES`` bounds the streams' normals and
     the kept blocks' n-vectors and features together, first come, first
-    kept, so the leading chunks of a sequential scan stay.  A request whose growth does not fit leaves the stream as it
-    is, a kept head, and builds its block from an unkept copy of the head
-    that draws only the antennas the head lacks (from a fresh stream where
-    the chunk has no head); a feature that does not fit is computed again
-    on each use.
+    kept, so the leading chunks of a sequential scan stay.  A request whose
+    growth does not fit leaves the stream as it is, a kept head, and builds
+    its block from an unkept copy of the head that draws only the antennas
+    the head lacks (from a fresh stream where the chunk has no head); a
+    feature that does not fit is computed again on each use.
 
     Inside an open scope this is a no-op, so a search run from a figure
     point shares the figure's store.  The store is dropped, with
@@ -542,9 +543,11 @@ def threshold_t(gains: LinkGains, params: SystemParams, level: float = 0.0) -> f
     - s (T + y/rho) = 0, T = 2^{2R}, s = gamma_ar + gamma_rb + 1/rho; at y = 0
     the paper prints 2 for the 4 in its discriminant's 4*rho*T*s.  The root
     u + hypot(u, 2^R sqrt(s (1 + y/(rho T)) / (rho - y))), u = (T - 1 + y (s +
-    1/rho)) / (2 (rho - y)), overflows only where it is out of range, while the
-    discriminant's squared linear term overflows above R = 256.  An infinite s
-    puts the root at inf; no term in y forms 0 * inf at level 0.
+    1/rho)) / (2 (rho - y)), is taken again in units of s where y s or
+    s / (rho - y) passes the float range, so it overflows only where it is
+    out of range, while the discriminant's squared linear term overflows
+    above R = 256.  An infinite s puts the root at inf; no term in y forms
+    0 * inf at level 0.
     """
     rho = params.rho
     s = gains.gamma_ar + gains.gamma_rb + 1.0 / rho
@@ -553,7 +556,12 @@ def threshold_t(gains: LinkGains, params: SystemParams, level: float = 0.0) -> f
     two2r = 2.0 ** (2.0 * params.rate)
     a = rho - level
     u = (two2r - 1.0 + level * s + level / rho) / (2.0 * a)
-    return u + math.hypot(u, 2.0 ** params.rate * math.sqrt(s * (1.0 + level / (rho * two2r)) / a))
+    t = u + math.hypot(u, 2.0 ** params.rate * math.sqrt(s * (1.0 + level / (rho * two2r)) / a))
+    if t < math.inf:
+        return t
+    # The same root in units of s, where level s or s / a passed the float range.
+    u = ((two2r - 1.0) / s + level * (1.0 + 1.0 / (rho * s))) / (2.0 * a)
+    return s * (u + math.hypot(u, 2.0 ** params.rate * math.sqrt((1.0 + level / (rho * two2r)) / (a * s))))
 
 
 def derived_coefficients(gains: LinkGains, params: SystemParams) -> DerivedCoefficients:
@@ -567,8 +575,14 @@ def derived_coefficients(gains: LinkGains, params: SystemParams) -> DerivedCoeff
     beta2 = 1.0 + gains.gamma_ar / (c * gains.gamma_ar + gains.gamma_ab)
     s = gains.gamma_ar + gains.gamma_rb + 1.0 / rho
 
+    # Below z_big neither rho z nor z + s can overflow.  From there on, and
+    # at z = inf, where phi takes its limit rho, its first term is rho / (1 + s / z).
+    z_big = 0.5 * min(sys.float_info.max / max(1.0, rho), sys.float_info.max - s)
+
     def phi(z: float) -> float:
-        return rho * z / (z + s) - two2r / (z + 1.0 / rho)
+        if z < z_big:
+            return rho * z / (z + s) - two2r / (z + 1.0 / rho)
+        return rho / (1.0 + s / z) - two2r / (z + 1.0 / rho)
 
     return DerivedCoefficients(
         mu1=mu1,

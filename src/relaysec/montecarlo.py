@@ -1,8 +1,12 @@
 """Monte Carlo estimation of secrecy outage probabilities.
 
-The simulator samples fading realizations, evaluates the per-scheme mutual
-information expressions directly from the signal model (independently of
-the closed forms), and counts outage events.  Trials are processed in
+The simulator samples fading realizations, evaluates the per-scheme
+signal-to-noise ratios directly from the signal model (independently of
+the closed forms), and counts outage events.  A trial is in outage where
+its secrecy rate pre * log2((1 + S_B) / (1 + S_R)) falls below the target
+rate R, which is decided in the SNR domain as 2^{-R/pre} (1 + S_B) <
+1 + S_R, with no logarithm per trial; for the two-phase schemes 2^{R/pre}
+is the closed forms' T = 2^{2R}.  Trials are processed in
 chunks of ``CHUNK_SIZE`` whose random streams are keyed by (seed, chunk
 index), so an estimate is a pure function of (seed, trials) no matter how
 many workers execute the chunks.  Within one sweep point all schemes
@@ -66,29 +70,34 @@ _MARGIN_ROWS = 8192
 
 
 def rate_margins_block(block: ChannelBlock, gains: LinkGains, params: SystemParams) -> np.ndarray:
-    """Unclipped secrecy-rate margins I_B - I_R for a block of fading draws.
+    """Outage flags for a block of fading draws: True where the secrecy-rate
+    margin I_B - I_R falls below the target rate R.
 
-    The margin (which may be negative) drives the outage count, so that a
-    zero target rate recovers the complement of the positive-secrecy
-    probability; the achievable rate itself is the margin clipped at zero.
-    Each is one logarithm, pre * log2((1 + S_B) / (1 + S_R)) in bits, of
-    Bob's and the relay's SNRs; two-phase schemes (AF, CJ) carry the
-    pre-log 1/2, direct transmission 1.  Node power fractions scale the
-    respective transmit powers, with the relay's statistical normalization
-    tracking the actual received power (signal, jamming, noise).  The
-    formulas run on row tiles of the block's features, so their
-    temporaries stay small.
+    The margin pre * log2((1 + S_B) / (1 + S_R)), of Bob's and the relay's
+    SNRs, is never formed: two-phase schemes (AF, CJ) carry the pre-log
+    1/2, direct transmission 1, and the margin lies below R exactly when
+    2^{-R/pre} (1 + S_B) < 1 + S_R.  For the two-phase schemes 2^{R/pre} is
+    the closed forms' T = 2^{2R}.  The factor scales Bob's side: the
+    relay's side scaled by 2^{R/pre} would overflow as R nears 512.  The
+    margin is not clipped, so a zero target rate counts the complement of
+    the positive-secrecy probability.  The function keeps the margin's
+    name on purpose: the benchmark's tracer times the margin layer under
+    it.  Node power fractions scale the respective transmit powers, with
+    the relay's statistical normalization tracking the actual received
+    power (signal, jamming, noise).  Each row tile of the block's features
+    is decided on its own, so the temporaries stay small.
     """
     if block.k != params.k_antennas:
         raise ValueError(f"block has {block.k} antennas, params expect {params.k_antennas}")
     features = block.features(*_reads(params.scheme, block.k))
+    bob_scale = 2.0 ** (-params.rate if params.scheme.scheme is Scheme.DT else -2.0 * params.rate)
     n = block.h_ab.shape[0]
     if n <= _MARGIN_ROWS:
-        return _rates(gains, params, *features)
-    margins = np.empty(n)
+        return np.less(*_rates(gains, params, bob_scale, *features))
+    outage = np.empty(n, dtype=bool)
     for rows in row_tiles(n, _MARGIN_ROWS):
-        margins[rows] = _rates(gains, params, *[feature[rows] for feature in features])
-    return margins
+        np.less(*_rates(gains, params, bob_scale, *[feature[rows] for feature in features]), out=outage[rows])
+    return outage
 
 
 @functools.cache
@@ -121,21 +130,23 @@ def _reads(scheme: SchemeId, k: int) -> tuple:
     return ("g_ab", hop1, hop2) if scheme.scheme is Scheme.AF else (hop1, hop2, jam, *orthogonal)
 
 
-def _rates(gains: LinkGains, params: SystemParams, *features: np.ndarray) -> np.ndarray:
-    """The margin pre * log2((1 + S_B) / (1 + S_R)) from the features
-    ``_reads`` names, for one row tile.
+def _rates(
+    gains: LinkGains, params: SystemParams, bob_scale: float, *features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair ``bob_scale`` (1 + S_B) and 1 + S_R, up to a common positive
+    factor per trial, from the features ``_reads`` names, for one row tile.
 
     The features are of unit-mean fading; this is the one place that
-    knows the link gains, each folded into a scalar factor.  One
-    expression per scheme serves the full array and selection: the relay
-    normalizes its forwarded power over m antennas, m = K for the full
-    array and m = 1 under selection.  CJ's eavesdropping SINR has one law,
-    one antenna's SINR against the jamming on the antenna gains read; on
-    an array of K > 1 the relay's max-SINR (MMSE) receiver adds the first
-    hop's gain orthogonal to the jamming, which the jamming does not dim.
-    A relay without power forwards nothing.  The ratio is built in place
-    in two temporaries, ``bob`` and ``relay``, 1 + S_B and 1 + S_R up to a
-    common factor, and takes the one logarithm.
+    knows the link gains, each folded into a scalar factor, as is
+    ``bob_scale`` for DT and AF.  One expression per scheme serves the full
+    array and selection: the relay normalizes its forwarded power over m
+    antennas, m = K for the full array and m = 1 under selection.  CJ's
+    eavesdropping SINR has one law, one antenna's SINR against the jamming
+    on the antenna gains read; on an array of K > 1 the relay's max-SINR
+    (MMSE) receiver adds the first hop's gain orthogonal to the jamming,
+    which the jamming does not dim.  A relay without power forwards
+    nothing.  Each side is built in place in one temporary, with no
+    logarithm and no division but AF's amplification.
     """
     rho = params.rho
     a = params.power.frac_alice
@@ -148,18 +159,25 @@ def _rates(gains: LinkGains, params: SystemParams, *features: np.ndarray) -> np.
     if scheme is Scheme.CJ:
         # Cooperative jamming: the destination forfeits the direct link and
         # jams during the first phase, then cancels its own interference.
-        # Each SNR's denominator moves to the other side of the ratio, which
-        # saves two divisions: ``bob`` starts as the interference I = j
-        # gamma_rb S_jam + 1/rho, in units of noise, and ``relay`` as
-        # I (1 + S_R) = I + a gamma_ar (S_ar + j rho gamma_rb Q), with the
-        # orthogonal gain Q = |h_ar|^2 |h_rb|^2 - |h_rb^H h_ar|^2 on an array.
+        # Each SNR's denominator moves to the other side, so neither side
+        # divides: ``bob`` starts as the interference I = j gamma_rb S_jam +
+        # 1/rho, in units of noise, and ``relay`` as I (1 + S_R) = I +
+        # a gamma_ar (S_ar + j rho gamma_rb Q), with the orthogonal gain
+        # Q = |h_ar|^2 |h_rb|^2 - |h_rb^H h_ar|^2 on an array.  Both sides
+        # are divided by j gamma_rb + 1/rho, which leaves I = w S_jam + quiet
+        # with u = j rho gamma_rb, quiet = 1 / (1 + u) and w = u quiet (taken
+        # as 1 - quiet from u = 1 on, which also holds at u = inf), so the
+        # sides stay finite as gamma_rb nears the top of the float range.
         hop1, hop2, jam, *orthogonal = features
-        bob = np.multiply(jam, j * gains.gamma_rb)
-        bob += 1.0 / rho
-        relay = np.multiply(hop1, a * gains.gamma_ar)
+        u = j * rho * gains.gamma_rb
+        quiet = 1.0 / (1.0 + u)
+        w = 1.0 - quiet if u > 1.0 else u * quiet
+        bob = np.multiply(jam, w)
+        bob += quiet
+        relay = np.multiply(hop1, g_ar_scale * quiet)
         relay += bob
         for q in orthogonal:
-            relay += q * (a * gains.gamma_ar * j * rho * gains.gamma_rb)
+            relay += q * (g_ar_scale * w)
         if r > 0.0:
             # 1 + S_B = (floor + forwarded) / floor.
             floor = np.add(hop2, (((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb + (j / r) * m))
@@ -168,23 +186,20 @@ def _rates(gains: LinkGains, params: SystemParams, *features: np.ndarray) -> np.
             forwarded += floor
             bob *= forwarded
             relay *= floor
+        bob *= bob_scale
     else:
         g_ab, hop1 = features[:2]
-        bob = np.multiply(g_ab, a * rho * gains.gamma_ab)
-        bob += 1.0
+        bob = np.multiply(g_ab, a * rho * gains.gamma_ab * bob_scale)
+        bob += bob_scale
         if scheme is Scheme.AF and r > 0.0:
             hop2 = features[2]
-            forwarded = np.multiply(hop2, g_ar_scale)
+            forwarded = np.multiply(hop2, g_ar_scale * bob_scale)
             forwarded *= hop1
             forwarded /= np.add(hop2, ((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb)
             bob += forwarded
         relay = np.multiply(hop1, g_ar_scale)
         relay += 1.0
-    bob /= relay
-    np.log2(bob, out=bob)
-    if scheme is not Scheme.DT:
-        bob *= 0.5
-    return bob
+    return bob, relay
 
 
 def _map_chunks(run_chunk: Callable[[int, int], object], mc: McConfig) -> list:
@@ -195,8 +210,10 @@ def _map_chunks(run_chunk: Callable[[int, int], object], mc: McConfig) -> list:
     come back in chunk order either way, so totals do not depend on
     scheduling.
     """
+    if mc.trials <= CHUNK_SIZE:
+        return [run_chunk(0, mc.trials)]
     sizes = [min(CHUNK_SIZE, mc.trials - start) for start in range(0, mc.trials, CHUNK_SIZE)]
-    if mc.workers == 1 or len(sizes) == 1:
+    if mc.workers == 1:
         return [run_chunk(idx, n) for idx, n in enumerate(sizes)]
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=mc.workers) as pool:
@@ -210,19 +227,19 @@ def _count_many(
 ) -> list[int]:
     """Outage counts for several schemes on shared draws."""
     k = params_list[0].k_antennas
-    if any(p.k_antennas != k for p in params_list):
-        raise ValueError("shared-draw evaluation requires a common antenna count")
-
     # Several schemes compute every feature they read in one pass of row
     # tiles; a lone scheme computes its own in rate_margins_block.
     shared = ()
     if len(params_list) > 1:
+        if any(p.k_antennas != k for p in params_list):
+            raise ValueError("shared-draw evaluation requires a common antenna count")
         shared = dict.fromkeys(name for params in params_list for name in _reads(params.scheme, k))
 
     def run_chunk(idx: int, n: int) -> list[int]:
         block = sample_channel_block(k, mc.seed, idx, n)
-        block.features(*shared)
-        return [int(np.count_nonzero(rate_margins_block(block, gains, p) < p.rate)) for p in params_list]
+        if shared:
+            block.features(*shared)
+        return [int(np.count_nonzero(rate_margins_block(block, gains, p))) for p in params_list]
 
     return [sum(counts) for counts in zip(*_map_chunks(run_chunk, mc))]
 

@@ -30,11 +30,9 @@ FRACTION_FLOOR = 0.05  # zero-power corners degenerate (jam-free CJ is not CJ)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 0.01  # fraction-space resolution of the refinement stage
 
-_ACTIVE_COORDS = {
-    Scheme.DT: ("frac_alice",),
-    Scheme.AF: ("frac_alice", "frac_relay"),
-    Scheme.CJ: ("frac_alice", "frac_relay", "frac_bob_jam"),
-}
+# The nodes each scheme powers: that many leading fields of PowerAllocation
+# (frac_alice, frac_relay, frac_bob_jam); the others keep full power.
+_ACTIVE_NODES = {Scheme.DT: 1, Scheme.AF: 2, Scheme.CJ: 3}
 
 
 def minimize_sop(
@@ -69,8 +67,7 @@ def _search(
 ) -> tuple[PowerAllocation, SopEstimate]:
     check_search(grid_step, constraint)
 
-    coords = _ACTIVE_COORDS[params.scheme.scheme]
-    n_active = len(coords)
+    n_active = _ACTIVE_NODES[params.scheme.scheme]
     budget = 1.0 if constraint == "total" else None
 
     def feasible(values: tuple[float, ...]) -> bool:
@@ -81,15 +78,12 @@ def _search(
     cache: dict[tuple[float, ...], SopEstimate] = {}
 
     def at_power(values: tuple[float, ...]) -> SystemParams:
-        # Inactive nodes keep their default full power.  Two constructor
-        # calls, where dataclasses.replace inspects the fields each time.
-        power = PowerAllocation(**dict(zip(coords, values)))
-        return SystemParams(
-            rho=params.rho, k_antennas=params.k_antennas, rate=params.rate, scheme=params.scheme, power=power
-        )
+        # Two constructor calls, where dataclasses.replace inspects the
+        # fields each time.
+        return SystemParams(params.rho, params.k_antennas, params.rate, params.scheme, PowerAllocation(*values))
 
     def estimate(values: tuple[float, ...]) -> SopEstimate:
-        key = tuple(round(v, 6) for v in values)
+        key = tuple([round(v, 6) for v in values])
         if key not in cache:
             cache[key] = estimate_sop(gains, at_power(key), mc)
         return cache[key]
@@ -128,7 +122,7 @@ def _search(
         full = (1.0,) * n_active
         if objective(full) < objective(best_values):
             best_values = full
-    allocation = PowerAllocation(**{coord: round(v, 6) for coord, v in zip(coords, best_values)})
+    allocation = PowerAllocation(*[round(v, 6) for v in best_values])
     return allocation, estimate(best_values)
 
 

@@ -1,11 +1,12 @@
 """Shared fixtures: the standard figure settings, the (scheme, mode) pairs, a
 one-trial channel builder, and block helpers for oracles: a block of given
-coefficients, a block's relay coefficients in full, and Lagrange's identity."""
+coefficients, a block's relay coefficients in full, Lagrange's identity, and
+the kernel's secrecy-rate margins in bits."""
 
 import numpy as np
 import pytest
 
-from relaysec import LinkGains, db_to_linear
+from relaysec import LinkGains, db_to_linear, montecarlo
 from relaysec.model import ChannelBlock, Scheme, SchemeId, SelectionMode
 
 # The eight (scheme, mode) pairs; DT has no second hop, so no DT no-CSI variant.
@@ -67,6 +68,16 @@ def wedge(h: np.ndarray, g: np.ndarray) -> np.ndarray:
         outer = h[start:start + rows, :, None] * g[start:start + rows, None, :]
         wedges.append(0.5 * np.sum(np.abs(outer - outer.transpose(0, 2, 1)) ** 2, axis=(1, 2)))
     return np.concatenate(wedges)
+
+
+def rate_margins(block: ChannelBlock, gains: LinkGains, params) -> np.ndarray:
+    """The kernel's secrecy-rate margins I_B - I_R in bits, pre * log2(bob /
+    relay) of the pair ``montecarlo._rates`` builds from the block's
+    features: the margins whose comparison with the target rate
+    ``rate_margins_block`` decides without forming them."""
+    features = block.features(*montecarlo._reads(params.scheme, block.k))
+    bob, relay = montecarlo._rates(gains, params, 1.0, *features)
+    return (1.0 if params.scheme.scheme is Scheme.DT else 0.5) * np.log2(bob / relay)
 
 
 def _one_trial_block(h_ab, h_ar, h_rb, tx_pick=0) -> ChannelBlock:

@@ -715,6 +715,19 @@ class TestRegressionPoints:
             }[form]
         assert value == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("grb_db", [3070.0, 3080.0, 3082.5])
+    @pytest.mark.parametrize("form,k", [("sop_cj_single", 1), ("sop_cj_select_nocsi", 4)])
+    def test_cj_at_the_top_of_the_float_range(self, form, k, grb_db):
+        # From gamma_rb = 1e307 on, rho z and z + s overflow inside the
+        # integral, where phi(z) read inf or inf / inf, then gamma_rb x
+        # itself, and the threshold's y s and s / (rho - y); the outage is
+        # the one at gamma_rb = 1e300 up to terms of order 1 / gamma_rb.
+        for rho_db in (-3.0, 20.0, 40.0):
+            params = SystemParams(rho=db_to_linear(rho_db), k_antennas=k)
+            top, reference = (getattr(analytic, form)(LinkGains(1.0, 1.0, db_to_linear(db)), params)
+                              for db in (grb_db, 3000.0))
+            assert top == pytest.approx(reference, abs=2.0 * max(specfun.ABS_TOL, specfun.REL_TOL * reference)), rho_db
+
     def test_af_select_nocsi_k58(self):
         gains, params = self._point(58, (16.38, 14.36, -30.81), 55.72, 3.754)
         assert analytic.sop_af_select_nocsi(gains, params) == pytest.approx(

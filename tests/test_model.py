@@ -1,7 +1,8 @@
 """Domain types, fading statistics, and the beamforming/selection rules.
 
-The rules are checked through ``rate_margins_block``, the one signal model:
-each hand-built trial's margin must equal the one computed by hand."""
+The rules are checked through the margins of ``montecarlo._rates``, the one
+signal model (``conftest.rate_margins``): each hand-built trial's margin must
+equal the one computed by hand."""
 
 import math
 import weakref
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import hop, wedge
+from conftest import hop, rate_margins, wedge
 from relaysec import McConfig, model, montecarlo
 from relaysec.model import (
     LinkGains,
@@ -26,12 +27,12 @@ from relaysec.model import (
     sample_channel_block,
     threshold_t,
 )
-from relaysec.montecarlo import estimate_sop, rate_margins_block
+from relaysec.montecarlo import estimate_sop
 
 
 def _margin(block, gains, params) -> float:
     """The secrecy-rate margin of a one-trial block."""
-    [margin] = rate_margins_block(block, gains, params)
+    [margin] = rate_margins(block, gains, params)
     return float(margin)
 
 
@@ -260,7 +261,7 @@ class TestSampling:
         fresh, sizes = [], []
         for idx in range(6):
             block = sample_channel_block(k, 1, idx, n)
-            fresh.append([rate_margins_block(block, gains, p) for p in params])
+            fresh.append([rate_margins(block, gains, p) for p in params])
             sizes.append((block.nbytes, sum(v.nbytes for v in block._memo.values())))
         (held, features), = set(sizes)
         stream = model._Stream.nbytes(n, k)
@@ -274,7 +275,7 @@ class TestSampling:
                 for idx in range(6):
                     block = sample_channel_block(k, 1, idx, n)
                     for p, want in zip(params, fresh[idx]):
-                        assert np.array_equal(rate_margins_block(block, gains, p), want)
+                        assert np.array_equal(rate_margins(block, gains, p), want)
                     assert store.nbytes <= bound
             kept = {key[1]: s.kept for key, s in store.streams.items() if s.kept is not None}
             assert len(store.streams) == 6
@@ -437,8 +438,8 @@ class TestAntennaSelection:
         for scheme in all_schemes:
             params = SystemParams(rho=20.0, k_antennas=5, scheme=scheme)
             np.testing.assert_allclose(
-                rate_margins_block(block, scaled_gains, replace(params, rho=20.0 / (c * c))),
-                rate_margins_block(block, gains, params),
+                rate_margins(block, scaled_gains, replace(params, rho=20.0 / (c * c))),
+                rate_margins(block, gains, params),
                 rtol=1e-10, atol=1e-12,
             )
 
@@ -522,7 +523,7 @@ class TestMmseSinr:
         sum_a = np.sum(np.abs(hop(block, "h_ar")) ** 2, axis=1)
         sum_b = np.sum(np.abs(hop(block, "h_rb")) ** 2, axis=1)
         i_b = 0.5 * np.log2(1.0 + rho * sum_b * sum_a / (sum_b + 3.0 + 3.0 + 3.0 / rho))
-        margins = rate_margins_block(block, gains, SystemParams(rho=rho, k_antennas=3, scheme=SchemeId(Scheme.CJ)))
+        margins = rate_margins(block, gains, SystemParams(rho=rho, k_antennas=3, scheme=SchemeId(Scheme.CJ)))
         assert np.all(margins <= i_b + 1e-12)
         assert np.all(margins >= i_b - 0.5 * np.log2(1.0 + rho * sum_a) - 1e-12)
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 from dataclasses import fields, replace
 
 import mpmath
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import hop, wedge
+from conftest import hop, rate_margins, wedge
 from relaysec import LinkGains, McConfig, SchemeId, SystemParams, db_to_linear
 from relaysec import analytic, model, montecarlo
 from relaysec.cli import main
@@ -143,7 +144,7 @@ class TestKernelOracles:
                 block = sample_channel_block(k, seed=int(rng.integers(1 << 32)), chunk_index=case, n=16)
                 expected = [_dense_margin(block, i, gains, params, noise) for i in range(16)]
                 np.testing.assert_allclose(
-                    rate_margins_block(block, gains, params), expected, rtol=1e-10, atol=1e-12,
+                    rate_margins(block, gains, params), expected, rtol=1e-10, atol=1e-12,
                     err_msg=f"K = {k}, gains {gains}, {params.power}",
                 )
 
@@ -167,7 +168,7 @@ class TestKernelOracles:
                 relay = a * rho * g_ar * hop1 / (1 + j * rho * g_rb * hop2)
                 bob = a * rho * g_ar * hop1 * hop2 / (hop2 + (a * g_ar + j * g_rb + 1 / rho) / (r * g_rb)) if r else 0
                 expected.append(float(mpmath.log((1 + bob) / (1 + relay), 2) / 2))
-        np.testing.assert_allclose(rate_margins_block(block, gains, params), expected, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(rate_margins(block, gains, params), expected, rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("k", [2, 4, 8])
     @pytest.mark.parametrize("gains_db,rho_db", [((17.0, 46.3, 83.3), 67.9), ((0.0, 0.0, 30.0), 60.0)])
@@ -182,7 +183,7 @@ class TestKernelOracles:
         block = sample_channel_block(k, seed=41, chunk_index=k, n=4096)
         h_ar, h_rb = hop(block, "h_ar"), hop(block, "h_rb")
         cancellation = np.sum(np.abs(h_ar) ** 2, axis=1) * np.sum(np.abs(h_rb) ** 2, axis=1) / wedge(h_ar, h_rb)
-        error = np.abs(rate_margins_block(block, gains, params) - _two_log_margins(block, gains, params))
+        error = np.abs(rate_margins(block, gains, params) - _two_log_margins(block, gains, params))
         assert np.all(error <= 1e-13 + 4.0 * np.finfo(np.float64).eps * cancellation)
 
 
@@ -225,8 +226,9 @@ def _two_log_margins(block, gains, params) -> np.ndarray:
 
 
 class TestOneLogMargin:
-    """The kernel's one logarithm, pre * log2((1 + S_B) / (1 + S_R)), against
-    the two-logarithm reference."""
+    """The kernel's margins, one logarithm pre * log2((1 + S_B) / (1 + S_R))
+    of the pair ``_rates`` builds, and its outage flags, which compare the
+    pair with no logarithm, against the two-logarithm reference."""
 
     _POWERS = {
         "full": PowerAllocation(),
@@ -241,9 +243,40 @@ class TestOneLogMargin:
         params = SystemParams(rho=db_to_linear(15.0), k_antennas=k, scheme=scheme, power=self._POWERS[power])
         block = sample_channel_block(k, seed=23, chunk_index=k, n=4096)
         np.testing.assert_allclose(
-            rate_margins_block(block, fig8_gains, params), _two_log_margins(block, fig8_gains, params),
+            rate_margins(block, fig8_gains, params), _two_log_margins(block, fig8_gains, params),
             rtol=0.0, atol=1e-12,
         )
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_outage_flags_match_two_logarithms(self, scheme, k):
+        # The flags decide 2^{-R/pre} (1 + S_B) < 1 + S_R.  The rates reach
+        # R = 511, where 2^{R/pre} (1 + S_R) would overflow; the settings
+        # take each gain to +-100 dB and silence the relay or the jammer;
+        # 20,000 trials span three of the kernel's row tiles.
+        block = sample_channel_block(k, seed=43, chunk_index=k, n=20_000)
+        for which, db, silent in ((None, None, None), *TestKernelOracles._EXTREMES):
+            gains_db = [0.0, 0.0, 2.0]
+            if which is not None:
+                gains_db[which] = db
+            gains = LinkGains(*(db_to_linear(v) for v in gains_db))
+            params = SystemParams(rho=db_to_linear(15.0), k_antennas=k, scheme=scheme,
+                                  power=silent or PowerAllocation(0.7, 0.4, 0.6))
+            margins = _two_log_margins(block, gains, params)
+            for rate in (0.0, 0.1, 2.15, 511.0):
+                np.testing.assert_array_equal(
+                    rate_margins_block(block, gains, replace(params, rate=rate)), margins < rate,
+                    err_msg=f"{gains}, {params.power}, R = {rate}",
+                )
+
+    def test_estimates_take_no_logarithm(self, all_schemes, fig8_gains, monkeypatch):
+        def log2(*args, **kwargs):
+            raise AssertionError("the outage count took a logarithm")
+
+        monkeypatch.setattr(np, "log2", log2)
+        for scheme in all_schemes:
+            for k in (1, 3):
+                params = SystemParams(rho=db_to_linear(15.0), k_antennas=k, scheme=scheme)
+                assert 0.0 < estimate_sop(fig8_gains, params, McConfig(trials=4096, seed=3)).value < 1.0
 
     @pytest.mark.parametrize("figure", [1, 8])
     def test_outage_counts_match_two_logarithms(self, all_schemes, figure, fig1_gains, fig8_gains):
@@ -268,14 +301,14 @@ class TestSecrecyRate:
         gains = LinkGains(1.0, 1.0, 1.0)
         block = channel_block(1.0, [1.0], [0.5])
         params = SystemParams(rho=10.0, scheme=SchemeId(Scheme.DT))
-        assert rate_margins_block(block, gains, params)[0] == 0.0
+        assert rate_margins(block, gains, params)[0] == 0.0
 
     def test_margin_is_not_clipped(self, channel_block):
         gains = LinkGains(1.0, 1.0, 1.0)
         block = channel_block(0.1, [2.0], [0.5])  # eavesdropper much stronger
         params = SystemParams(rho=10.0, scheme=SchemeId(Scheme.DT))
         # Kept negative so that a zero target rate still counts it as an outage.
-        assert rate_margins_block(block, gains, params)[0] == pytest.approx(math.log2(1.1 / 41.0), rel=1e-12)
+        assert rate_margins(block, gains, params)[0] == pytest.approx(math.log2(1.1 / 41.0), rel=1e-12)
 
     def test_af_without_relay_path(self, channel_block):
         gains = LinkGains(1.0, 1.0, 1.0)
@@ -285,14 +318,14 @@ class TestSecrecyRate:
         params = SystemParams(rho=rho, scheme=SchemeId(Scheme.AF))
         hab2, har2 = abs(h_ab) ** 2, abs(h_ar) ** 2
         expected = 0.5 * math.log2((1 + rho * hab2) / (1 + rho * har2))
-        assert rate_margins_block(block, gains, params)[0] == pytest.approx(expected, abs=1e-12)
+        assert rate_margins(block, gains, params)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_cj_scalar_formulas(self):
         gains = LinkGains(1.3, 0.8, 2.1)
         rho = 17.0
         params = SystemParams(rho=rho, scheme=SchemeId(Scheme.CJ))
         block = sample_channel_block(1, seed=1, chunk_index=0, n=10)
-        margins = rate_margins_block(block, gains, params)
+        margins = rate_margins(block, gains, params)
         for margin, h_ar, h_rb in zip(margins, hop(block, "h_ar")[:, 0], hop(block, "h_rb")[:, 0]):
             # The block's coefficients are unit-mean fading; the gains scale them.
             har2 = gains.gamma_ar * abs(h_ar) ** 2
@@ -311,10 +344,10 @@ class TestSecrecyRate:
         nocsi = SystemParams(rho=10.0, k_antennas=2, scheme=SchemeId(Scheme.AF, SelectionMode.SELECT_NOCSI))
         csi = replace(nocsi, scheme=SchemeId(Scheme.AF, SelectionMode.SELECT_CSI))
         weak, strong = (
-            rate_margins_block(channel_block(1.0, [1.0, 2.0], [1.0, 2.0], tx_pick=pick), gains, nocsi)[0]
+            rate_margins(channel_block(1.0, [1.0, 2.0], [1.0, 2.0], tx_pick=pick), gains, nocsi)[0]
             for pick in (0, 1)
         )
-        best = rate_margins_block(channel_block(1.0, [1.0, 2.0], [1.0, 2.0]), gains, csi)[0]
+        best = rate_margins(channel_block(1.0, [1.0, 2.0], [1.0, 2.0]), gains, csi)[0]
         assert strong == pytest.approx(best, rel=1e-12)
         assert weak < 0.0 < strong
 
@@ -342,7 +375,7 @@ class TestSharedFeatures:
                 )
                 fresh = replace(shared)  # the same draws with no feature computed yet
                 assert np.array_equal(
-                    rate_margins_block(shared, gains, params), rate_margins_block(fresh, gains, params)
+                    rate_margins(shared, gains, params), rate_margins(fresh, gains, params)
                 )
 
     def test_cached_features_are_read_only(self):
@@ -383,7 +416,7 @@ class TestSharedFeatures:
                 params = SystemParams(rho=db_to_linear(15.0), scheme=scheme, power=power)
                 full = replace(params, scheme=SchemeId(scheme.scheme))
                 assert np.array_equal(
-                    rate_margins_block(block, fig8_gains, params), rate_margins_block(block, fig8_gains, full)
+                    rate_margins(block, fig8_gains, params), rate_margins(block, fig8_gains, full)
                 ), (str(scheme), power)
 
 
@@ -400,6 +433,18 @@ class TestEstimates:
         est = estimate_sop(gains, params, McConfig(trials=50_000, seed=5))
         assert est.value == 1.0
         assert est.stderr == 0.0
+
+    @pytest.mark.parametrize("grb_db", [3070.0, 3082.5])
+    @pytest.mark.parametrize("mode,k", [(SelectionMode.FULL_ARRAY, 1), (SelectionMode.SELECT_NOCSI, 4)])
+    def test_cj_at_the_top_of_the_float_range(self, mode, k, grb_db):
+        # From gamma_rb = 1e307 on the products of both sides overflowed, and
+        # the trials whose ratio was inf / inf counted as secure.
+        gains = LinkGains(1.0, 1.0, db_to_linear(grb_db))
+        params = SystemParams(rho=100.0, k_antennas=k, scheme=SchemeId(Scheme.CJ, mode))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = estimate_sop(gains, params, McConfig(trials=200_000, seed=21))
+        assert abs(est.value - analytic.analytic_sop(gains, params)) < 4.0 * est.stderr
 
     def test_analytic_cross_check_af(self, fig1_gains):
         params = SystemParams(rho=db_to_linear(20.0), rate=0.1, scheme=SchemeId(Scheme.AF))
@@ -543,13 +588,13 @@ class TestPowerFractions:
         a, rho = 0.7, db_to_linear(20.0)
         params = SystemParams(rho=rho, k_antennas=k, scheme=scheme, power=PowerAllocation(a, 0.0, 0.6))
         block = sample_channel_block(k, seed=5, chunk_index=0, n=512)
-        margins = rate_margins_block(block, fig1_gains, params)
+        margins = rate_margins(block, fig1_gains, params)
         assert np.all(np.isfinite(margins))
         full = scheme.mode is SelectionMode.FULL_ARRAY
         g_ab, eav = block.features("g_ab", "sum_a" if full else ("g_ar", "argmax_ar"))
         if scheme.scheme is Scheme.DT:
             powered = replace(params, power=PowerAllocation(a, 1.0, 0.6))
-            np.testing.assert_array_equal(margins, rate_margins_block(block, fig1_gains, powered))
+            np.testing.assert_array_equal(margins, rate_margins(block, fig1_gains, powered))
         elif scheme.scheme is Scheme.AF:
             expected = (0.5 * np.log2(1.0 + a * rho * fig1_gains.gamma_ab * g_ab)
                         - 0.5 * np.log2(1.0 + a * rho * fig1_gains.gamma_ar * eav))
