@@ -1,8 +1,14 @@
 """Domain types, Rayleigh fading sampling, and the closed forms' derived coefficients.
 
-The signal model itself (beamforming, antenna selection, jamming
-suppression) lives in one place, ``montecarlo.rate_margins_block``, which
-evaluates it on the ``ChannelBlock`` batches sampled here.
+The signal model is split in two.  Its per-trial features of unit-mean
+fading live here, in ``_FORMULAS``, computed on the ``ChannelBlock``
+batches sampled here: the squared gains, the MRC per-trial sums, the
+antenna picks with the gains gathered on them, and the full array's gain
+orthogonal to the jamming.  ``montecarlo._reads`` names the features each
+scheme and antenna mode reads (its selection rule), and
+``montecarlo._rates`` builds the SNRs from them with the link gains and
+power split (beamforming, amplification, jamming), whose outage
+``montecarlo.rate_margins_block`` decides.
 
 Conventions used throughout the package:
 
@@ -82,6 +88,9 @@ class LinkGains:
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be strictly positive and finite, got {v}")
+            # A numpy scalar would warn where a closed form overflows to inf
+            # on purpose; a Python float does so quietly.
+            object.__setattr__(self, name, float(v))
 
 
 @dataclass(frozen=True)
@@ -127,6 +136,9 @@ class SystemParams:
         # The closed forms compute 2^{2R}, a finite float only for R < 512.
         if not 0 <= self.rate < 512:
             raise ValueError(f"rate must lie in [0, 512), got {self.rate}")
+        # Python floats, as LinkGains stores its gains.
+        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "rate", float(self.rate))
 
 
 @dataclass(frozen=True)
@@ -166,6 +178,11 @@ FEATURE_TILE_BYTES = 256 << 10
 def row_tiles(n: int, rows: int) -> Iterator[slice]:
     """Consecutive ranges of at most ``rows`` of n rows."""
     return (slice(start, min(n, start + rows)) for start in range(0, n, rows))
+
+
+def feature_rows(k: int) -> int:
+    """Rows per tile of feature computation on k antennas."""
+    return max(1, FEATURE_TILE_BYTES // (16 * k))
 
 
 # Each derived feature from the tile values it reads.  g_ar and g_rb are
@@ -231,11 +248,15 @@ class ChannelBlock:
     n-vector) are computed by ``features`` in row tiles, only those asked
     for, all missing ones in one pass, and kept for the block's lifetime,
     so the schemes of one chunk share a single computation.  A block kept
-    in a ``block_scope`` counts its features toward the scope's byte bound
-    through ``_store``.  A plain per-instance memo, not
-    ``functools.cached_property``, keeps chunk threads from contending for
-    a class-wide lock.  The held and the computed arrays are read-only: a
-    scheme that wrote into one would corrupt the next caller's margins.
+    in a ``block_scope`` (``kept``) counts its features toward the scope's
+    byte bound through ``_store``, and later passes reread them.  A block
+    that nothing keeps is read once: the simulator scores it a tile at a
+    time, through a ``view`` of each tile's rows with features of its own,
+    so no feature of the block is built full-length.  A plain per-instance
+    memo, not ``functools.cached_property``, keeps chunk threads from
+    contending for a class-wide lock.  The held and the computed arrays
+    are read-only: a scheme that wrote into one would corrupt the next
+    caller's margins.
     """
 
     h_ab: np.ndarray     # (n,) complex
@@ -249,6 +270,20 @@ class ChannelBlock:
     def nbytes(self) -> int:
         """Bytes a sampled block owns, ``tx_pick``: its ``h_ab`` views the stream, and features are not included."""
         return self.tx_pick.nbytes
+
+    @property
+    def kept(self) -> bool:
+        """Whether a block scope keeps the block, with its features, for later passes."""
+        return self._store is not None
+
+    def view(self, rows: slice) -> ChannelBlock:
+        """The block's trials ``rows``, a contiguous range, as a block of its
+        own: its draws are views of this block's, its features its own."""
+        start, hop_rows = rows.indices(self.h_ab.shape[0])[0], self.hop_rows
+        return ChannelBlock(
+            h_ab=self.h_ab[rows], tx_pick=self.tx_pick[rows], k=self.k,
+            hop_rows=lambda name, first, stop: hop_rows(name, start + first, start + stop),
+        )
 
     def features(self, *names) -> tuple[np.ndarray, ...]:
         """The named features, in order.  A name is a key of ``_FORMULAS``
@@ -264,7 +299,7 @@ class ChannelBlock:
             name: np.empty(n, dtype=np.intp if name in _PICKS else np.float64)
             for name in dict.fromkeys(missing)
         }
-        for rows in row_tiles(n, max(1, FEATURE_TILE_BYTES // (16 * self.k))):
+        for rows in row_tiles(n, feature_rows(self.k)):
             tile: dict = {}
             for name, value in computed.items():
                 value[rows] = self._tile(name, rows, tile)
@@ -484,7 +519,11 @@ def block_scope() -> Iterator[None]:
     with the features computed on it: that of a K asked of it twice in a
     row, until another K is asked of it (the points of an axis that
     leaves K alone, gains and SNR axes alike, or the candidates of a
-    power search).  ``BLOCK_STORE_BYTES`` bounds the streams' normals and
+    power search).  A kept block's features are computed full-length and
+    kept for the passes that reread them; a block that is not kept (a K's
+    first request, a K that changes at every point, any block outside a
+    scope) is scored a tile at a time and never holds a full-length
+    feature array.  ``BLOCK_STORE_BYTES`` bounds the streams' normals and
     the kept blocks' n-vectors and features together, first come, first
     kept, so the leading chunks of a sequential scan stay.  A request whose
     growth does not fit leaves the stream as it is, a kept head, and builds

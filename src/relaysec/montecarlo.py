@@ -31,6 +31,7 @@ from .model import (
     SelectionMode,
     SopEstimate,
     SystemParams,
+    feature_rows,
     row_tiles,
     sample_channel_block,
 )
@@ -220,12 +221,32 @@ def _map_chunks(run_chunk: Callable[[int, int], object], mc: McConfig) -> list:
         return list(pool.map(run_chunk, range(len(sizes)), sizes))
 
 
+def _scoring_rows(k: int) -> int:
+    """Rows per tile of an unkept block's scoring on k antennas: the fewest
+    whole feature tiles (``model.feature_rows``) that hold ``_MARGIN_ROWS``."""
+    rows = feature_rows(k)
+    return rows * -(-_MARGIN_ROWS // rows)
+
+
 def _count_many(
     gains: LinkGains,
     params_list: Sequence[SystemParams],
     mc: McConfig,
 ) -> list[int]:
-    """Outage counts for several schemes on shared draws."""
+    """Outage counts for several schemes on shared draws.
+
+    A block that a block scope keeps is scored whole: its features are
+    computed full-length once and kept for the later passes that reread
+    them.  A block that nothing keeps is scored a tile at a time, each
+    tile's features computed on a view of its rows and read by every
+    scheme before the next tile's, so no full-length feature array of the
+    chunk is built.  Its tiles (``_scoring_rows``) are whole feature tiles,
+    so each feature is computed on the same row ranges either way: OpenBLAS
+    may round a row's sum differently in a product of another row count.
+    Figure 8, a new K at every point, keeps no block: default ``figure 8
+    --skip-power-opt`` peaks at 300 MiB, against 305 MiB with whole-block
+    features.
+    """
     k = params_list[0].k_antennas
     # Several schemes compute every feature they read in one pass of row
     # tiles; a lone scheme computes its own in rate_margins_block.
@@ -234,12 +255,19 @@ def _count_many(
         if any(p.k_antennas != k for p in params_list):
             raise ValueError("shared-draw evaluation requires a common antenna count")
         shared = dict.fromkeys(name for params in params_list for name in _reads(params.scheme, k))
+    tile_rows = _scoring_rows(k)
 
     def run_chunk(idx: int, n: int) -> list[int]:
         block = sample_channel_block(k, mc.seed, idx, n)
-        if shared:
-            block.features(*shared)
-        return [int(np.count_nonzero(rate_margins_block(block, gains, p))) for p in params_list]
+        counts = [0] * len(params_list)
+        # A generator, so each tile's view and features go before the next tile's.
+        tiles = (block,) if block.kept or n <= tile_rows else map(block.view, row_tiles(n, tile_rows))
+        for tile in tiles:
+            if shared:
+                tile.features(*shared)
+            for i, p in enumerate(params_list):
+                counts[i] += int(np.count_nonzero(rate_margins_block(tile, gains, p)))
+        return counts
 
     return [sum(counts) for counts in zip(*_map_chunks(run_chunk, mc))]
 

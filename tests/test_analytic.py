@@ -728,6 +728,19 @@ class TestRegressionPoints:
                               for db in (grb_db, 3000.0))
             assert top == pytest.approx(reference, abs=2.0 * max(specfun.ABS_TOL, specfun.REL_TOL * reference)), rho_db
 
+    @pytest.mark.parametrize("form,k,expected", [
+        ("sop_cj_single", 1, 3.8151960855643543e-10),
+        ("sop_cj_select_nocsi", 4, 1.0105482649203523e-11),
+    ])
+    def test_cj_takes_numpy_scalars_at_the_top_of_the_float_range(self, form, k, expected):
+        # The threshold's first root overflows to inf and falls back to its
+        # form in units of s; numpy scalars would warn there (an error under
+        # the suite's filters), so the types store Python floats.
+        gains = LinkGains(1.0, 1.0, np.float64(1e308))
+        params = SystemParams(rho=np.float64(1e10), k_antennas=k)
+        assert all(type(v) is float for v in (gains.gamma_ab, gains.gamma_ar, gains.gamma_rb, params.rho))
+        assert getattr(analytic, form)(gains, params) == expected
+
     def test_af_select_nocsi_k58(self):
         gains, params = self._point(58, (16.38, 14.36, -30.81), 55.72, 3.754)
         assert analytic.sop_af_select_nocsi(gains, params) == pytest.approx(

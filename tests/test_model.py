@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import hop, rate_margins, wedge
+from conftest import block_of, hop, rate_margins, wedge
 from relaysec import McConfig, model, montecarlo
 from relaysec.model import (
     LinkGains,
@@ -490,6 +490,52 @@ class TestFeaturePass:
             if name == "orthogonal":
                 bound = bound * references["sum_a"] * references["sum_b"] / reference
             assert np.all(np.abs(value - reference) / reference <= bound), name
+
+
+class TestTileView:
+    """``ChannelBlock.view``: a range of a block's trials as a block of its own."""
+
+    _EXACT = (
+        "g_ab", "argmax_ar", "argmax_rb", "argmax_ratio",
+        *((gain, pick) for gain in ("g_ar", "g_rb")
+          for pick in ("argmax_ar", "argmax_rb", "argmax_ratio", "tx_pick")),
+    )
+
+    @staticmethod
+    def _block(source, k, n):
+        if source == "sampled":
+            return sample_channel_block(k, seed=23, chunk_index=1, n=n)
+        rng = np.random.default_rng(k)
+        coefficients = [(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
+                        for shape in (n, (n, k), (n, k))]
+        return block_of(*coefficients, rng.integers(0, k, n))
+
+    @pytest.mark.parametrize("k", [1, 3, 9, 10])
+    @pytest.mark.parametrize("source", ["sampled", "built"])
+    def test_view_reads_the_parents_rows(self, source, k):
+        # The range starts and ends off every feature tile's boundary.
+        n, rows = 20000, slice(1001, 13001)
+        block = self._block(source, k, n)
+        view = block.view(rows)
+        assert view.k == k and view.h_ab.shape == (12000,) and not view.kept
+        for name in ("h_ab", "tx_pick"):
+            assert np.shares_memory(getattr(view, name), getattr(block, name)), name
+            assert np.array_equal(getattr(view, name), getattr(block, name)[rows]), name
+        for name in ("h_ar", "h_rb"):
+            assert np.array_equal(hop(view, name), hop(block, name)[rows]), name
+        for name, got, want in zip(self._EXACT, view.features(*self._EXACT), block.features(*self._EXACT)):
+            assert np.array_equal(got, want[rows]), name
+        # OpenBLAS's product gives a row's sum in an order that depends on
+        # how many rows the call has, so the sums agree within a few ulp.
+        names = ("sum_a", "sum_b", "orthogonal")
+        got = dict(zip(names, view.features(*names)))
+        want = {name: value[rows] for name, value in zip(names, block.features(*names))}
+        bound = (4.0 + 2.0 * math.log2(k)) * np.finfo(np.float64).eps
+        for name in ("sum_a", "sum_b"):
+            assert np.all(np.abs(got[name] - want[name]) <= bound * want[name]), name
+        # The orthogonal gain, a difference, within the same error of its terms.
+        scale = want["sum_a"] * want["sum_b"]
+        assert np.all(np.abs(got["orthogonal"] - want["orthogonal"]) <= 2.0 * bound * scale)
 
 
 class TestMmseSinr:

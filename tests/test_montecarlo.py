@@ -401,6 +401,40 @@ class TestSharedFeatures:
         ]
         assert runs[0] == runs[1]
 
+    def test_unkept_blocks_are_scored_a_tile_at_a_time(self, all_schemes, fig8_gains, monkeypatch):
+        # Figure 8's schemes at K = 4 on two chunks: outside a block scope no
+        # block is kept, so no feature is computed over more than one tile of
+        # 8192 rows; inside one, the second pass reads kept blocks whole.
+        params = [SystemParams(rho=db_to_linear(12.0), k_antennas=4, scheme=s) for s in all_schemes]
+        mc = McConfig(trials=131072, seed=19)
+        calls, features = [], model.ChannelBlock.features
+
+        def spy(block, *names):
+            calls.append((block.kept, block.h_ab.shape[0]))
+            return features(block, *names)
+
+        monkeypatch.setattr(model.ChannelBlock, "features", spy)
+        unkept = estimate_sop_many(fig8_gains, params, mc)
+        assert calls and max(rows for _, rows in calls) <= montecarlo._MARGIN_ROWS
+        assert not any(kept for kept, _ in calls)
+        calls.clear()
+        with model.block_scope():
+            for _ in range(2):
+                kept = estimate_sop_many(fig8_gains, params, mc)
+        assert (True, montecarlo.CHUNK_SIZE) in calls
+        assert kept == unkept
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9, 10])
+    def test_tiles_compute_the_features_of_a_whole_block(self, k):
+        # Scoring tiles are whole feature tiles, so each sum is taken in a
+        # product of the same rows as on the whole block, bit for bit.
+        n, names = montecarlo.CHUNK_SIZE - 5, ("sum_a", "sum_b", "orthogonal", ("g_rb", "argmax_ratio"))
+        block = sample_channel_block(k, seed=37, chunk_index=2, n=n)
+        tiles = [block.view(rows).features(*names) for rows in model.row_tiles(n, montecarlo._scoring_rows(k))]
+        assert len(tiles) > 1
+        for name, whole, *parts in zip(names, block.features(*names), *tiles):
+            assert np.array_equal(np.concatenate(parts), whole), name
+
     def test_single_antenna_modes_read_the_full_array_features(self, all_schemes, fig8_gains, monkeypatch):
         # At K = 1 the antenna modes coincide, so every mode reads the sums
         # and no antenna pick is computed.
