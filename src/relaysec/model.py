@@ -31,7 +31,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 # numpy loads its random submodule on first attribute access; load it with
@@ -247,16 +247,13 @@ class ChannelBlock:
     antenna picks, gathered gains and the orthogonal gain, each an
     n-vector) are computed by ``features`` in row tiles, only those asked
     for, all missing ones in one pass, and kept for the block's lifetime,
-    so the schemes of one chunk share a single computation.  A block kept
-    in a ``block_scope`` (``kept``) counts its features toward the scope's
-    byte bound through ``_store``, and later passes reread them.  A block
-    that nothing keeps is read once: the simulator scores it a tile at a
-    time, through a ``view`` of each tile's rows with features of its own,
-    so no feature of the block is built full-length.  A plain per-instance
-    memo, not ``functools.cached_property``, keeps chunk threads from
-    contending for a class-wide lock.  The held and the computed arrays
-    are read-only: a scheme that wrote into one would corrupt the next
-    caller's margins.
+    so the schemes of one chunk share a single computation; ``tiles`` says
+    whether they are read on the whole block or on views of its rows.  A
+    block kept in a ``block_scope`` counts its features toward the scope's
+    byte bound through ``_store``.  A plain per-instance memo, not
+    ``functools.cached_property``, keeps chunk threads from contending for
+    a class-wide lock.  The held and the computed arrays are read-only: a
+    scheme that wrote into one would corrupt the next caller's margins.
     """
 
     h_ab: np.ndarray     # (n,) complex
@@ -284,6 +281,21 @@ class ChannelBlock:
             h_ab=self.h_ab[rows], tx_pick=self.tx_pick[rows], k=self.k,
             hop_rows=lambda name, first, stop: hop_rows(name, start + first, start + stop),
         )
+
+    def tiles(self, rows: int) -> Iterable[ChannelBlock]:
+        """How a pass reads the block: whole where a block scope keeps it (its
+        full-length features serve later passes) or where it fits in one
+        tile; otherwise as views, made one at a time, of the fewest whole
+        feature tiles that hold ``rows`` trials, so no feature is built
+        full-length.  Whole feature tiles give each feature the row ranges
+        it has on the whole block, so it comes out bit for bit the same:
+        OpenBLAS may round a row's sum differently in a product of another
+        row count."""
+        step = feature_rows(self.k) * -(-rows // feature_rows(self.k))
+        n = self.h_ab.shape[0]
+        if self.kept or n <= step:
+            return (self,)
+        return map(self.view, row_tiles(n, step))
 
     def features(self, *names) -> tuple[np.ndarray, ...]:
         """The named features, in order.  A name is a key of ``_FORMULAS``
@@ -519,13 +531,12 @@ def block_scope() -> Iterator[None]:
     with the features computed on it: that of a K asked of it twice in a
     row, until another K is asked of it (the points of an axis that
     leaves K alone, gains and SNR axes alike, or the candidates of a
-    power search).  A kept block's features are computed full-length and
-    kept for the passes that reread them; a block that is not kept (a K's
-    first request, a K that changes at every point, any block outside a
-    scope) is scored a tile at a time and never holds a full-length
-    feature array.  ``BLOCK_STORE_BYTES`` bounds the streams' normals and
-    the kept blocks' n-vectors and features together, first come, first
-    kept, so the leading chunks of a sequential scan stay.  A request whose
+    power search).  No other block is kept: not a K's first request, not
+    a K that changes at every point, not any block outside a scope
+    (``ChannelBlock.tiles`` says how kept and unkept blocks are read).
+    ``BLOCK_STORE_BYTES`` bounds the streams' normals and the kept blocks'
+    n-vectors and features together, first come, first kept, so the
+    leading chunks of a sequential scan stay.  A request whose
     growth does not fit leaves the stream as it is, a kept head, and builds
     its block from an unkept copy of the head that draws only the antennas
     the head lacks (from a fresh stream where the chunk has no head); a
@@ -563,10 +574,11 @@ def sample_channel_block(k: int, seed: int, chunk_index: int, n: int) -> Channel
     stream.
 
     Inside a ``block_scope`` the chunk's stream, and at most one block of
-    it, may be kept; see ``block_scope``.  Outside a scope nothing is kept: the
-    block lives, with its stream, as long as its caller holds it.  Chunk
-    threads that ask one stream for a block at once may each build it,
-    which costs a rebuild, never a wrong block.
+    it, may be kept; see ``block_scope``, and ``ChannelBlock.tiles`` for how
+    a block is read.  Outside a scope the block lives, with its stream, as
+    long as its caller holds it.  Chunk threads that ask one stream for a
+    block at once may each build it, which costs a rebuild, never a wrong
+    block.
     """
     store = _store
     if store is None:

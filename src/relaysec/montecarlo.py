@@ -4,14 +4,14 @@ The simulator samples fading realizations, evaluates the per-scheme
 signal-to-noise ratios directly from the signal model (independently of
 the closed forms), and counts outage events.  A trial is in outage where
 its secrecy rate pre * log2((1 + S_B) / (1 + S_R)) falls below the target
-rate R, which is decided in the SNR domain as 2^{-R/pre} (1 + S_B) <
-1 + S_R, with no logarithm per trial; for the two-phase schemes 2^{R/pre}
-is the closed forms' T = 2^{2R}.  Trials are processed in
-chunks of ``CHUNK_SIZE`` whose random streams are keyed by (seed, chunk
-index), so an estimate is a pure function of (seed, trials) no matter how
-many workers execute the chunks.  Within one sweep point all schemes
-consume identical fading draws (common random numbers), which sharpens
-scheme comparisons.
+rate R, which is decided in the SNR domain as c S_B - S_R < 1 - c,
+c = 2^{-R/pre}, with no logarithm per trial and no SNR added to 1; for the
+two-phase schemes 2^{R/pre} is the closed forms' T = 2^{2R}.  Trials are
+processed in chunks of ``CHUNK_SIZE`` whose random streams are keyed by
+(seed, chunk index), so an estimate is a pure function of (seed, trials)
+no matter how many workers execute the chunks.  Within one sweep point
+all schemes consume identical fading draws (common random numbers), which
+sharpens scheme comparisons.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .model import (
     SelectionMode,
     SopEstimate,
     SystemParams,
-    feature_rows,
     row_tiles,
     sample_channel_block,
 )
@@ -77,8 +76,10 @@ def rate_margins_block(block: ChannelBlock, gains: LinkGains, params: SystemPara
     The margin pre * log2((1 + S_B) / (1 + S_R)), of Bob's and the relay's
     SNRs, is never formed: two-phase schemes (AF, CJ) carry the pre-log
     1/2, direct transmission 1, and the margin lies below R exactly when
-    2^{-R/pre} (1 + S_B) < 1 + S_R.  For the two-phase schemes 2^{R/pre} is
-    the closed forms' T = 2^{2R}.  The factor scales Bob's side: the
+    c S_B - S_R < 1 - c, c = 2^{-R/pre}, with 1 - c = -expm1(-(R/pre) ln 2).
+    No SNR is added to 1, so an SNR below an ulp of 1 keeps its digits;
+    at R = 0 the rule is S_B < S_R.  For the two-phase schemes 2^{R/pre} is
+    the closed forms' T = 2^{2R}.  The factor c scales Bob's side: the
     relay's side scaled by 2^{R/pre} would overflow as R nears 512.  The
     margin is not clipped, so a zero target rate counts the complement of
     the positive-secrecy probability.  The function keeps the margin's
@@ -91,14 +92,25 @@ def rate_margins_block(block: ChannelBlock, gains: LinkGains, params: SystemPara
     if block.k != params.k_antennas:
         raise ValueError(f"block has {block.k} antennas, params expect {params.k_antennas}")
     features = block.features(*_reads(params.scheme, block.k))
-    bob_scale = 2.0 ** (-params.rate if params.scheme.scheme is Scheme.DT else -2.0 * params.rate)
+    per_use = params.rate if params.scheme.scheme is Scheme.DT else 2.0 * params.rate
+    c, gap = 2.0 ** -per_use, -math.expm1(-per_use * math.log(2.0))
     n = block.h_ab.shape[0]
     if n <= _MARGIN_ROWS:
-        return np.less(*_rates(gains, params, bob_scale, *features))
+        return _outage(gains, params, c, gap, features)
     outage = np.empty(n, dtype=bool)
     for rows in row_tiles(n, _MARGIN_ROWS):
-        np.less(*_rates(gains, params, bob_scale, *[feature[rows] for feature in features]), out=outage[rows])
+        _outage(gains, params, c, gap, [feature[rows] for feature in features], outage[rows])
     return outage
+
+
+def _outage(
+    gains: LinkGains, params: SystemParams, c: float, gap: float, features: Sequence[np.ndarray], out=None
+) -> np.ndarray:
+    """Where c S_B - S_R < 1 - c = ``gap``, on one row tile, both sides times ``_rates``'s u."""
+    bob, relay, unit = _rates(gains, params, c, *features)
+    bob -= relay
+    unit *= gap
+    return np.less(bob, unit, out=out)
 
 
 @functools.cache
@@ -131,23 +143,22 @@ def _reads(scheme: SchemeId, k: int) -> tuple:
     return ("g_ab", hop1, hop2) if scheme.scheme is Scheme.AF else (hop1, hop2, jam, *orthogonal)
 
 
-def _rates(
-    gains: LinkGains, params: SystemParams, bob_scale: float, *features: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pair ``bob_scale`` (1 + S_B) and 1 + S_R, up to a common positive
-    factor per trial, from the features ``_reads`` names, for one row tile.
+def _rates(gains: LinkGains, params: SystemParams, c: float, *features: np.ndarray) -> tuple:
+    """The triple (c S_B u, S_R u, u) of Bob's and the relay's SNRs, for a
+    positive u per trial, from the features ``_reads`` names, for one row
+    tile; u is 1 for DT and AF, and a float there.
 
     The features are of unit-mean fading; this is the one place that
-    knows the link gains, each folded into a scalar factor, as is
-    ``bob_scale`` for DT and AF.  One expression per scheme serves the full
-    array and selection: the relay normalizes its forwarded power over m
-    antennas, m = K for the full array and m = 1 under selection.  CJ's
-    eavesdropping SINR has one law, one antenna's SINR against the jamming
-    on the antenna gains read; on an array of K > 1 the relay's max-SINR
-    (MMSE) receiver adds the first hop's gain orthogonal to the jamming,
-    which the jamming does not dim.  A relay without power forwards
-    nothing.  Each side is built in place in one temporary, with no
-    logarithm and no division but AF's amplification.
+    knows the link gains, each folded into a scalar factor, as is ``c``.
+    One expression per scheme serves the full array and selection: the
+    relay normalizes its forwarded power over m antennas, m = K for the
+    full array and m = 1 under selection.  CJ's eavesdropping SINR has one
+    law, one antenna's SINR against the jamming on the antenna gains read;
+    on an array of K > 1 the relay's max-SINR (MMSE) receiver adds the
+    first hop's gain orthogonal to the jamming, which the jamming does not
+    dim.  A relay without power forwards nothing.  Each term is built in
+    place in one temporary, with no logarithm and no division but AF's
+    amplification.
     """
     rho = params.rho
     a = params.power.frac_alice
@@ -160,47 +171,43 @@ def _rates(
     if scheme is Scheme.CJ:
         # Cooperative jamming: the destination forfeits the direct link and
         # jams during the first phase, then cancels its own interference.
-        # Each SNR's denominator moves to the other side, so neither side
-        # divides: ``bob`` starts as the interference I = j gamma_rb S_jam +
-        # 1/rho, in units of noise, and ``relay`` as I (1 + S_R) = I +
-        # a gamma_ar (S_ar + j rho gamma_rb Q), with the orthogonal gain
-        # Q = |h_ar|^2 |h_rb|^2 - |h_rb^H h_ar|^2 on an array.  Both sides
-        # are divided by j gamma_rb + 1/rho, which leaves I = w S_jam + quiet
-        # with u = j rho gamma_rb, quiet = 1 / (1 + u) and w = u quiet (taken
-        # as 1 - quiet from u = 1 on, which also holds at u = inf), so the
-        # sides stay finite as gamma_rb nears the top of the float range.
+        # Each SNR's denominator moves into u, so nothing divides: u starts
+        # as the interference I = j gamma_rb S_jam + 1/rho, in units of
+        # noise, and I S_R = a gamma_ar (S_ar + j rho gamma_rb Q), with the
+        # orthogonal gain Q = |h_ar|^2 |h_rb|^2 - |h_rb^H h_ar|^2 on an
+        # array.  Both are divided by j gamma_rb + 1/rho, which leaves
+        # I = w S_jam + quiet with v = j rho gamma_rb, quiet = 1 / (1 + v)
+        # and w = v quiet (taken as 1 - quiet from v = 1 on, which also
+        # holds at v = inf), so the terms stay finite as gamma_rb nears the
+        # top of the float range.
         hop1, hop2, jam, *orthogonal = features
-        u = j * rho * gains.gamma_rb
-        quiet = 1.0 / (1.0 + u)
-        w = 1.0 - quiet if u > 1.0 else u * quiet
-        bob = np.multiply(jam, w)
-        bob += quiet
+        v = j * rho * gains.gamma_rb
+        quiet = 1.0 / (1.0 + v)
+        w = 1.0 - quiet if v > 1.0 else v * quiet
+        unit = np.multiply(jam, w)
+        unit += quiet
         relay = np.multiply(hop1, g_ar_scale * quiet)
-        relay += bob
         for q in orthogonal:
             relay += q * (g_ar_scale * w)
-        if r > 0.0:
-            # 1 + S_B = (floor + forwarded) / floor.
-            floor = np.add(hop2, (((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb + (j / r) * m))
-            forwarded = np.multiply(hop2, g_ar_scale)
-            forwarded *= hop1
-            forwarded += floor
-            bob *= forwarded
-            relay *= floor
-        bob *= bob_scale
-    else:
-        g_ab, hop1 = features[:2]
-        bob = np.multiply(g_ab, a * rho * gains.gamma_ab * bob_scale)
-        bob += bob_scale
-        if scheme is Scheme.AF and r > 0.0:
-            hop2 = features[2]
-            forwarded = np.multiply(hop2, g_ar_scale * bob_scale)
-            forwarded *= hop1
-            forwarded /= np.add(hop2, ((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb)
-            bob += forwarded
-        relay = np.multiply(hop1, g_ar_scale)
-        relay += 1.0
-    return bob, relay
+        if r <= 0.0:
+            return 0.0, relay, unit
+        # S_B = forwarded / floor, so u takes the floor too.
+        floor = np.add(hop2, (((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb + (j / r) * m))
+        relay *= floor
+        bob = np.multiply(hop2, g_ar_scale * c)
+        bob *= hop1
+        bob *= unit
+        unit *= floor
+        return bob, relay, unit
+    g_ab, hop1 = features[:2]
+    bob = np.multiply(g_ab, a * rho * gains.gamma_ab * c)
+    if scheme is Scheme.AF and r > 0.0:
+        hop2 = features[2]
+        forwarded = np.multiply(hop2, g_ar_scale * c)
+        forwarded *= hop1
+        forwarded /= np.add(hop2, ((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb)
+        bob += forwarded
+    return bob, np.multiply(hop1, g_ar_scale), 1.0
 
 
 def _map_chunks(run_chunk: Callable[[int, int], object], mc: McConfig) -> list:
@@ -221,32 +228,15 @@ def _map_chunks(run_chunk: Callable[[int, int], object], mc: McConfig) -> list:
         return list(pool.map(run_chunk, range(len(sizes)), sizes))
 
 
-def _scoring_rows(k: int) -> int:
-    """Rows per tile of an unkept block's scoring on k antennas: the fewest
-    whole feature tiles (``model.feature_rows``) that hold ``_MARGIN_ROWS``."""
-    rows = feature_rows(k)
-    return rows * -(-_MARGIN_ROWS // rows)
-
-
 def _count_many(
     gains: LinkGains,
     params_list: Sequence[SystemParams],
     mc: McConfig,
 ) -> list[int]:
-    """Outage counts for several schemes on shared draws.
-
-    A block that a block scope keeps is scored whole: its features are
-    computed full-length once and kept for the later passes that reread
-    them.  A block that nothing keeps is scored a tile at a time, each
-    tile's features computed on a view of its rows and read by every
-    scheme before the next tile's, so no full-length feature array of the
-    chunk is built.  Its tiles (``_scoring_rows``) are whole feature tiles,
-    so each feature is computed on the same row ranges either way: OpenBLAS
-    may round a row's sum differently in a product of another row count.
-    Figure 8, a new K at every point, keeps no block: default ``figure 8
-    --skip-power-opt`` peaks at 300 MiB, against 305 MiB with whole-block
-    features.
-    """
+    """Outage counts for several schemes on shared draws, each block read
+    as its ``tiles`` say, every scheme on a tile before the next tile."""
+    if not params_list:
+        return []
     k = params_list[0].k_antennas
     # Several schemes compute every feature they read in one pass of row
     # tiles; a lone scheme computes its own in rate_margins_block.
@@ -255,14 +245,10 @@ def _count_many(
         if any(p.k_antennas != k for p in params_list):
             raise ValueError("shared-draw evaluation requires a common antenna count")
         shared = dict.fromkeys(name for params in params_list for name in _reads(params.scheme, k))
-    tile_rows = _scoring_rows(k)
 
     def run_chunk(idx: int, n: int) -> list[int]:
-        block = sample_channel_block(k, mc.seed, idx, n)
         counts = [0] * len(params_list)
-        # A generator, so each tile's view and features go before the next tile's.
-        tiles = (block,) if block.kept or n <= tile_rows else map(block.view, row_tiles(n, tile_rows))
-        for tile in tiles:
+        for tile in sample_channel_block(k, mc.seed, idx, n).tiles(_MARGIN_ROWS):
             if shared:
                 tile.features(*shared)
             for i, p in enumerate(params_list):

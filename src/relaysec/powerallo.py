@@ -9,11 +9,10 @@ minimization: coarse grid, then coordinate-wise golden-section refinement.
 The fading is drawn once per chunk for the whole search: the search runs
 inside a ``model.block_scope``, its own or the caller's when one is open
 (every CLI search joins its run's scope, so the run's rows reread its
-draws), which keeps the one block of unit-mean fading of the point's K
-that every candidate reads; see ``block_scope``.  The grid stage scores
-all of its candidates in one ``estimate_sop_many`` pass over the chunks;
-the golden-section stage scores each probe with ``estimate_sop`` on the
-kept blocks.  Both stages fill one cache of estimates, keyed by the
+draws); what the scope keeps is its rule.  The grid stage scores all of
+its candidates in one ``estimate_sop_many`` pass over the chunks; the
+golden-section stage scores each probe with ``estimate_sop`` on the same
+draws.  Both stages fill one cache of estimates, keyed by the
 rounded fractions, so a probe that lands on a grid point is not scored
 again.
 """

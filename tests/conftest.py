@@ -71,13 +71,14 @@ def wedge(h: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def rate_margins(block: ChannelBlock, gains: LinkGains, params) -> np.ndarray:
-    """The kernel's secrecy-rate margins I_B - I_R in bits, pre * log2(bob /
-    relay) of the pair ``montecarlo._rates`` builds from the block's
-    features: the margins whose comparison with the target rate
-    ``rate_margins_block`` decides without forming them."""
+    """The kernel's secrecy-rate margins I_B - I_R in bits, pre * log2((u +
+    S_B u) / (u + S_R u)) of the triple ``montecarlo._rates`` builds from
+    the block's features with Bob's scale 1: the margins whose comparison
+    with the target rate ``rate_margins_block`` decides without forming
+    them."""
     features = block.features(*montecarlo._reads(params.scheme, block.k))
-    bob, relay = montecarlo._rates(gains, params, 1.0, *features)
-    return (1.0 if params.scheme.scheme is Scheme.DT else 0.5) * np.log2(bob / relay)
+    bob, relay, unit = montecarlo._rates(gains, params, 1.0, *features)
+    return (1.0 if params.scheme.scheme is Scheme.DT else 0.5) * np.log2((unit + bob) / (unit + relay))
 
 
 def _one_trial_block(h_ab, h_ar, h_rb, tx_pick=0) -> ChannelBlock:

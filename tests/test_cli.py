@@ -629,6 +629,19 @@ class TestImports:
                 imported.update(alias.name for alias in node.names)
         assert not imported & {"montecarlo", "powerallo", "cli"}
 
+    def test_simulator_leaves_block_reading_to_the_block(self):
+        # How a block is read is ChannelBlock.tiles's rule, so the simulator
+        # neither rebuilds feature tiles nor looks at the store's keep state.
+        tree = ast.parse(Path(inspect.getfile(montecarlo)).read_text())
+        imported, attributes = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+        assert "feature_rows" not in imported
+        assert not attributes & {"kept", "_store"}
+
 
 class TestTracedNames:
     # The traced benchmark wraps these by name and refuses a target that is

@@ -430,7 +430,7 @@ class TestSharedFeatures:
         # product of the same rows as on the whole block, bit for bit.
         n, names = montecarlo.CHUNK_SIZE - 5, ("sum_a", "sum_b", "orthogonal", ("g_rb", "argmax_ratio"))
         block = sample_channel_block(k, seed=37, chunk_index=2, n=n)
-        tiles = [block.view(rows).features(*names) for rows in model.row_tiles(n, montecarlo._scoring_rows(k))]
+        tiles = [tile.features(*names) for tile in block.tiles(montecarlo._MARGIN_ROWS)]
         assert len(tiles) > 1
         for name, whole, *parts in zip(names, block.features(*names), *tiles):
             assert np.array_equal(np.concatenate(parts), whole), name
@@ -523,14 +523,42 @@ class TestEstimates:
         for a, b in zip(many, singles):
             assert a.value == b.value
 
-    def test_mixed_antenna_counts_rejected(self, fig1_gains):
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The (seed, chunk) of every chunk drawn while the test runs."""
+        drawn, block_rng = [], model.block_rng
+
+        def spy(seed, chunk_index):
+            drawn.append((seed, chunk_index))
+            return block_rng(seed, chunk_index)
+
+        monkeypatch.setattr(model, "block_rng", spy)
+        return drawn
+
+    def test_no_schemes_draw_nothing(self, fig1_gains, draws):
+        assert estimate_sop_many(fig1_gains, [], McConfig(trials=100_000, seed=1)) == []
+        assert draws == []
+
+    def test_mixed_antenna_counts_rejected(self, fig1_gains, draws):
         mc = McConfig(trials=1_000, seed=1)
         params = [
             SystemParams(rho=10.0, k_antennas=1),
             SystemParams(rho=10.0, k_antennas=2),
         ]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^shared-draw evaluation requires a common antenna count$"):
             estimate_sop_many(fig1_gains, params, mc)
+        assert draws == []
+
+    @pytest.mark.parametrize("scheme,gab_db,gar_db", [
+        (Scheme.DT, -200.0, -200.0), (Scheme.CJ, 0.0, -200.0), (Scheme.AF, -200.0, -200.0),
+    ])
+    def test_snrs_below_an_ulp_of_one_keep_their_digits(self, scheme, gab_db, gar_db):
+        # At R = 0 a trial is secure where S_B > S_R; with both SNRs near
+        # 1e-18, forming 1 + S tied every trial and counted none in outage.
+        gains = LinkGains(db_to_linear(gab_db), db_to_linear(gar_db), db_to_linear(5.0))
+        params = SystemParams(rho=db_to_linear(20.0), rate=0.0, scheme=SchemeId(scheme))
+        est = estimate_sop(gains, params, McConfig(trials=100_000))
+        assert abs(est.value - analytic.analytic_sop(gains, params)) < 4.0 * est.stderr
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
