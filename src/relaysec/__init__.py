@@ -15,7 +15,6 @@ from .model import (
     SopEstimate,
     SystemParams,
     db_to_linear,
-    derived_coefficients,
 )
 from .montecarlo import McConfig, estimate_sop
 from .powerallo import minimize_sop
@@ -30,7 +29,6 @@ __all__ = [
     "SopEstimate",
     "SystemParams",
     "db_to_linear",
-    "derived_coefficients",
     "estimate_sop",
     "minimize_sop",
 ]

@@ -29,27 +29,107 @@ import sys
 from typing import Callable
 
 from . import specfun
-from .model import (
-    FULL_POWER,
-    LinkGains,
-    Scheme,
-    SelectionMode,
-    SystemParams,
-    derived_coefficients,
-    threshold_t,
-)
+from .model import FULL_POWER, LinkGains, Scheme, SelectionMode, SystemParams
 
 
 class UnsupportedAnalytic(ValueError):
     """Requested a closed form or limit that does not describe the variant."""
 
 
+_LEAST_NORMAL, _INF = sys.float_info.min, math.inf  # bound once: _over runs in CJ's integrand
+
+
+def _over(x: float, a: float, b: float) -> float:
+    """x / (a b) for positive a and b, with no division by zero.
+
+    Where the product a b leaves the normal floats (rho gamma_ab, say,
+    under- or overflows at the ends of the dB range), x is divided by the
+    larger factor and then by the smaller, which overflows only where the
+    quotient itself is out of range.
+    """
+    ab = a * b
+    if _LEAST_NORMAL <= ab < _INF:
+        return x / ab
+    return x / max(a, b) / min(a, b)
+
+
 def _ei_bracket(mu: float, beta: float) -> float:
     """1 + mu*(beta-1)*e^(mu*beta)*Ei(-mu*beta).
 
     Uses the exponentially scaled E1 so large mu*beta does not overflow.
+    Where mu*beta underflows to 0 the bracket is its limit 1.
     """
+    if mu * beta == 0.0:
+        return 1.0
     return 1.0 - mu * (beta - 1.0) * specfun.exp_scaled_e1(mu * beta)
+
+
+def _beta2(gains: LinkGains, c: float) -> float:
+    """AF's outage-bracket coefficient (2^{2R} gamma_ar + gamma_ab) / (c gamma_ar
+    + gamma_ab), c = 2^{2R} - 1; 1 where c gamma_ar overflows.  The paper's
+    high-SNR AF limit puts the positive-secrecy coefficient beta1 = 1 +
+    gamma_ar / gamma_ab in its place."""
+    return 1.0 + gains.gamma_ar / (c * gains.gamma_ar + gains.gamma_ab)
+
+
+def threshold_t(gains: LinkGains, params: SystemParams, level: float = 0.0) -> float:
+    """The z > 0 where ``cj_phi``'s phi(z) = ``level``; inf from ``level`` = rho on, which phi only nears.
+
+    Level 0 gives the threshold t below which cooperative jamming is always
+    in outage.  phi(z) = y clears to (rho - y) z^2 - (T - 1 + y (s + 1/rho)) z
+    - s (T + y/rho) = 0, T = 2^{2R}, s = gamma_ar + gamma_rb + 1/rho; at y = 0
+    the paper prints 2 for the 4 in its discriminant's 4*rho*T*s.  The root
+    u + hypot(u, 2^R sqrt(s (1 + y/(rho T)) / (rho - y))), u = (T - 1 + y (s +
+    1/rho)) / (2 (rho - y)), is taken again in units of s where y s or
+    s / (rho - y) passes the float range, so it overflows only where it is
+    out of range, while the discriminant's squared linear term overflows
+    above R = 256.  An infinite s puts the root at inf; no term in y forms
+    0 * inf at level 0.
+    """
+    rho = params.rho
+    s = gains.gamma_ar + gains.gamma_rb + 1.0 / rho
+    if level >= rho or s == math.inf:
+        return math.inf
+    two2r = 2.0 ** (2.0 * params.rate)
+    a = rho - level
+    u = (two2r - 1.0 + level * s + level / rho) / (2.0 * a)
+    t = u + math.hypot(u, 2.0 ** params.rate * math.sqrt(s * (1.0 + level / (rho * two2r)) / a))
+    if t < math.inf:
+        return t
+    # The same root in units of s, where level s or s / a passed the float range.
+    u = ((two2r - 1.0) / s + level * (1.0 + 1.0 / (rho * s))) / (2.0 * a)
+    return s * (u + math.hypot(u, 2.0 ** params.rate * math.sqrt((1.0 + level / (rho * two2r)) / (a * s))))
+
+
+def cj_phi(gains: LinkGains, params: SystemParams) -> Callable[[float], float]:
+    """x -> phi(gamma_rb x): cooperative jamming's phi at a second-hop gain x
+    in units of gamma_rb.
+
+    phi(z) = rho z / (z + s) - T / (z + 1/rho), T = 2^{2R}, s = gamma_ar +
+    gamma_rb + 1/rho, at second-hop gain z.  It is negative below the
+    threshold t (``threshold_t``), where jamming is always in outage, and
+    above t outage needs a first-hop gain below c / (gamma_ar phi(z)),
+    c = T - 1.  Below z_big neither rho z nor z + s can overflow; from
+    there on, and at z = inf, where phi takes its limit rho, its first term
+    is rho / (1 + s / z).  From x_top on, where gamma_rb x nears the top of
+    the float range, phi is taken in units of x, with s / gamma_rb = 1 + mu1.
+    """
+    rho, grb = params.rho, gains.gamma_rb
+    two2r = 2.0 ** (2.0 * params.rate)
+    s = gains.gamma_ar + grb + 1.0 / rho
+    z_big = 0.5 * min(sys.float_info.max / max(1.0, rho), sys.float_info.max - s)
+    x_top = 0.5 * sys.float_info.max / grb if grb > 1.0 else math.inf
+    s_x, two2r_x, noise_x = 1.0 + (gains.gamma_ar + 1.0 / rho) / grb, two2r / grb, (1.0 / rho) / grb
+
+    def phi(x: float) -> float:
+        if x >= x_top:
+            return rho / (1.0 + s_x / x) - two2r_x / (x + noise_x)
+        z = grb * x
+        if z < z_big:
+            return rho * z / (z + s) - two2r / (z + 1.0 / rho)
+        return rho / (1.0 + s / z) - two2r / (z + 1.0 / rho)
+
+    return phi
 
 
 def p_pos_dt(gains: LinkGains) -> float:
@@ -64,18 +144,18 @@ def sop_dt_single(gains: LinkGains, params: SystemParams) -> float:
 
 def p_pos_af(gains: LinkGains, params: SystemParams) -> float:
     """Probability of a positive secrecy rate under AF relaying (K = 1)."""
-    coef = derived_coefficients(gains, params)
-    return _ei_bracket(coef.mu1, coef.beta1)
+    mu1 = (gains.gamma_ar + 1.0 / params.rho) / gains.gamma_rb
+    return _ei_bracket(mu1, 1.0 + gains.gamma_ar / gains.gamma_ab)
 
 
 def sop_af_single(gains: LinkGains, params: SystemParams) -> float:
     """Secrecy outage probability of AF relaying, single-antenna relay."""
-    coef = derived_coefficients(gains, params)
     c = 2.0 ** (2.0 * params.rate) - 1.0
+    mu1 = (gains.gamma_ar + 1.0 / params.rho) / gains.gamma_rb
     prefactor = gains.gamma_ab / (c * gains.gamma_ar + gains.gamma_ab) * math.exp(
-        -c / (params.rho * gains.gamma_ab)
+        -_over(c, params.rho, gains.gamma_ab)
     )
-    return 1.0 - prefactor * _ei_bracket(coef.mu1, coef.beta2)
+    return 1.0 - prefactor * _ei_bracket(mu1, _beta2(gains, c))
 
 
 def p_pos_cj(gains: LinkGains, params: SystemParams) -> float:
@@ -159,7 +239,7 @@ def _sop_dt(gains: LinkGains, params: SystemParams, log_laplace: _LogForm, k: in
     """
     two_r = 2.0 ** params.rate
     return -math.expm1(
-        -(two_r - 1.0) / (params.rho * gains.gamma_ab)
+        -_over(two_r - 1.0, params.rho, gains.gamma_ab)
         + log_laplace(k)(two_r * gains.gamma_ar / gains.gamma_ab)
     )
 
@@ -205,7 +285,7 @@ def _sop_af(
         return math.exp(log_transform(scale * (c + m / (grb * w + m))) + log_density(w))
 
     expectation = specfun.integrate_semi_infinite(integrand, 0.0, focus=focus)
-    return min(1.0, max(0.0, 1.0 - math.exp(-c / (params.rho * gains.gamma_ab)) * expectation))
+    return min(1.0, max(0.0, 1.0 - math.exp(-_over(c, params.rho, gains.gamma_ab)) * expectation))
 
 
 def sop_af_multi(gains: LinkGains, params: SystemParams) -> float:
@@ -254,32 +334,27 @@ def _sop_cj(gains: LinkGains, params: SystemParams, k: int) -> float:
     pins t; the validation suite shows there that the paper's printed root
     constant is wrong.
     """
-    coef = derived_coefficients(gains, params)
     c = 2.0 ** (2.0 * params.rate) - 1.0
     gar, grb = gains.gamma_ar, gains.gamma_rb
-    head = -math.expm1(-coef.t / grb)
+    t = threshold_t(gains, params)
+    head = -math.expm1(-t / grb)
     if c == 0.0:
         return head
-
-    rho, two2r = params.rho, 2.0 ** (2.0 * params.rate)
-    x_top = 0.5 * sys.float_info.max / grb if grb > 1.0 else math.inf  # gamma_rb x is finite below it
+    phi = cj_phi(gains, params)
 
     def integrand(x: float) -> float:
-        if x < x_top:
-            phi = coef.phi(grb * x)
-        else:  # phi(gamma_rb x) in units of x, with s / gamma_rb = 1 + mu1
-            phi = rho / (1.0 + (1.0 + coef.mu1) / x) - (two2r / grb) / (x + (1.0 / rho) / grb)
-        if phi <= 0.0:  # at t itself, up to rounding
+        level = phi(x)
+        if level <= 0.0:  # at t itself, up to rounding
             return math.exp(-x)
         # A power, not exp(K log(...)): a base that underflows gives 0.
-        return (-math.expm1(-c / (gar * phi))) ** k * math.exp(-x)
+        return (-math.expm1(-_over(c, gar, level))) ** k * math.exp(-x)
 
     # The outage given x turns on over a narrow layer above t; anchor
     # subdivision where the exponent c / (gamma_ar phi) passes 4(1 + ln K),
     # 1 and each decade down to 1e-4.
-    focus = [threshold_t(gains, params, c / (gar * exponent)) / grb
+    focus = [threshold_t(gains, params, _over(c, gar, exponent)) / grb
              for exponent in (4.0 * (1.0 + math.log(k)), 1.0, 0.1, 0.01, 1e-3, 1e-4)]
-    integral = specfun.integrate_semi_infinite(integrand, coef.t / grb, focus=focus)
+    integral = specfun.integrate_semi_infinite(integrand, t / grb, focus=focus)
     return min(1.0, max(0.0, head + integral))
 
 
@@ -382,28 +457,34 @@ def limits(gains: LinkGains, params: SystemParams, which: str) -> float:
     gab, gar, grb = gains.gamma_ab, gains.gamma_ar, gains.gamma_rb
 
     if which == "dt_high_snr":
-        return two_r * gar / (two_r * gar + gab)
+        eavesdropper = two_r * gar
+        if eavesdropper + gab == math.inf:
+            return 1.0 / (1.0 + gab / two_r / gar)
+        return eavesdropper / (eavesdropper + gab)
     if which == "af_high_snr":
-        beta2 = derived_coefficients(gains, params).beta2
-        return 1.0 - gab / (c * gar + gab) * _ei_bracket(gar / grb, beta2)
+        return 1.0 - gab / (c * gar + gab) * _ei_bracket(gar / grb, _beta2(gains, c))
     if which == "cj_high_snr":
         return _cj_full_array_floor(gains, params)
     if which == "af_strong_second_hop":
-        return 1.0 - gab / (c * gar + gab) * math.exp(-c / (rho * gab))
+        return 1.0 - gab / (c * gar + gab) * math.exp(-_over(c, rho, gab))
     if which == "cj_strong_second_hop":
-        x = math.sqrt(4.0 * c / (rho * gar))
+        q = _over(c, rho, gar)
+        x = 2.0 * math.sqrt(q)
         if x == 0.0:
             return 0.0  # x K1(x) -> 1 as x -> 0, e.g. at zero rate
-        return 1.0 - math.exp(-c / (rho * gar)) * x * specfun.bessel_k1(x)
+        scale = math.exp(-q)
+        if scale == 0.0:
+            return 1.0  # e^{-x^2/4} x K1(x) is below the float range; K1(inf) fails
+        return 1.0 - scale * x * specfun.bessel_k1(x)
     if which == "af_weak_second_hop":
         # Relay path useless; half pre-log makes this direct transmission at doubled rate.
-        return 1.0 - gab / (two2r * gar + gab) * math.exp(-c / (rho * gab))
+        return 1.0 - gab / (two2r * gar + gab) * math.exp(-_over(c, rho, gab))
     if which == "cj_weak_second_hop":
         return 1.0
     if which == "dt_weak_first_hop":
-        return -math.expm1(-(two_r - 1.0) / (rho * gab))
+        return -math.expm1(-_over(two_r - 1.0, rho, gab))
     if which == "af_weak_first_hop":
-        return -math.expm1(-c / (rho * gab))
+        return -math.expm1(-_over(c, rho, gab))
     if which == "cj_weak_first_hop":
         return 1.0
     return -math.expm1(-threshold_t(gains, params) / grb)  # cj_select_nocsi_large_k

@@ -20,7 +20,7 @@ from .cli import (
     _AF, _AF_SEL, _AF_SEL_NOCSI, _CJ, _CJ_SEL, _CJ_SEL_NOCSI, _DT, _DT_SEL, _RHO_GRID,
     DEFAULT_RATE, FIGURE_PRESETS, Setting,
 )
-from .model import LinkGains, SchemeId, SystemParams, derived_coefficients
+from .model import LinkGains, SchemeId, SystemParams
 from .montecarlo import McConfig, estimate_sop, estimate_sop_many
 
 
@@ -101,9 +101,9 @@ def _limit(name: str, setting: Setting, which: str, tol: float) -> Check:
 def _threshold_root(mc: McConfig) -> tuple[bool, str]:
     worst, signs = 0.0, True
     for gains, params in _check_points(DEFAULT_RATE):
-        coef = derived_coefficients(gains, params)
-        worst = max(worst, abs(coef.phi(coef.t)))
-        signs = signs and coef.phi(0.5 * coef.t) < 0.0 < coef.phi(2.0 * coef.t)
+        phi, x = analytic.cj_phi(gains, params), analytic.threshold_t(gains, params) / gains.gamma_rb
+        worst = max(worst, abs(phi(x)))
+        signs = signs and phi(0.5 * x) < 0.0 < phi(2.0 * x)
     return worst <= 1e-9 and signs, f"worst |phi(t)| = {worst:.3e}, sign change at t: {signs}"
 
 
@@ -122,7 +122,7 @@ def _printed_af_limit(mc: McConfig) -> tuple[bool, str]:
     # beta2 in the bracket of the high-SNR AF limit.
     gains, params = _inputs(replace(_FIG1, rho_db=80.0), _AF)
     c = 2.0 ** (2.0 * params.rate) - 1.0
-    beta1 = derived_coefficients(gains, params).beta1
+    beta1 = 1.0 + gains.gamma_ar / gains.gamma_ab
     bracket = analytic._ei_bracket(gains.gamma_ar / gains.gamma_rb, beta1)
     printed = 1.0 - gains.gamma_ab / (c * gains.gamma_ar + gains.gamma_ab) * bracket
     gap = abs(printed - analytic.limits(gains, params, "af_high_snr"))

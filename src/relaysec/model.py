@@ -1,4 +1,4 @@
-"""Domain types, Rayleigh fading sampling, and the closed forms' derived coefficients.
+"""Domain types and Rayleigh fading sampling.
 
 The signal model is split in two.  Its per-trial features of unit-mean
 fading live here, in ``_FORMULAS``, computed on the ``ChannelBlock``
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -342,17 +341,6 @@ class ChannelBlock:
         return value
 
 
-@dataclass(frozen=True)
-class DerivedCoefficients:
-    """Auxiliary scalars shared by the closed-form outage expressions."""
-
-    mu1: float
-    beta1: float
-    beta2: float
-    t: float
-    phi: Callable[[float], float]
-
-
 def db_to_linear(x_db: float) -> float:
     """10^(x/10); figure axes are in dB, the math is linear."""
     return 10.0 ** (x_db / 10.0)
@@ -584,61 +572,3 @@ def sample_channel_block(k: int, seed: int, chunk_index: int, n: int) -> Channel
     if store is None:
         return _Stream(seed, chunk_index, n).block(k)
     return store.block(k, seed, chunk_index, n)
-
-
-def threshold_t(gains: LinkGains, params: SystemParams, level: float = 0.0) -> float:
-    """The z > 0 where phi(z) = ``level``; inf from ``level`` = rho on, which phi only nears.
-
-    Level 0 gives the threshold t below which cooperative jamming is always
-    in outage.  phi(z) = y clears to (rho - y) z^2 - (T - 1 + y (s + 1/rho)) z
-    - s (T + y/rho) = 0, T = 2^{2R}, s = gamma_ar + gamma_rb + 1/rho; at y = 0
-    the paper prints 2 for the 4 in its discriminant's 4*rho*T*s.  The root
-    u + hypot(u, 2^R sqrt(s (1 + y/(rho T)) / (rho - y))), u = (T - 1 + y (s +
-    1/rho)) / (2 (rho - y)), is taken again in units of s where y s or
-    s / (rho - y) passes the float range, so it overflows only where it is
-    out of range, while the discriminant's squared linear term overflows
-    above R = 256.  An infinite s puts the root at inf; no term in y forms
-    0 * inf at level 0.
-    """
-    rho = params.rho
-    s = gains.gamma_ar + gains.gamma_rb + 1.0 / rho
-    if level >= rho or s == math.inf:
-        return math.inf
-    two2r = 2.0 ** (2.0 * params.rate)
-    a = rho - level
-    u = (two2r - 1.0 + level * s + level / rho) / (2.0 * a)
-    t = u + math.hypot(u, 2.0 ** params.rate * math.sqrt(s * (1.0 + level / (rho * two2r)) / a))
-    if t < math.inf:
-        return t
-    # The same root in units of s, where level s or s / a passed the float range.
-    u = ((two2r - 1.0) / s + level * (1.0 + 1.0 / (rho * s))) / (2.0 * a)
-    return s * (u + math.hypot(u, 2.0 ** params.rate * math.sqrt((1.0 + level / (rho * two2r)) / (a * s))))
-
-
-def derived_coefficients(gains: LinkGains, params: SystemParams) -> DerivedCoefficients:
-    """Auxiliary scalars (mu1, beta1, beta2, threshold t, and phi) for the closed forms."""
-    rho = params.rho
-    two2r = 2.0 ** (2.0 * params.rate)
-    c = two2r - 1.0
-    mu1 = (gains.gamma_ar + 1.0 / rho) / gains.gamma_rb
-    beta1 = 1.0 + gains.gamma_ar / gains.gamma_ab
-    # (2^{2R} gamma_ar + gamma_ab) / (c gamma_ar + gamma_ab), 1 where c overflows.
-    beta2 = 1.0 + gains.gamma_ar / (c * gains.gamma_ar + gains.gamma_ab)
-    s = gains.gamma_ar + gains.gamma_rb + 1.0 / rho
-
-    # Below z_big neither rho z nor z + s can overflow.  From there on, and
-    # at z = inf, where phi takes its limit rho, its first term is rho / (1 + s / z).
-    z_big = 0.5 * min(sys.float_info.max / max(1.0, rho), sys.float_info.max - s)
-
-    def phi(z: float) -> float:
-        if z < z_big:
-            return rho * z / (z + s) - two2r / (z + 1.0 / rho)
-        return rho / (1.0 + s / z) - two2r / (z + 1.0 / rho)
-
-    return DerivedCoefficients(
-        mu1=mu1,
-        beta1=beta1,
-        beta2=beta2,
-        t=threshold_t(gains, params),
-        phi=phi,
-    )

@@ -146,7 +146,7 @@ def _reads(scheme: SchemeId, k: int) -> tuple:
 def _rates(gains: LinkGains, params: SystemParams, c: float, *features: np.ndarray) -> tuple:
     """The triple (c S_B u, S_R u, u) of Bob's and the relay's SNRs, for a
     positive u per trial, from the features ``_reads`` names, for one row
-    tile; u is 1 for DT and AF, and a float there.
+    tile; u is a float for DT and AF, 1 unless the triple is scaled.
 
     The features are of unit-mean fading; this is the one place that
     knows the link gains, each folded into a scalar factor, as is ``c``.
@@ -158,7 +158,10 @@ def _rates(gains: LinkGains, params: SystemParams, c: float, *features: np.ndarr
     first hop's gain orthogonal to the jamming, which the jamming does not
     dim.  A relay without power forwards nothing.  Each term is built in
     place in one temporary, with no logarithm and no division but AF's
-    amplification.
+    amplification.  The decision is homogeneous, so where a rho gamma, for
+    the largest link gain gamma the SNRs scale, passes 2^960 the whole
+    triple is divided by it; the SNRs themselves would overflow there, and
+    inf - inf decided nothing.
     """
     rho = params.rho
     a = params.power.frac_alice
@@ -166,7 +169,10 @@ def _rates(gains: LinkGains, params: SystemParams, c: float, *features: np.ndarr
     j = params.power.frac_bob_jam
     scheme = params.scheme.scheme
     m = params.k_antennas if params.scheme.mode is SelectionMode.FULL_ARRAY else 1
-    g_ar_scale = a * rho * gains.gamma_ar
+    top = gains.gamma_ar if scheme is Scheme.CJ else max(gains.gamma_ab, gains.gamma_ar)
+    g_ab_scale, g_ar_scale, shrink = a * rho * gains.gamma_ab, a * rho * gains.gamma_ar, 1.0
+    if a * rho * top > 2.0 ** 960:
+        g_ab_scale, g_ar_scale, shrink = gains.gamma_ab / top, gains.gamma_ar / top, 1.0 / a / rho / top
 
     if scheme is Scheme.CJ:
         # Cooperative jamming: the destination forfeits the direct link and
@@ -190,24 +196,26 @@ def _rates(gains: LinkGains, params: SystemParams, c: float, *features: np.ndarr
         for q in orthogonal:
             relay += q * (g_ar_scale * w)
         if r <= 0.0:
-            return 0.0, relay, unit
+            return 0.0, relay, unit * shrink
         # S_B = forwarded / floor, so u takes the floor too.
         floor = np.add(hop2, (((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb + (j / r) * m))
         relay *= floor
         bob = np.multiply(hop2, g_ar_scale * c)
         bob *= hop1
-        bob *= unit
+        bob *= unit  # before u takes the scale, which Bob's side already carries
         unit *= floor
+        if shrink != 1.0:
+            unit *= shrink
         return bob, relay, unit
     g_ab, hop1 = features[:2]
-    bob = np.multiply(g_ab, a * rho * gains.gamma_ab * c)
+    bob = np.multiply(g_ab, g_ab_scale * c)
     if scheme is Scheme.AF and r > 0.0:
         hop2 = features[2]
         forwarded = np.multiply(hop2, g_ar_scale * c)
         forwarded *= hop1
         forwarded /= np.add(hop2, ((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb)
         bob += forwarded
-    return bob, np.multiply(hop1, g_ar_scale), 1.0
+    return bob, np.multiply(hop1, g_ar_scale), shrink
 
 
 def _map_chunks(run_chunk: Callable[[int, int], object], mc: McConfig) -> list:

@@ -48,9 +48,14 @@ def exp_scaled_e1(y: float) -> float:
     Below y = 1 the power series E1(y) = -gamma - ln y - sum (-y)^k/(k k!)
     is used; from y = 1 on, a modified-Lentz continued fraction, which
     needs at most 92 steps.  Both stay within a few units in the last place.
+    From y = 2^54 on, the fraction is its first term 1/(y + 1): the rest
+    moves it by a relative 1/y^2, and the loop's test, which needs a step
+    of exactly 1, stalled there on about one y in seven.
     """
     if not y > 0:
         raise ValueError(f"exp_scaled_e1 requires y > 0, got {y}")
+    if 2.0 ** 54 <= y < math.inf:
+        return 1.0 / (y + 1.0)
     if y < 1.0:
         term = 1.0
         total = 0.0

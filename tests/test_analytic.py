@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 from conftest import ALL_SCHEMES
 from relaysec import LinkGains, McConfig, PowerAllocation, SchemeId, SystemParams, db_to_linear
 from relaysec import analytic, specfun
-from relaysec.analytic import UnsupportedAnalytic
+from relaysec.analytic import UnsupportedAnalytic, cj_phi, threshold_t
 from relaysec.cli import main
-from relaysec.model import FULL_POWER, Scheme, SelectionMode, derived_coefficients, threshold_t
+from relaysec.model import FULL_POWER, Scheme, SelectionMode
 from relaysec.montecarlo import estimate_sop
 from relaysec.specfun import ConvergenceError
 
@@ -63,6 +63,29 @@ def has_closed_form(params):
     return params.k_antennas == 1 or params.scheme not in (
         SchemeId(Scheme.CJ), SchemeId(Scheme.CJ, SelectionMode.SELECT_CSI)
     )
+
+
+def assert_in_range(call, params):
+    """``call()`` is a float in [0, 1], or it misses a quadrature tolerance."""
+    try:
+        value = call()
+    except ConvergenceError:
+        return
+    assert isinstance(value, float) and 0.0 <= value <= 1.0, (value, params)
+
+
+def assert_contract(gains, params):
+    """The closed form and every limit of ``params``: a value in [0, 1], a
+    refusal where the variant has none, or a missed quadrature tolerance."""
+    calls = [(has_closed_form(params), partial(analytic.analytic_sop, gains, params))]
+    calls += [(limit_describes(which, params), partial(analytic.limits, gains, params, which))
+              for which in LIMIT_SPEC]
+    for supported, call in calls:
+        if supported:
+            assert_in_range(call, params)
+        else:
+            with pytest.raises(UnsupportedAnalytic):
+                call()
 
 
 def cj_floor_quad_oracle(gains, params):
@@ -532,7 +555,7 @@ class TestSelectionCooperativeJamming:
             gab, scale, grb = (float(10.0 ** v) for v in rng.uniform(-4.0, 4.0, 3))
             gains = LinkGains(gab, min(1e156, 4.0 ** rate) * scale, grb)
             params = SystemParams(rho=float(10.0 ** rng.uniform(-1.0, 6.0)), rate=rate, k_antennas=8)
-            coef = derived_coefficients(gains, params)
+            t, phi = threshold_t(gains, params), cj_phi(gains, params)
             c = 2.0 ** (2.0 * params.rate) - 1.0
             for target_x in (4.0 * (1.0 + math.log(8)), 1.0, 0.05):
                 y = c / (gains.gamma_ar * target_x)
@@ -543,8 +566,8 @@ class TestSelectionCooperativeJamming:
                 crossed += 1
                 high += params.rate > 256.0
                 # Far outside the paper's range the crossing rounds to t itself.
-                assert coef.t <= root < math.inf
-                assert abs(coef.phi(root) - y) <= 1e-12 * params.rho
+                assert t <= root < math.inf
+                assert abs(phi(root / gains.gamma_rb) - y) <= 1e-12 * params.rho
         assert crossed > 800 and high > 400
 
     def test_mass_below_threshold_keeps_its_digits(self):
@@ -770,7 +793,7 @@ class TestLimits:
         # The paper puts beta1 in place of beta2 in the bracket.
         gab, gar, grb = fig1_gains.gamma_ab, fig1_gains.gamma_ar, fig1_gains.gamma_rb
         c = 2.0 ** (2.0 * params.rate) - 1.0
-        beta1 = derived_coefficients(fig1_gains, params).beta1
+        beta1 = 1.0 + gar / gab
         printed = 1.0 - gab / (c * gar + gab) * analytic._ei_bracket(gar / grb, beta1)
         assert abs(printed - lim) > 0.01  # the as-printed coefficient is inconsistent
 
@@ -843,6 +866,8 @@ class TestLimits:
         rho_db=st.floats(-10.0, 60.0),
         rate=st.one_of(st.just(0.0), st.floats(0.0, 4.0), st.floats(0.0, 512.0, exclude_max=True)),
     )
+    # sqrt(4c / (rho gamma_ar)) overflowed, and K1 at inf did not converge.
+    @example(k=2, gains_db=(0.0, 0.0, 0.0), rho_db=0.0, rate=511.0)
     def test_in_range_or_unsupported_as_specified(self, k, gains_db, rho_db, rate):
         # Every selector on every variant, at K = 1 and at a drawn K > 1.
         gains = LinkGains(*(db_to_linear(v) for v in gains_db))
@@ -896,26 +921,30 @@ class TestDispatch:
     @example(k=2, gains_db=(0.0, 0.0, 130.0), rho_db=150.0, rate=30.0)
     def test_contract_over_the_cli_reach(self, k, gains_db, rho_db, rate):
         # Every closed form and limit over the dB range the CLI accepts, at
-        # K = 1 and at a drawn K: a value in [0, 1], a refusal where the
-        # tests above expect one, or a missed quadrature tolerance.
+        # K = 1 and at a drawn K.
         gains = LinkGains(*(db_to_linear(v) for v in gains_db))
         for scheme, k_antennas in itertools.product(ALL_SCHEMES, (1, k)):
-            params = SystemParams(
+            assert_contract(gains, SystemParams(
                 rho=db_to_linear(rho_db), rate=rate, k_antennas=k_antennas, scheme=scheme
-            )
-            calls = [(has_closed_form(params), partial(analytic.analytic_sop, gains, params))]
-            calls += [(limit_describes(which, params), partial(analytic.limits, gains, params, which))
-                      for which in LIMIT_SPEC]
-            for supported, call in calls:
-                if not supported:
-                    with pytest.raises(UnsupportedAnalytic):
-                        call()
-                    continue
-                try:
-                    value = call()
-                except ConvergenceError:
-                    continue
-                assert math.isfinite(value) and 0.0 <= value <= 1.0, params
+            ))
+
+    def test_contract_over_the_whole_domain(self):
+        # Gains and rho over +-3000 dB, where a product of two of them leaves
+        # the float range: each closed form, limit and positive-secrecy
+        # probability divided by a product that underflowed to 0, or met
+        # inf / inf or an Ei bracket at 0.
+        rng = np.random.default_rng(33)
+        for i in range(1200):
+            gains = LinkGains(*(db_to_linear(v) for v in rng.uniform(-3000.0, 3000.0, 3)))
+            rho = db_to_linear(rng.uniform(-3000.0, 3000.0))
+            rate = (0.0, rng.uniform(0.0, 4.0), rng.uniform(0.0, 512.0))[i % 3]
+            k = (1, 2, 64, 1024)[i % 4]
+            for scheme in ALL_SCHEMES:
+                assert_contract(gains, SystemParams(rho=rho, rate=rate, k_antennas=k, scheme=scheme))
+            params = SystemParams(rho=rho, rate=rate)
+            for p_pos in (partial(analytic.p_pos_dt, gains), partial(analytic.p_pos_af, gains, params),
+                          partial(analytic.p_pos_cj, gains, params)):
+                assert_in_range(p_pos, params)
 
     def test_analytic_dispatch_matches_direct_calls(self, fig7_gains):
         params = SystemParams(

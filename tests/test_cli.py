@@ -403,6 +403,32 @@ class TestExitCodes:
         assert code == 0, err
         assert float(out.splitlines()[1].split(",")[9]) == 1.0
 
+    @pytest.mark.parametrize("args,value", [
+        ("analytic --scheme dt --gab-db -2000 --rho-db -2000", 1.0),
+        ("analytic --scheme dt --k 4 --gab-db -2000 --rho-db -2000", 1.0),
+        ("analytic --scheme af --gab-db -2000 --rho-db -2000", 1.0),
+        ("analytic --scheme af --k 4 --mode select-csi --gab-db -2000 --rho-db -2000", 1.0),
+        ("analytic --scheme cj --gar-db -2000 --grb-db 2000 --rho-db -2000 --rate 1", 1.0),
+        ("analytic --scheme cj --k 4 --mode select-nocsi --gar-db -2000 --grb-db 2000 --rho-db -2000 --rate 1", 1.0),
+        ("analytic --scheme af --gar-db -2000 --grb-db 2000 --rho-db 2000", 0.0),
+        ("asymptotic --scheme dt --limit dt_weak_first_hop --gab-db -2000 --rho-db -2000", 1.0),
+        ("asymptotic --scheme af --limit af_weak_first_hop --gab-db -2000 --rho-db -2000", 1.0),
+        ("asymptotic --scheme af --limit af_strong_second_hop --gab-db -2000 --rho-db -2000", 1.0),
+        ("asymptotic --scheme af --limit af_weak_second_hop --gab-db -2000 --rho-db -2000", 1.0),
+        ("asymptotic --scheme cj --limit cj_strong_second_hop --gar-db -2000 --rho-db -2000", 1.0),
+        ("asymptotic --scheme af --limit af_high_snr --gar-db -2000 --grb-db 2000", 0.0),
+        ("asymptotic --scheme dt --limit dt_high_snr --gar-db 3000 --rate 30", 1.0),
+        ("asymptotic --scheme cj --limit cj_strong_second_hop --rate 511 --rho-db 0 --grb-db 0", 1.0),
+    ])
+    def test_products_beyond_the_float_range(self, args, value, capsys):
+        # A product of two inputs left the float range: c / (rho gamma)
+        # divided by zero, an Ei bracket reached exp_scaled_e1(0),
+        # 2^R gamma_ar / (2^R gamma_ar + gamma_ab) was inf / inf, and K1
+        # did not converge at sqrt(4c / (rho gamma_ar)) = inf.
+        code, out, err = run_cli(["point", "--method", *args.split()], capsys)
+        assert code == 0, err
+        assert float(out.splitlines()[1].split(",")[9]) == value
+
     def test_selection_beyond_64_antennas(self, capsys):
         code, out, _ = run_cli(
             ["point", "--k", "65", "--mode", "select-csi", "--method", "analytic"], capsys

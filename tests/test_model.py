@@ -13,7 +13,7 @@ import pytest
 import scipy.stats
 
 from conftest import block_of, hop, rate_margins, wedge
-from relaysec import McConfig, model, montecarlo
+from relaysec import McConfig, analytic, model, montecarlo, specfun
 from relaysec.model import (
     LinkGains,
     PowerAllocation,
@@ -23,9 +23,7 @@ from relaysec.model import (
     SopEstimate,
     SystemParams,
     db_to_linear,
-    derived_coefficients,
     sample_channel_block,
-    threshold_t,
 )
 from relaysec.montecarlo import estimate_sop
 
@@ -607,48 +605,53 @@ class TestMrcMrtTerms:
 
 
 class TestDerivedCoefficients:
+    """The closed forms' coefficient laws: CJ's threshold t and phi, and AF's
+    bracket coefficients mu1, beta1 and beta2, all stated in ``analytic``."""
+
     def test_zero_rate_collapse(self):
         gains = LinkGains(2.0, 1.0, 3.0)
         params = SystemParams(rho=25.0, rate=0.0)
-        coef = derived_coefficients(gains, params)
-        assert coef.beta2 == pytest.approx(coef.beta1, rel=1e-12)
+        beta1 = 1.0 + gains.gamma_ar / gains.gamma_ab
+        assert analytic._beta2(gains, 0.0) == pytest.approx(beta1, rel=1e-12)
         s = gains.gamma_ar + gains.gamma_rb + 1.0 / 25.0
-        assert coef.t == pytest.approx(math.sqrt(s / 25.0), rel=1e-12)
+        assert analytic.threshold_t(gains, params) == pytest.approx(math.sqrt(s / 25.0), rel=1e-12)
 
     def test_root_of_phi(self):
         gains = LinkGains(1.0, 2.0, 0.5)
         params = SystemParams(rho=100.0, rate=0.3)
-        coef = derived_coefficients(gains, params)
-        assert abs(coef.phi(coef.t)) < 1e-12
-        assert coef.phi(0.5 * coef.t) < 0.0 < coef.phi(2.0 * coef.t)
+        phi, x = analytic.cj_phi(gains, params), analytic.threshold_t(gains, params) / gains.gamma_rb
+        assert abs(phi(x)) < 1e-12
+        assert phi(0.5 * x) < 0.0 < phi(2.0 * x)
 
     def test_root_of_phi_where_its_square_overflows(self):
         # (2^{2R} - 1)^2 overflows above R = 256; the root does not below 512.
         gains = LinkGains(1.0, 2.0, 0.5)
         for rate in (256.5, 300.0, 511.0):
-            coef = derived_coefficients(gains, SystemParams(rho=100.0, rate=rate))
-            assert math.isfinite(coef.t)
-            assert coef.phi(0.5 * coef.t) < 0.0 < coef.phi(2.0 * coef.t)
+            params = SystemParams(rho=100.0, rate=rate)
+            phi, x = analytic.cj_phi(gains, params), analytic.threshold_t(gains, params) / gains.gamma_rb
+            assert math.isfinite(x)
+            assert phi(0.5 * x) < 0.0 < phi(2.0 * x)
 
     def test_equal_gains_beta1(self):
+        # beta1 = 1 + gamma_ar / gamma_ab is 2 at equal gains, and the
+        # positive-secrecy bracket reads it.
         gains = LinkGains(1.4, 1.4, 1.0)
-        coef = derived_coefficients(gains, SystemParams(rho=10.0))
-        assert coef.beta1 == pytest.approx(2.0, rel=1e-12)
+        mu1 = 1.4 + 1.0 / 10.0
+        expected = 1.0 - mu1 * specfun.exp_scaled_e1(2.0 * mu1)
+        assert analytic.p_pos_af(gains, SystemParams(rho=10.0)) == pytest.approx(expected, rel=1e-12)
 
     def test_beta_sequence(self):
         gains = LinkGains(1.0, 3.0, 1.0)
-        params = SystemParams(rho=10.0, rate=0.4, k_antennas=5)
-        coef = derived_coefficients(gains, params)
-        assert coef.beta2 >= 1.0
+        c = 2.0 ** 0.8 - 1.0
+        assert analytic._beta2(gains, c) >= 1.0
 
     def test_beta2_where_its_products_overflow(self):
         gains = LinkGains(1.0, 5.0, 3.0)
-        params = SystemParams(rho=10.0, rate=0.4)
         two2r = 2.0 ** 0.8
         ratio = (two2r * 5.0 + 1.0) / ((two2r - 1.0) * 5.0 + 1.0)
-        assert derived_coefficients(gains, params).beta2 == pytest.approx(ratio, rel=1e-15)
+        assert analytic._beta2(gains, two2r - 1.0) == pytest.approx(ratio, rel=1e-15)
         # At R = 511, 2^{2R} * gamma_ar overflows; the ratio tends to 1.
-        assert derived_coefficients(gains, replace(params, rate=511.0)).beta2 == 1.0
+        assert analytic._beta2(gains, 2.0 ** 1022 - 1.0) == 1.0
 
     def test_uncorrected_threshold_is_smaller(self):
         # The paper prints 2 where the discriminant of phi(z) = 0 has 4.
@@ -657,4 +660,4 @@ class TestDerivedCoefficients:
         two2r = 2.0 ** (2.0 * params.rate)
         c, s = two2r - 1.0, gains.gamma_ar + gains.gamma_rb + 1.0 / params.rho
         printed = (c + math.sqrt(c * c + 2.0 * params.rho * two2r * s)) / (2.0 * params.rho)
-        assert printed < threshold_t(gains, params)
+        assert printed < analytic.threshold_t(gains, params)

@@ -560,6 +560,23 @@ class TestEstimates:
         est = estimate_sop(gains, params, McConfig(trials=100_000))
         assert abs(est.value - analytic.analytic_sop(gains, params)) < 4.0 * est.stderr
 
+    @pytest.mark.parametrize("scheme,k,gains_db", [
+        (Scheme.DT, 1, (3000.0, 3000.0, 5.0)), (Scheme.AF, 1, (0.0, 3000.0, 5.0)),
+        (Scheme.CJ, 1, (0.0, 3000.0, 5.0)), (Scheme.AF, 4, (3000.0, 3000.0, 0.0)),
+        (Scheme.CJ, 1, (0.0, 3000.0, 3000.0)),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_snrs_beyond_the_float_range_keep_their_order(self, scheme, k, gains_db):
+        # At rho = 100 dB a rho gamma passes the float range: both SNRs
+        # overflowed, inf - inf gave NaN and no trial counted as an outage.
+        # With gamma_rb there too, CJ's jamming term scales Bob's side, so
+        # scaling it before Bob's side is formed counted outages at SOP 0.
+        gains = LinkGains(*(db_to_linear(v) for v in gains_db))
+        params = SystemParams(rho=db_to_linear(100.0), k_antennas=k, scheme=SchemeId(scheme))
+        est = estimate_sop(gains, params, McConfig(trials=20_000))
+        # 1 / trials: the CJ form's 1.5e-155 is no outage in 20,000 trials.
+        assert abs(est.value - analytic.analytic_sop(gains, params)) <= max(4.0 * est.stderr, 1.0 / est.trials)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(trials=0)

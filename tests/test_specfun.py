@@ -119,6 +119,12 @@ class TestExpScaledE1:
                 ref = float(mpmath.exp(y) * mpmath.e1(y))
             assert exp_scaled_e1(y) == pytest.approx(ref, rel=1e-12)
 
+    def test_first_term_from_two_to_the_54(self):
+        # There e^y E1(y) = (1/y)(1 - 1/y + ...), and the fraction's steps
+        # stalled one ulp below 1 on about one y in seven, 2.44e300 among them.
+        for y in (2.0 ** 54, 2.4428670689408225e300, *np.geomspace(2.0 ** 54, 1e308, 300)):
+            assert exp_scaled_e1(float(y)) == pytest.approx(1.0 / y, rel=1e-15), y
+
     def test_consistent_with_ei(self):
         y = 2.5
         assert exp_scaled_e1(y) == pytest.approx(-math.exp(y) * scipy.special.expi(-y), rel=1e-12)
