@@ -57,11 +57,13 @@ def _ei_bracket(mu: float, beta: float) -> float:
     """1 + mu*(beta-1)*e^(mu*beta)*Ei(-mu*beta).
 
     Uses the exponentially scaled E1 so large mu*beta does not overflow.
-    Where mu*beta underflows to 0 the bracket is its limit 1.
+    Where mu*beta underflows to 0 the bracket is its limit 1, and where it
+    overflows its limit 1/beta.
     """
-    if mu * beta == 0.0:
-        return 1.0
-    return 1.0 - mu * (beta - 1.0) * specfun.exp_scaled_e1(mu * beta)
+    y = mu * beta
+    if y == 0.0 or y == math.inf:
+        return 1.0 if y == 0.0 else 1.0 / beta
+    return 1.0 - mu * (beta - 1.0) * specfun.exp_scaled_e1(y)
 
 
 def _beta2(gains: LinkGains, c: float) -> float:
@@ -139,7 +141,7 @@ def p_pos_dt(gains: LinkGains) -> float:
 
 def sop_dt_single(gains: LinkGains, params: SystemParams) -> float:
     """Secrecy outage probability of direct transmission, single-antenna relay."""
-    return _sop_dt(gains, params, _log_laplace_sum, k=1)
+    return _sop_dt(gains, params, _log_laplace_sum(1))
 
 
 def p_pos_af(gains: LinkGains, params: SystemParams) -> float:
@@ -167,9 +169,6 @@ def p_pos_cj(gains: LinkGains, params: SystemParams) -> float:
 def sop_cj_single(gains: LinkGains, params: SystemParams) -> float:
     """Secrecy outage probability of cooperative jamming, single-antenna relay."""
     return _sop_cj(gains, params, k=1)
-
-
-_LogForm = Callable[[int], Callable[[float], float]]  # K -> (argument -> log value)
 
 
 def _log_laplace_sum(k: int) -> Callable[[float], float]:
@@ -226,13 +225,13 @@ def _log_pdf_max(k: int) -> Callable[[float], float]:
     return lambda w: head + (k - 1) * math.log(-math.expm1(-w)) - w
 
 
-def _log_pdf_exp(k: int) -> Callable[[float], float]:
+def _log_pdf_exp(w: float) -> float:
     """Unit-exponential log density: a transmit antenna picked without CSI."""
-    return lambda w: -w
+    return -w
 
 
-def _sop_dt(gains: LinkGains, params: SystemParams, log_laplace: _LogForm, k: int) -> float:
-    """Direct-transmission outage given the transform of the relay's gain over K antennas.
+def _sop_dt(gains: LinkGains, params: SystemParams, log_laplace: Callable[[float], float]) -> float:
+    """Direct-transmission outage given the log transform of the relay's gain over K antennas.
 
     Secrecy needs |h_ab|^2 > (2^R (1 + rho*gamma_ar*G) - 1) / rho; averaging
     the exponential tail over G leaves L(2^R gamma_ar / gamma_ab).
@@ -240,29 +239,25 @@ def _sop_dt(gains: LinkGains, params: SystemParams, log_laplace: _LogForm, k: in
     two_r = 2.0 ** params.rate
     return -math.expm1(
         -_over(two_r - 1.0, params.rho, gains.gamma_ab)
-        + log_laplace(k)(two_r * gains.gamma_ar / gains.gamma_ab)
+        + log_laplace(two_r * gains.gamma_ar / gains.gamma_ab)
     )
 
 
 def sop_dt_multi(gains: LinkGains, params: SystemParams) -> float:
     """Direct-transmission outage with a K-antenna MRC eavesdropping relay."""
-    return _sop_dt(gains, params, _log_laplace_sum, params.k_antennas)
+    return _sop_dt(gains, params, _log_laplace_sum(params.k_antennas))
 
 
 def sop_dt_select(gains: LinkGains, params: SystemParams) -> float:
     """Direct-transmission outage when the relay eavesdrops on its best antenna."""
-    return _sop_dt(gains, params, _log_laplace_max, params.k_antennas)
+    return _sop_dt(gains, params, _log_laplace_max(params.k_antennas))
 
 
 def _sop_af(
-    gains: LinkGains,
-    params: SystemParams,
-    log_laplace: _LogForm,
-    log_pdf: _LogForm,
-    m: float,
-    focus: "list[float] | None" = None,
+    gains: LinkGains, params: SystemParams, log_transform: Callable[[float], float],
+    log_density: Callable[[float], float], m: float, focus: "list[float] | None" = None,
 ) -> float:
-    """AF outage given the first-hop transform and the second-hop density.
+    """AF outage given the log first-hop transform and the log second-hop density.
 
     With c = 2^{2R} - 1 and the second-hop gain gamma_rb * W, secrecy needs
     |h_ab|^2 > c/rho + gamma_ar G (c + m / (gamma_rb W + m)), where m is the
@@ -273,13 +268,9 @@ def _sop_af(
     an integral of a positive integrand against the density of W.
     ``focus`` marks where that density is concentrated, if it is narrow.
     """
-    k = params.k_antennas
     c = 2.0 ** (2.0 * params.rate) - 1.0
     scale = gains.gamma_ar / gains.gamma_ab
     grb = gains.gamma_rb
-
-    log_transform = log_laplace(k)
-    log_density = log_pdf(k)
 
     def integrand(w: float) -> float:
         return math.exp(log_transform(scale * (c + m / (grb * w + m))) + log_density(w))
@@ -296,23 +287,21 @@ def sop_af_multi(gains: LinkGains, params: SystemParams) -> float:
     """
     k = params.k_antennas
     return _sop_af(
-        gains, params, _log_laplace_sum, _log_pdf_sum,
+        gains, params, _log_laplace_sum(k), _log_pdf_sum(k),
         m=k * (gains.gamma_ar + 1.0 / params.rho), focus=_erlang_peak(k),
     )
 
 
 def sop_af_select_csi(gains: LinkGains, params: SystemParams) -> float:
     """AF outage with best-antenna selection on both hops."""
-    return _sop_af(
-        gains, params, _log_laplace_max, _log_pdf_max, m=gains.gamma_ar + 1.0 / params.rho
-    )
+    k = params.k_antennas
+    return _sop_af(gains, params, _log_laplace_max(k), _log_pdf_max(k), m=gains.gamma_ar + 1.0 / params.rho)
 
 
 def sop_af_select_nocsi(gains: LinkGains, params: SystemParams) -> float:
     """AF outage with best receive antenna and a random transmit antenna."""
-    return _sop_af(
-        gains, params, _log_laplace_max, _log_pdf_exp, m=gains.gamma_ar + 1.0 / params.rho
-    )
+    k = params.k_antennas
+    return _sop_af(gains, params, _log_laplace_max(k), _log_pdf_exp, m=gains.gamma_ar + 1.0 / params.rho)
 
 
 def _sop_cj(gains: LinkGains, params: SystemParams, k: int) -> float:

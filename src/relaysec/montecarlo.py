@@ -76,18 +76,16 @@ def rate_margins_block(block: ChannelBlock, gains: LinkGains, params: SystemPara
     The margin pre * log2((1 + S_B) / (1 + S_R)), of Bob's and the relay's
     SNRs, is never formed: two-phase schemes (AF, CJ) carry the pre-log
     1/2, direct transmission 1, and the margin lies below R exactly when
-    c S_B - S_R < 1 - c, c = 2^{-R/pre}, with 1 - c = -expm1(-(R/pre) ln 2).
-    No SNR is added to 1, so an SNR below an ulp of 1 keeps its digits;
-    at R = 0 the rule is S_B < S_R.  For the two-phase schemes 2^{R/pre} is
-    the closed forms' T = 2^{2R}.  The factor c scales Bob's side: the
-    relay's side scaled by 2^{R/pre} would overflow as R nears 512.  The
-    margin is not clipped, so a zero target rate counts the complement of
-    the positive-secrecy probability.  The function keeps the margin's
-    name on purpose: the benchmark's tracer times the margin layer under
-    it.  Node power fractions scale the respective transmit powers, with
-    the relay's statistical normalization tracking the actual received
-    power (signal, jamming, noise).  Each row tile of the block's features
-    is decided on its own, so the temporaries stay small.
+    c S_B - S_R < 1 - c, c = 2^{-R/pre}, with 1 - c = -expm1(-(R/pre) ln 2);
+    for AF and CJ 2^{R/pre} is the closed forms' T = 2^{2R}.  c scales Bob's
+    side: the relay's scaled by 2^{R/pre} would overflow as R nears 512.
+    For positive gains and rho, power fractions 0 or at least 1e-6 and R
+    in [0, 512), each flag is that decision but at near ties, |c S_B - S_R
+    - (1 - c)| <= 2^-50 max(c S_B, S_R, 1 - c), under ``_count_many``'s errstate.
+    The margin is not clipped, so a zero target rate counts the complement
+    of the positive-secrecy probability.  The name is kept on purpose: the
+    benchmark's tracer times the margin layer under it.  Each row tile is
+    decided on its own, so temporaries stay small.
     """
     if block.k != params.k_antennas:
         raise ValueError(f"block has {block.k} antennas, params expect {params.k_antennas}")
@@ -106,10 +104,15 @@ def rate_margins_block(block: ChannelBlock, gains: LinkGains, params: SystemPara
 def _outage(
     gains: LinkGains, params: SystemParams, c: float, gap: float, features: Sequence[np.ndarray], out=None
 ) -> np.ndarray:
-    """Where c S_B - S_R < 1 - c = ``gap``, on one row tile, both sides times ``_rates``'s u."""
-    bob, relay, unit = _rates(gains, params, c, *features)
+    """Where c S_B - S_R < 1 - c = ``gap``, on one row tile, from ``_rates``'s
+    triple and the scale of its u.  At R = 0, or where gap times the scale is
+    not a normal float, the sides alone decide (a tie is an outage if R > 0)."""
+    bob, relay, unit, scale = _rates(gains, params, c, *features)
+    threshold = gap * scale if gap > 0.0 else 0.0
+    if threshold < 2.0 ** -1022:
+        return (np.less_equal if gap > 0.0 else np.less)(bob, relay, out=out)
     bob -= relay
-    unit *= gap
+    unit *= threshold
     return np.less(bob, unit, out=out)
 
 
@@ -146,22 +149,24 @@ def _reads(scheme: SchemeId, k: int) -> tuple:
 def _rates(gains: LinkGains, params: SystemParams, c: float, *features: np.ndarray) -> tuple:
     """The triple (c S_B u, S_R u, u) of Bob's and the relay's SNRs, for a
     positive u per trial, from the features ``_reads`` names, for one row
-    tile; u is a float for DT and AF, 1 unless the triple is scaled.
+    tile, and u's scalar factor: the triple's u, a float 1 for DT and AF,
+    is u over that factor.
 
-    The features are of unit-mean fading; this is the one place that
-    knows the link gains, each folded into a scalar factor, as is ``c``.
-    One expression per scheme serves the full array and selection: the
-    relay normalizes its forwarded power over m antennas, m = K for the
-    full array and m = 1 under selection.  CJ's eavesdropping SINR has one
-    law, one antenna's SINR against the jamming on the antenna gains read;
-    on an array of K > 1 the relay's max-SINR (MMSE) receiver adds the
-    first hop's gain orthogonal to the jamming, which the jamming does not
-    dim.  A relay without power forwards nothing.  Each term is built in
-    place in one temporary, with no logarithm and no division but AF's
-    amplification.  The decision is homogeneous, so where a rho gamma, for
-    the largest link gain gamma the SNRs scale, passes 2^960 the whole
-    triple is divided by it; the SNRs themselves would overflow there, and
-    inf - inf decided nothing.
+    The features are of unit-mean fading; this is the one place that knows
+    the link gains, each folded into a scalar factor, as is ``c``.  Every
+    trial is built in one unit, rho gamma_top, the scale of its larger side:
+    gamma_top is the larger of c gamma_ab and gamma_ar for DT and AF and
+    gamma_ar for CJ, whose relay side without an orthogonal gain is a rho
+    gamma_ar quiet hop1, so there gamma_top is gamma_ar max(quiet, c), or
+    gamma_ar quiet where Bob's side is zero.  So every factor is at most a,
+    and a silent Alice gives zero SNRs.  The relay normalizes its forwarded
+    power to its received power (signal, jamming, noise) over m antennas,
+    m = K for the full array and 1 under selection.  CJ's relay SINR is one
+    antenna's against the jamming, plus on an array of K > 1 its max-SINR
+    (MMSE) receiver's gain orthogonal to the jamming.  A relay without
+    power, or whose amplification floor passes the float range, forwards
+    nothing.  Each term is built in place in one temporary, with no
+    logarithm and no division but AF's amplification.
     """
     rho = params.rho
     a = params.power.frac_alice
@@ -169,53 +174,51 @@ def _rates(gains: LinkGains, params: SystemParams, c: float, *features: np.ndarr
     j = params.power.frac_bob_jam
     scheme = params.scheme.scheme
     m = params.k_antennas if params.scheme.mode is SelectionMode.FULL_ARRAY else 1
-    top = gains.gamma_ar if scheme is Scheme.CJ else max(gains.gamma_ab, gains.gamma_ar)
-    g_ab_scale, g_ar_scale, shrink = a * rho * gains.gamma_ab, a * rho * gains.gamma_ar, 1.0
-    if a * rho * top > 2.0 ** 960:
-        g_ab_scale, g_ar_scale, shrink = gains.gamma_ab / top, gains.gamma_ar / top, 1.0 / a / rho / top
+    if scheme is not Scheme.CJ:
+        top = max(c * gains.gamma_ab, gains.gamma_ar)
+        g_ab, hop1 = features[:2]
+        g_ar_scale = a * (gains.gamma_ar / top)
+        bob = np.multiply(g_ab, a * (c * gains.gamma_ab / top))
+        if scheme is Scheme.AF and r > 0.0:
+            hop2 = features[2]
+            forwarded = np.multiply(hop2, g_ar_scale * c)
+            forwarded *= hop1
+            forwarded /= np.add(hop2, ((a / r) * m * gains.gamma_ar + m / r / rho) / gains.gamma_rb)
+            bob += forwarded
+        return bob, np.multiply(hop1, g_ar_scale), 1.0, 1.0 / rho / top
 
-    if scheme is Scheme.CJ:
-        # Cooperative jamming: the destination forfeits the direct link and
-        # jams during the first phase, then cancels its own interference.
-        # Each SNR's denominator moves into u, so nothing divides: u starts
-        # as the interference I = j gamma_rb S_jam + 1/rho, in units of
-        # noise, and I S_R = a gamma_ar (S_ar + j rho gamma_rb Q), with the
-        # orthogonal gain Q = |h_ar|^2 |h_rb|^2 - |h_rb^H h_ar|^2 on an
-        # array.  Both are divided by j gamma_rb + 1/rho, which leaves
-        # I = w S_jam + quiet with v = j rho gamma_rb, quiet = 1 / (1 + v)
-        # and w = v quiet (taken as 1 - quiet from v = 1 on, which also
-        # holds at v = inf), so the terms stay finite as gamma_rb nears the
-        # top of the float range.
-        hop1, hop2, jam, *orthogonal = features
-        v = j * rho * gains.gamma_rb
-        quiet = 1.0 / (1.0 + v)
-        w = 1.0 - quiet if v > 1.0 else v * quiet
-        unit = np.multiply(jam, w)
-        unit += quiet
-        relay = np.multiply(hop1, g_ar_scale * quiet)
-        for q in orthogonal:
-            relay += q * (g_ar_scale * w)
-        if r <= 0.0:
-            return 0.0, relay, unit * shrink
-        # S_B = forwarded / floor, so u takes the floor too.
-        floor = np.add(hop2, (((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb + (j / r) * m))
-        relay *= floor
-        bob = np.multiply(hop2, g_ar_scale * c)
-        bob *= hop1
-        bob *= unit  # before u takes the scale, which Bob's side already carries
-        unit *= floor
-        if shrink != 1.0:
-            unit *= shrink
-        return bob, relay, unit
-    g_ab, hop1 = features[:2]
-    bob = np.multiply(g_ab, g_ab_scale * c)
-    if scheme is Scheme.AF and r > 0.0:
-        hop2 = features[2]
-        forwarded = np.multiply(hop2, g_ar_scale * c)
-        forwarded *= hop1
-        forwarded /= np.add(hop2, ((a / r) * m * gains.gamma_ar + m / (r * rho)) / gains.gamma_rb)
-        bob += forwarded
-    return bob, np.multiply(hop1, g_ar_scale), shrink
+    # Cooperative jamming: the destination jams the first phase and cancels
+    # its own jamming.  u takes the relay's interference I = j gamma_rb S_jam
+    # + 1/rho, with I S_R = a gamma_ar (S_ar + v Q), v = j rho gamma_rb, Q =
+    # |h_ar|^2 |h_rb|^2 - |h_rb^H h_ar|^2 on an array; over j gamma_rb + 1/rho,
+    # I = w S_jam + quiet, quiet = 1/(1 + v), w = v quiet (1 - quiet from v = 1).
+    hop1, hop2, jam, *orthogonal = features
+    v = j * rho * gains.gamma_rb
+    quiet = 1.0 / (1.0 + v)
+    w = 1.0 - quiet if v > 1.0 else v * quiet
+    unit = np.multiply(jam, w)
+    unit += quiet
+    floor = ((a / r) * m * gains.gamma_ar + m / r / rho) / gains.gamma_rb + (j / r) * m if r > 0.0 else math.inf
+    if orthogonal:
+        relay = np.multiply(hop1, a * quiet)
+        relay += orthogonal[0] * (a * w)
+        loud, scale = a * c, 1.0 / rho / gains.gamma_ar
+    else:
+        # kappa = c / quiet = c rho nu, nu = (1 + v) / rho, multiplied to overflow only if it must.
+        nu = 1.0 / rho + j * gains.gamma_rb
+        kappa = c * max(rho, nu) * min(rho, nu) if floor < math.inf else 0.0
+        relay = np.multiply(hop1, a / max(1.0, kappa))
+        loud, scale = a * min(1.0, kappa), (nu if kappa <= 1.0 else 1.0 / c / rho) / gains.gamma_ar
+    if floor == math.inf:
+        return 0.0, relay, unit, scale
+    # S_B = forwarded / (hop2 + floor), so u takes that sum too.
+    floor = np.add(hop2, floor)
+    relay *= floor
+    bob = np.multiply(hop2, loud)
+    bob *= hop1
+    bob *= unit
+    unit *= floor
+    return bob, relay, unit, scale
 
 
 def _map_chunks(run_chunk: Callable[[int, int], object], mc: McConfig) -> list:
@@ -255,12 +258,14 @@ def _count_many(
         shared = dict.fromkeys(name for params in params_list for name in _reads(params.scheme, k))
 
     def run_chunk(idx: int, n: int) -> list[int]:
+        """Counts under one errstate: an overflowing side is inf, its limit; inf - inf warns."""
         counts = [0] * len(params_list)
-        for tile in sample_channel_block(k, mc.seed, idx, n).tiles(_MARGIN_ROWS):
-            if shared:
-                tile.features(*shared)
-            for i, p in enumerate(params_list):
-                counts[i] += int(np.count_nonzero(rate_margins_block(tile, gains, p)))
+        with np.errstate(over="ignore"):
+            for tile in sample_channel_block(k, mc.seed, idx, n).tiles(_MARGIN_ROWS):
+                if shared:
+                    tile.features(*shared)
+                for i, p in enumerate(params_list):
+                    counts[i] += int(np.count_nonzero(rate_margins_block(tile, gains, p)))
         return counts
 
     return [sum(counts) for counts in zip(*_map_chunks(run_chunk, mc))]

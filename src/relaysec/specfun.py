@@ -50,7 +50,8 @@ def exp_scaled_e1(y: float) -> float:
     needs at most 92 steps.  Both stay within a few units in the last place.
     From y = 2^54 on, the fraction is its first term 1/(y + 1): the rest
     moves it by a relative 1/y^2, and the loop's test, which needs a step
-    of exactly 1, stalled there on about one y in seven.
+    of exactly 1, stalled there on about one y in seven.  Below, where one y
+    in 3,000 stalls, the value is h at its first step within 2 ulps of 1.
     """
     if not y > 0:
         raise ValueError(f"exp_scaled_e1 requires y > 0, got {y}")
@@ -71,6 +72,7 @@ def exp_scaled_e1(y: float) -> float:
     c = 1e308
     d = 1.0 / b
     h = d
+    settled = None  # h at the first step within 2 ulps of 1
     for n in range(1, 200):
         a = -float(n * n)
         b += 2.0
@@ -80,6 +82,10 @@ def exp_scaled_e1(y: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             return h
+        if settled is None and abs(delta - 1.0) <= 2.0 * _EPS:
+            settled = h
+    if settled is not None:
+        return settled
     raise ConvergenceError(f"continued fraction for exp_scaled_e1({y}) did not converge")
 
 

@@ -411,6 +411,7 @@ class TestExitCodes:
         ("analytic --scheme cj --gar-db -2000 --grb-db 2000 --rho-db -2000 --rate 1", 1.0),
         ("analytic --scheme cj --k 4 --mode select-nocsi --gar-db -2000 --grb-db 2000 --rho-db -2000 --rate 1", 1.0),
         ("analytic --scheme af --gar-db -2000 --grb-db 2000 --rho-db 2000", 0.0),
+        ("analytic --scheme af --gar-db 3000 --grb-db -100 --rho-db 100", 1.0),
         ("asymptotic --scheme dt --limit dt_weak_first_hop --gab-db -2000 --rho-db -2000", 1.0),
         ("asymptotic --scheme af --limit af_weak_first_hop --gab-db -2000 --rho-db -2000", 1.0),
         ("asymptotic --scheme af --limit af_strong_second_hop --gab-db -2000 --rho-db -2000", 1.0),
@@ -423,8 +424,9 @@ class TestExitCodes:
     def test_products_beyond_the_float_range(self, args, value, capsys):
         # A product of two inputs left the float range: c / (rho gamma)
         # divided by zero, an Ei bracket reached exp_scaled_e1(0),
-        # 2^R gamma_ar / (2^R gamma_ar + gamma_ab) was inf / inf, and K1
-        # did not converge at sqrt(4c / (rho gamma_ar)) = inf.
+        # 2^R gamma_ar / (2^R gamma_ar + gamma_ab) was inf / inf, K1 did not
+        # converge at sqrt(4c / (rho gamma_ar)) = inf, and an Ei bracket
+        # reached exp_scaled_e1(inf) where mu beta overflowed.
         code, out, err = run_cli(["point", "--method", *args.split()], capsys)
         assert code == 0, err
         assert float(out.splitlines()[1].split(",")[9]) == value

@@ -294,6 +294,80 @@ class TestOneLogMargin:
                 assert estimate_sop(gains, params, mc).value * mc.trials == expected, (rho_db, k, str(scheme))
 
 
+def _exact_sides(features, gains, params) -> list:
+    """(S_B, S_R) of each trial in 60 digits, from the kernel's own features
+    with ``_two_log_margins``' SNR formulas; CJ's relay SINR is
+    a rho gamma_ar (hop1 + v Q) / (v jam + 1), v = j rho gamma_rb, with Q = 0
+    where the features hold no orthogonal gain."""
+    mpf = mpmath.mpf
+    scheme = params.scheme.scheme
+    m = params.k_antennas if params.scheme.mode is SelectionMode.FULL_ARRAY else 1
+    a, r, j = (mpf(x) for x in (params.power.frac_alice, params.power.frac_relay, params.power.frac_bob_jam))
+    rho, gab, gar, grb = (mpf(x) for x in (params.rho, gains.gamma_ab, gains.gamma_ar, gains.gamma_rb))
+    columns = [[mpf(x) for x in feature.tolist()] for feature in features]
+    if scheme is Scheme.CJ:
+        hop1, hop2, jam, *orthogonal = columns
+        q = orthogonal[0] if orthogonal else [mpf(0)] * len(hop1)
+    else:
+        g_ab, hop1, *hop2 = columns
+        hop2 = hop2[0] if hop2 else None
+    floor = None
+    if r > 0 and scheme is not Scheme.DT:
+        floor = ((a / r) * m * gar + m / (r * rho)) / grb + ((j / r) * m if scheme is Scheme.CJ else 0)
+    v = j * rho * grb
+    sides = []
+    for i in range(len(hop1)):
+        forwarded = 0 if floor is None else a * rho * gar * hop1[i] * hop2[i] / (hop2[i] + floor)
+        s_r = a * rho * gar * hop1[i]
+        if scheme is Scheme.DT:
+            sides.append((a * rho * gab * g_ab[i], s_r))
+        elif scheme is Scheme.AF:
+            sides.append((a * rho * gab * g_ab[i] + forwarded, s_r))
+        else:
+            sides.append((forwarded, a * rho * gar * (hop1[i] + v * q[i]) / (v * jam[i] + 1)))
+    return sides
+
+
+class TestDecisionContract:
+    """``rate_margins_block``'s contract: over the whole domain, each flag is
+    the exact decision c S_B - S_R < 1 - c, c = 2^{-R/pre}, outside the
+    near-tie band |c S_B - S_R - (1 - c)| <= 2^-50 max(c S_B, S_R, 1 - c)."""
+
+    _POWERS = (PowerAllocation(), PowerAllocation(0.3, 0.6, 0.2),
+               PowerAllocation(0.3, 0.0, 0.2), PowerAllocation(0.3, 0.6, 0.0))
+
+    @pytest.mark.parametrize("span_db", [300.0, 2500.0])
+    def test_flags_are_exact_outside_near_ties(self, all_schemes, span_db):
+        # Gains and rho log-uniform over +-span_db: at 2500 dB a rho gamma
+        # under- or overflows, the sides tie at 0 or leave the float range,
+        # and CJ's amplification floor overflows.
+        rng = np.random.default_rng(7)
+        band, mismatches, settings = 2.0 ** -50, [], 0
+        for scheme in all_schemes:
+            for k in (1, 2, 4):
+                for power in self._POWERS:
+                    gab, gar, grb, rho = (db_to_linear(float(x)) for x in rng.uniform(-span_db, span_db, 4))
+                    gains = LinkGains(gab, gar, grb)
+                    params = SystemParams(rho=rho, k_antennas=k, scheme=scheme, power=power)
+                    block = sample_channel_block(k, seed=7, chunk_index=settings, n=16)
+                    settings += 1
+                    features = block.features(*montecarlo._reads(scheme, k))
+                    with mpmath.workdps(60):
+                        sides = _exact_sides(features, gains, params)
+                        for rate in (0.0, 0.1, 511.0):
+                            with np.errstate(over="ignore"):
+                                flags = rate_margins_block(block, gains, replace(params, rate=rate))
+                            per_use = rate if scheme.scheme is Scheme.DT else 2.0 * rate
+                            c = mpmath.mpf(2) ** -per_use
+                            for i, (s_b, s_r) in enumerate(sides):
+                                excess = c * s_b - s_r - (1 - c)
+                                if abs(excess) <= band * max(c * s_b, s_r, 1 - c):
+                                    continue
+                                if bool(flags[i]) != (excess < 0):
+                                    mismatches.append((str(scheme), k, power, gains, rho, rate, i))
+        assert mismatches == []
+
+
 class TestSecrecyRate:
     """The margin I_B - I_R; the achievable secrecy rate is its positive part."""
 
@@ -576,6 +650,26 @@ class TestEstimates:
         est = estimate_sop(gains, params, McConfig(trials=20_000))
         # 1 / trials: the CJ form's 1.5e-155 is no outage in 20,000 trials.
         assert abs(est.value - analytic.analytic_sop(gains, params)) <= max(4.0 * est.stderr, 1.0 / est.trials)
+
+    @pytest.mark.parametrize("args", [
+        "--method both --rate 0 --scheme dt --gab-db -1430 --gar-db -1209 --rho-db -2449",
+        "--method both --rate 0 --scheme af --gab-db -1430 --gar-db -1209 --rho-db -2449",
+        "--method both --rate 0 --scheme cj --gar-db -1209 --rho-db -2449",
+        "--method montecarlo --rate 0 --scheme cj --gar-db -325 --grb-db -1090 --rho-db -2706",
+        "--method montecarlo --rate 0.1 --scheme cj --k 4 --gab-db 240 --gar-db 281 --grb-db -1085 --rho-db 1450",
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_sides_beyond_the_float_range(self, args, capsys):
+        # Where a rho gamma underflowed to 0 both sides tied at 0, and R = 0
+        # counted no outage against an analytic 1; CJ's u times 1 - c was
+        # inf * 0 where its amplification floor overflowed, and the relay's
+        # side overflowed at rho = 145 dB.
+        code = main(["point", "--trials", "20000", *args.split()])
+        rows = {row[8]: row for row in csv.reader(io.StringIO(capsys.readouterr().out)) if row[0] != "scheme"}
+        assert code == 0
+        if "analytic" in rows:
+            mc, stderr = float(rows["montecarlo"][9]), float(rows["montecarlo"][10])
+            assert abs(mc - float(rows["analytic"][9])) <= 4.0 * stderr
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

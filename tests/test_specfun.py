@@ -125,6 +125,14 @@ class TestExpScaledE1:
         for y in (2.0 ** 54, 2.4428670689408225e300, *np.geomspace(2.0 ** 54, 1e308, 300)):
             assert exp_scaled_e1(float(y)) == pytest.approx(1.0 / y, rel=1e-15), y
 
+    def test_stalled_fractions_settle(self):
+        # Steps a few ulps from 1, never exactly 1, ran the loop out; a
+        # random.Random(1) log-uniform scan of 30,000 y in [1, 2^60) found these.
+        for y in (438020268454.70325, 201749763365.59735):
+            with mpmath.workdps(40):
+                ref = float(mpmath.exp(y) * mpmath.e1(y))
+            assert abs(exp_scaled_e1(y) - ref) <= 4.0 * math.ulp(ref), y
+
     def test_consistent_with_ei(self):
         y = 2.5
         assert exp_scaled_e1(y) == pytest.approx(-math.exp(y) * scipy.special.expi(-y), rel=1e-12)
